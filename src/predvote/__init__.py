@@ -25,6 +25,7 @@ from .voting import (
     SelectionResult,
     VotingMatrix,
     ecdf_auc_vote,
+    elect,
     evaluative_vote,
     fptp_vote,
     positional_vote,
@@ -54,6 +55,7 @@ __all__ = [
     "VotingMatrix",
     "build_accuracy_matrix",
     "ecdf_auc_vote",
+    "elect",
     "eval_characteristic",
     "evaluative_vote",
     "fit",

@@ -20,18 +20,7 @@ from .engine import config_from_dict, run
 from .errors import ConfigError, DataError, PredvoteError, SimulationError
 from .matrix_io import read_ecdf_csv, read_matrix_csv, write_ecdf_csv, write_matrix_csv
 from .plots import render_ecdf_svg
-from .voting import (
-    ECDF_AUC,
-    SelectionResult,
-    VotingMatrix,
-    ecdf_auc_vote,
-    ecdf_steps,
-    evaluative_vote,
-    fptp_vote,
-    positional_vote,
-    scale_rows,
-    stochastic_dominance,
-)
+from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, SimulationError: 4}
 
@@ -78,41 +67,41 @@ def _dominance_block(w3: VotingMatrix) -> dict:
     return block
 
 
-def _vote_on_matrix(matrix: AccuracyMatrix) -> tuple[dict[str, SelectionResult], dict[str, VotingMatrix]]:
-    w1, fptp_result = fptp_vote(matrix)
-    w2, positional_result = positional_vote(matrix)
-    w3 = scale_rows(matrix)
-    evaluative_result = evaluative_vote(w3)
-    ecdf_result = ecdf_auc_vote(w3)
-    selections = {
-        r.system: r for r in (fptp_result, positional_result, evaluative_result, ecdf_result)
-    }
-    return selections, {"w1": w1, "w2": w2, "w3": w3}
-
-
-def _write_voting_artifacts(
+def _write_report(
     out_dir: Path,
-    matrices: dict[str, VotingMatrix],
+    fields: dict,
+    artifacts: dict[str, str],
     selections: dict[str, SelectionResult],
+    matrices: dict[str, VotingMatrix],
+    tie_break: bool,
     svg: bool,
-) -> dict[str, str]:
-    paths: dict[str, str] = {}
-    for key in ("w1", "w2", "w3"):
-        m = matrices[key]
-        path = out_dir / f"{key}.csv"
-        write_matrix_csv(path, m.entries, m.row_labels, m.col_labels)
-        paths[key] = path.name
+) -> dict:
+    """Write w1-w3, the ECDF steps (and SVG) and report.json; return the report.
+
+    fields are the command's own report entries; artifacts names the files
+    the command wrote itself and is extended with the files written here.
+    """
+    artifacts = dict(artifacts)
+    for key, m in matrices.items():
+        write_matrix_csv(out_dir / f"{key}.csv", m.entries, m.row_labels, m.col_labels)
+        artifacts[key] = f"{key}.csv"
     w3 = matrices["w3"]
     steps = {name: ecdf_steps(w3.entries[:, j]) for j, name in enumerate(w3.col_labels)}
-    ecdf_path = out_dir / "ecdf.csv"
-    write_ecdf_csv(ecdf_path, steps)
-    paths["ecdf"] = ecdf_path.name
+    write_ecdf_csv(out_dir / "ecdf.csv", steps)
+    artifacts["ecdf"] = "ecdf.csv"
     if svg:
         aucs = dict(zip(w3.col_labels, (float(v) for v in selections[ECDF_AUC].criterion_values)))
-        svg_path = out_dir / "ecdf.svg"
-        svg_path.write_text(render_ecdf_svg(steps, aucs), encoding="utf-8")
-        paths["ecdf_svg"] = svg_path.name
-    return paths
+        (out_dir / "ecdf.svg").write_text(render_ecdf_svg(steps, aucs), encoding="utf-8")
+        artifacts["ecdf_svg"] = "ecdf.svg"
+    report = {
+        "version": __version__,
+        **fields,
+        **_selection_block(selections, w3.col_labels, tie_break),
+        "dominance": _dominance_block(w3),
+        "artifacts": artifacts,
+    }
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    return report
 
 
 def cmd_run(
@@ -150,20 +139,9 @@ def cmd_run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix = output.accuracy_matrix
-    matrix_path = out / "accuracy_matrix.csv"
-    write_matrix_csv(matrix_path, matrix.entries, matrix.row_labels, matrix.col_labels)
-    artifact_paths = {"accuracy_matrix": matrix_path.name}
-    artifact_paths.update(
-        _write_voting_artifacts(
-            out, {"w1": output.w1, "w2": output.w2, "w3": output.w3}, output.selections, svg
-        )
-    )
-
-    report = {
-        "version": __version__,
+    write_matrix_csv(out / "accuracy_matrix.csv", matrix.entries, matrix.row_labels, matrix.col_labels)
+    fields = {
         "metadata": output.metadata,
-        **_selection_block(output.selections, matrix.col_labels, tie_break),
-        "dominance": _dominance_block(output.w3),
         "final_predictions": {
             name: {
                 char: float(v)
@@ -172,9 +150,11 @@ def cmd_run(
             for name, values in output.final_predictions.items()
         },
         "winner_accuracy": _winner_accuracy(matrix, set(output.final_predictions)),
-        "artifacts": artifact_paths,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    matrices = {"w1": output.w1, "w2": output.w2, "w3": output.w3}
+    report = _write_report(
+        out, fields, {"accuracy_matrix": "accuracy_matrix.csv"}, output.selections, matrices, tie_break, svg
+    )
     print(f"run complete: winners {report['winners']}; artifacts in {out}")
     return 0
 
@@ -184,20 +164,10 @@ def _winner_accuracy(matrix: AccuracyMatrix, winner_names: set[str]) -> dict:
     out: dict[str, list] = {}
     for name in sorted(winner_names):
         j = matrix.col_labels.index(name)
-        rows = []
-        for label, row in zip(matrix.row_labels, matrix.entries):
-            generator, characteristic, measure = (
-                label if isinstance(label, (tuple, list)) else (str(label), "", "")
-            )
-            rows.append(
-                {
-                    "generator": generator,
-                    "characteristic": characteristic,
-                    "measure": measure,
-                    "value": float(row[j]),
-                }
-            )
-        out[name] = rows
+        out[name] = [
+            {"generator": generator, "characteristic": characteristic, "measure": measure, "value": float(row[j])}
+            for (generator, characteristic, measure), row in zip(matrix.row_labels, matrix.entries)
+        ]
     return out
 
 
@@ -205,24 +175,18 @@ def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False, svg: bool 
     entries, row_labels, col_labels = read_matrix_csv(matrix_path)
     if entries.shape[1] < 2:
         raise DataError(f"{matrix_path}: need at least two strategy columns")
-    matrix = AccuracyMatrix(entries=entries, row_labels=row_labels, col_labels=col_labels)
-    selections, matrices = _vote_on_matrix(matrix)
+    selections, matrices = elect(AccuracyMatrix(entries=entries, row_labels=row_labels, col_labels=col_labels))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifact_paths = _write_voting_artifacts(out, matrices, selections, svg)
-    report = {
-        "version": __version__,
+    fields = {
         "metadata": {
             "source_matrix": str(matrix_path),
             "rows": int(entries.shape[0]),
             "columns": int(entries.shape[1]),
         },
-        **_selection_block(selections, col_labels, tie_break),
-        "dominance": _dominance_block(matrices["w3"]),
-        "artifacts": artifact_paths,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    report = _write_report(out, fields, {}, selections, matrices, tie_break, svg)
     print(f"vote complete: winners {report['winners']}; artifacts in {out}")
     return 0
 

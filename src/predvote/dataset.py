@@ -62,7 +62,6 @@ class StudyFrame:
     y_sample: np.ndarray
     x_out: np.ndarray
     column_names: list[str]
-    unit_ids: list[str] | None = None
 
     def __post_init__(self):
         self.x_sample = np.atleast_2d(np.asarray(self.x_sample, dtype=np.float64))
@@ -78,8 +77,6 @@ class StudyFrame:
             raise DataError("design matrices contain non-finite values")
         if not np.all(np.isfinite(self.y_sample)):
             raise DataError("y_sample contains non-finite values")
-        if self.unit_ids is not None and len(self.unit_ids) != self.n + self.k:
-            raise DataError("unit_ids must have length n + k")
         for a in (self.x_sample, self.x_out, self.y_sample):
             a.setflags(write=False)
 

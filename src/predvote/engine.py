@@ -9,9 +9,11 @@ to a configurable ceiling instead of aborting the run.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +25,7 @@ from .errors import ConfigError, DataError, FitError, SimulationError
 from .generators import KdeModel, fit_kde, gen_nonparametric, gen_parametric
 from .models import ModelSpec, fit
 from .prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
-from .voting import (
-    SelectionResult,
-    VotingMatrix,
-    ecdf_auc_vote,
-    evaluative_vote,
-    fptp_vote,
-    positional_vote,
-    scale_rows,
-)
+from .voting import SelectionResult, VotingMatrix, elect
 
 _M64 = (1 << 64) - 1
 _B_MAX = 1 << 32  # stream id = g * _B_MAX + b stays unique for any b <= 2^32
@@ -97,6 +91,12 @@ class RunConfig:
             raise ConfigError("failure_ceiling: must lie in [0, 1)")
         if self.parallelism is not None and self.parallelism < 1:
             raise ConfigError("parallelism: must be a positive worker count")
+        bandwidth = self.kde_bandwidth
+        numeric = isinstance(bandwidth, (int, float)) and not isinstance(bandwidth, bool)
+        if bandwidth != "silverman" and not (numeric and math.isfinite(bandwidth) and bandwidth > 0):
+            raise ConfigError(
+                f"kde_bandwidth: must be 'silverman' or a finite positive number, got {bandwidth!r}"
+            )
 
 
 @dataclass
@@ -114,13 +114,10 @@ def generator_label(index: int, spec: ModelSpec) -> str:
     return f"gen{index + 1}_{spec.family}"
 
 
-def _fit_generators(
-    config: RunConfig, frame: StudyFrame
-) -> tuple[list, list[KdeModel | None], list[str]]:
-    fitted, kdes, labels = [], [], []
+def _fit_generators(config: RunConfig, frame: StudyFrame) -> tuple[list, list[KdeModel | None]]:
+    fitted, kdes = [], []
     for i, spec in enumerate(config.generators):
         label = generator_label(i, spec)
-        labels.append(label)
         try:
             model = fit(spec, frame.x_sample, frame.y_sample)
         except FitError as exc:
@@ -133,7 +130,7 @@ def _fit_generators(
                 kdes.append(fit_kde(model.sample_residuals, config.kde_bandwidth))
             except DataError as exc:
                 raise ConfigError(f"generator {label!r}: residual KDE failed: {exc}") from exc
-    return fitted, kdes, labels
+    return fitted, kdes
 
 
 def _simulate_block(
@@ -182,7 +179,7 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     config.validate()
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
-    fitted, kdes, _ = _fit_generators(config, frame)
+    fitted, kdes = _fit_generators(config, frame)
     g_count = len(config.generators)
     b_count = config.iterations
     workers = workers or config.parallelism or os.cpu_count() or 1
@@ -192,36 +189,18 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
 
     chunk = max(1, -(-b_count // (workers * 4)))
     tasks = [
-        (g, lo, min(lo + chunk, b_count))
+        (frame, fitted[g], kdes[g], config.strategies, config.characteristics,
+         config.master_seed, g, lo, min(lo + chunk, b_count))
         for g in range(g_count)
         for lo in range(0, b_count, chunk)
     ]
-
-    def _absorb(result):
-        g, b_lo, err_block, mask_block = result
-        values[g, b_lo : b_lo + err_block.shape[0]] = err_block
-        mask[g, b_lo : b_lo + mask_block.shape[0]] = mask_block
-
-    if workers == 1 or len(tasks) == 1:
-        for g, lo, hi in tasks:
-            _absorb(
-                _simulate_block(
-                    frame, fitted[g], kdes[g], config.strategies, config.characteristics,
-                    config.master_seed, g, lo, hi,
-                )
-            )
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _simulate_block,
-                    frame, fitted[g], kdes[g], config.strategies, config.characteristics,
-                    config.master_seed, g, lo, hi,
-                )
-                for g, lo, hi in tasks
-            ]
-            for future in futures:
-                _absorb(future.result())
+    serial = workers == 1 or len(tasks) == 1
+    with (nullcontext() if serial else ProcessPoolExecutor(max_workers=workers)) as pool:
+        # map and pool.map both take one iterable per argument of _simulate_block
+        blocks = (map if serial else pool.map)(_simulate_block, *zip(*tasks))
+        for g, b_lo, err_block, mask_block in blocks:
+            values[g, b_lo : b_lo + err_block.shape[0]] = err_block
+            mask[g, b_lo : b_lo + mask_block.shape[0]] = mask_block
 
     failure_rate = mask.sum() / mask.size
     if failure_rate > config.failure_ceiling:
@@ -239,7 +218,6 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     of the four winner sets.
     """
     started = time.perf_counter()
-    config.validate()
     workers = workers or config.parallelism or os.cpu_count() or 1
     tensor = simulate_errors(config, frame, workers=workers)
     gen_labels = [generator_label(i, s) for i, s in enumerate(config.generators)]
@@ -252,14 +230,7 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     except DataError as exc:
         raise SimulationError(str(exc)) from exc
 
-    w1, fptp_result = fptp_vote(matrix)
-    w2, positional_result = positional_vote(matrix)
-    w3 = scale_rows(matrix)
-    evaluative_result = evaluative_vote(w3)
-    ecdf_result = ecdf_auc_vote(w3)
-    selections = {
-        r.system: r for r in (fptp_result, positional_result, evaluative_result, ecdf_result)
-    }
+    selections, voting_matrices = elect(matrix)
 
     final_predictions: dict[str, np.ndarray] = {}
     by_name = {s.name: s for s in config.strategies}
@@ -293,12 +264,10 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     }
     return RunOutput(
         accuracy_matrix=matrix,
-        w1=w1,
-        w2=w2,
-        w3=w3,
         selections=selections,
         final_predictions=final_predictions,
         metadata=metadata,
+        **voting_matrices,
     )
 
 
@@ -320,6 +289,11 @@ def _parse_model_spec(node: dict, context: str) -> ModelSpec:
         return ModelSpec(family=node["family"], hyperparams=dict(node.get("hyperparams", {})))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _is_integer(value) -> bool:
+    # bool is a subclass of int, but true/false is not a count or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -366,8 +340,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     parallelism = doc.get("parallelism")
     if parallelism in ("auto", None):
         parallelism = None
-    elif not isinstance(parallelism, int) or parallelism < 1:
-        raise ConfigError("parallelism: must be a positive integer or 'auto'")
+    elif not _is_integer(parallelism) or parallelism < 1:
+        raise ConfigError(f"parallelism: must be a positive integer or 'auto', got {parallelism!r}")
+    for key in ("iterations", "master_seed"):
+        if key in doc and not _is_integer(doc[key]):
+            raise ConfigError(f"{key}: must be an integer, got {doc[key]!r}")
 
     try:
         config = RunConfig(
@@ -375,8 +352,8 @@ def config_from_dict(doc: dict) -> RunConfig:
             strategies=strategies,
             characteristics=characteristics,
             measures=measures,
-            iterations=int(doc.get("iterations", 5000)),
-            master_seed=int(doc.get("master_seed", 0)),
+            iterations=doc.get("iterations", 5000),
+            master_seed=doc.get("master_seed", 0),
             parallelism=parallelism,
             failure_ceiling=float(doc.get("failure_ceiling", 0.01)),
             kde_bandwidth=doc.get("kde_bandwidth", "silverman"),

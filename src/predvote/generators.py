@@ -32,12 +32,6 @@ class GeneratedPopulation:
         if not np.all(np.isfinite(self.y_full)):
             raise SimulationError("generated population contains non-finite values")
 
-    def sample_block(self, n: int) -> np.ndarray:
-        return self.y_full[:n]
-
-    def out_block(self, n: int) -> np.ndarray:
-        return self.y_full[n:]
-
 
 @dataclass
 class KdeModel:
@@ -50,12 +44,9 @@ class KdeModel:
 
     support_points: np.ndarray
     bandwidth: float
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         self.support_points = np.asarray(self.support_points, dtype=np.float64).ravel()
-        if self.kernel != "gaussian":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
         center = abs(float(self.support_points.mean()))

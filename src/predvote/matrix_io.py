@@ -19,11 +19,11 @@ def label_to_str(label) -> str:
     return str(label)
 
 
-def write_matrix_csv(path: str, entries: np.ndarray, row_labels: list, col_labels: list[str], corner: str = "voter") -> None:
+def write_matrix_csv(path: str, entries: np.ndarray, row_labels: list, col_labels: list[str]) -> None:
     entries = np.atleast_2d(np.asarray(entries, dtype=np.float64))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([corner, *[str(c) for c in col_labels]])
+        writer.writerow(["voter", *[str(c) for c in col_labels]])
         for label, row in zip(row_labels, entries):
             writer.writerow([label_to_str(label), *[repr(float(v)) for v in row]])
 

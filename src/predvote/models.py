@@ -186,11 +186,6 @@ class FittedModel:
         return self._state.linear(x)
 
 
-def residuals(model: FittedModel) -> np.ndarray:
-    """Training residuals y - fitted, length n."""
-    return model.sample_residuals
-
-
 def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:

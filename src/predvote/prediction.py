@@ -23,8 +23,6 @@ MEDIAN = "median"
 QUANTILE = "quantile"
 CHARACTERISTIC_KINDS = (TOTAL, MEAN, MEDIAN, QUANTILE)
 
-PLUG_IN = "plug_in"
-
 
 @dataclass(frozen=True)
 class Characteristic:
@@ -54,15 +52,12 @@ class Characteristic:
 
 @dataclass(frozen=True)
 class PredictionStrategy:
-    """A candidate: (predictive model, prediction algorithm) pair."""
+    """A candidate: a predictive model under the plug-in prediction algorithm."""
 
     name: str
     model: ModelSpec
-    algorithm: str = PLUG_IN
 
     def __post_init__(self):
-        if self.algorithm != PLUG_IN:
-            raise ValueError(f"unsupported prediction algorithm {self.algorithm!r}")
         if not self.name:
             raise ValueError("strategy needs a non-empty name")
 
@@ -74,10 +69,8 @@ def order_statistic_quantile(values: np.ndarray, p: float) -> float:
     return float(ordered[index - 1])
 
 
-def eval_characteristic(char: Characteristic, y: np.ndarray, expected_length: int | None = None) -> float:
+def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64).ravel()
-    if expected_length is not None and y.size != expected_length:
-        raise ValueError(f"vector has length {y.size}, expected {expected_length}")
     if y.size == 0:
         raise ValueError("cannot evaluate a characteristic on an empty vector")
     if char.kind == TOTAL:

@@ -172,6 +172,20 @@ def ecdf_auc_vote(w3: VotingMatrix) -> SelectionResult:
     )
 
 
+def elect(matrix: AccuracyMatrix) -> tuple[dict[str, SelectionResult], dict[str, VotingMatrix]]:
+    """Run all four voting systems on one accuracy matrix.
+
+    Returns the selections keyed by system, in the order fptp, positional,
+    evaluative, ecdf_auc, and the voting matrices keyed "w1" (fptp
+    indicators), "w2" (midranks) and "w3" (scaled scores).
+    """
+    w1, fptp = fptp_vote(matrix)
+    w2, positional = positional_vote(matrix)
+    w3 = scale_rows(matrix)
+    results = (fptp, positional, evaluative_vote(w3), ecdf_auc_vote(w3))
+    return {r.system: r for r in results}, {"w1": w1, "w2": w2, "w3": w3}
+
+
 def ecdf_steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jump points (x, F(x)) of the empirical CDF of a score column."""
     v = np.sort(np.asarray(values, dtype=np.float64).ravel())

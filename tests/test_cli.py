@@ -80,6 +80,14 @@ class TestCmdRun:
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
         assert "at least two strategies" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bandwidth", ["scott", -1.0])
+    def test_bad_kde_bandwidth_exits_2(self, workspace, capsys, bandwidth):
+        tmp, config, data = workspace
+        bad = minimal_config(generators=[{"family": "knn"}], kde_bandwidth=bandwidth)
+        config.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
+        assert "kde_bandwidth" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, workspace):
         tmp, _, data = workspace
         assert main(["run", "--config", str(tmp / "nope.json"), "--data", str(data), "--out", str(tmp / "x")]) == 2

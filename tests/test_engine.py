@@ -349,3 +349,14 @@ class TestConfigFromDict:
         doc["parallelism"] = 0
         with pytest.raises(ConfigError, match="parallelism"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("iterations", 3.9), ("master_seed", 1.7), ("master_seed", "1"), ("parallelism", True)],
+    )
+    def test_non_integer_counts_rejected(self, key, value):
+        # int() would truncate 3.9 to 3 and read true as 1
+        doc = self.good_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)

@@ -189,11 +189,6 @@ class TestNonparametricGeneration:
 
 
 class TestGeneratedPopulation:
-    def test_blocks(self):
-        pop = GeneratedPopulation(y_full=np.arange(5.0), generator_index=1, iteration_index=2)
-        assert np.array_equal(pop.sample_block(3), [0.0, 1.0, 2.0])
-        assert np.array_equal(pop.out_block(3), [3.0, 4.0])
-
     def test_non_finite_rejected(self):
         from predvote.errors import SimulationError
 

@@ -12,7 +12,6 @@ from predvote.models import (
     FittedModel,
     ModelSpec,
     fit,
-    residuals,
 )
 
 
@@ -72,7 +71,7 @@ class TestOls:
         assert model.linear_predictor([[0.0]])[0] == pytest.approx(0.0, abs=1e-10)
         assert model.predict([[4.0]])[0] == pytest.approx(8.0, abs=1e-10)
         assert model.error_summary["residual_variance"] == pytest.approx(0.0, abs=1e-18)
-        assert np.allclose(residuals(model), 0.0, atol=1e-10)
+        assert np.allclose(model.sample_residuals, 0.0, atol=1e-10)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(4)
@@ -140,15 +139,20 @@ class TestGammaGlm:
         with pytest.raises(FitError, match="positive"):
             fit(ModelSpec(GAMMA_GLM), [[1.0], [2.0], [3.0]], [0.0, 1.0, 2.0])
 
-    def test_recovers_true_coefficients(self):
-        # independent oracles: large-sample truth and the statsmodels IRLS
-        sm = pytest.importorskip("statsmodels.api")
+    @staticmethod
+    def gamma_data():
         rng = np.random.default_rng(42)
         n = 5000
         x = rng.uniform(0.0, 2.0, size=(n, 1))
         mu = np.exp(1.0 + 0.5 * x[:, 0])
         shape = 2.0  # dispersion 0.5
-        y = rng.gamma(shape, mu / shape)
+        return x, rng.gamma(shape, mu / shape)
+
+    def test_recovers_true_coefficients(self):
+        # independent oracles: large-sample truth and the statsmodels IRLS
+        sm = pytest.importorskip("statsmodels.api")
+        x, y = self.gamma_data()
+        n = y.size
         model = fit(ModelSpec(GAMMA_GLM), x, y)
         coef = model._state.coef
 
@@ -158,6 +162,28 @@ class TestGammaGlm:
         assert model.error_summary["dispersion"] == pytest.approx(glm.scale, rel=1e-4)
         for est, truth, se in zip(coef, [1.0, 0.5], glm.bse):
             assert abs(est - truth) < 3 * se
+
+    def test_matches_direct_deviance_minimisation(self):
+        # oracle without IRLS: a generic minimiser of the Gamma log-link deviance
+        optimize = pytest.importorskip("scipy.optimize")
+        x, y = self.gamma_data()
+        design = np.column_stack([np.ones(y.size), x])
+
+        def deviance(beta):
+            eta = design @ beta
+            return 2.0 * np.sum(eta - np.log(y) + y * np.exp(-eta) - 1.0)
+
+        def gradient(beta):
+            return 2.0 * design.T @ (1.0 - y * np.exp(-(design @ beta)))
+
+        def hessian(beta):
+            return 2.0 * (design * (y * np.exp(-(design @ beta)))[:, None]).T @ design
+
+        oracle = optimize.minimize(
+            deviance, np.zeros(2), jac=gradient, hess=hessian, method="trust-exact", options={"gtol": 1e-8}
+        )
+        assert oracle.success
+        assert np.allclose(fit(ModelSpec(GAMMA_GLM), x, y)._state.coef, oracle.x, rtol=1e-6, atol=0.0)
 
     def test_deviance_nonincreasing(self):
         x, y = positive_data(seed=11)
@@ -276,6 +302,22 @@ class TestKnn:
         ref = sklearn_neighbors.KNeighborsRegressor(n_neighbors=5)
         ref.fit((x - mean) / sd, y)
         assert np.allclose(model.predict(xq), ref.predict((xq - mean) / sd))
+
+    def test_matches_bruteforce_distance_matrix(self):
+        # integer-grid covariates put many rows at equal distance, so the
+        # stable tie order (lowest training row first) is part of the check
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 4, size=(60, 2)).astype(float)
+        y = rng.standard_normal(60)
+        xq = rng.integers(0, 4, size=(25, 2)).astype(float)
+        k = 5
+        model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, y)
+
+        mean, sd = x.mean(axis=0), x.std(axis=0)
+        xs, qs = (x - mean) / sd, (xq - mean) / sd
+        distances = np.sqrt(((qs[:, None, :] - xs[None, :, :]) ** 2).sum(axis=2))
+        nearest = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(model.predict(xq), y[nearest].mean(axis=1))
 
     def test_k_exceeding_sample_rejected(self):
         with pytest.raises(FitError, match="k_neighbors"):
