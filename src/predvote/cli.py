@@ -20,7 +20,7 @@ from .engine import config_from_dict, run
 from .errors import ConfigError, DataError, PredvoteError, SimulationError
 from .matrix_io import read_ecdf_csv, read_matrix_csv, write_ecdf_csv, write_matrix_csv
 from .plots import render_ecdf_svg
-from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
+from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_area, ecdf_steps, elect, stochastic_dominance
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, SimulationError: 4}
 
@@ -191,29 +191,14 @@ def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False, svg: bool 
     return 0
 
 
-def _auc_from_steps(xs: np.ndarray, cdf: np.ndarray) -> float:
-    if xs.size == 0:
-        raise DataError("empty ECDF step data")
-    if np.any(xs < 0) or np.any(xs > 1) or np.any(cdf < 0) or np.any(cdf > 1):
-        raise DataError("ECDF step data must lie in [0, 1]")
-    if np.any(np.diff(xs) < 0) or np.any(np.diff(cdf) < 0):
-        raise DataError("ECDF steps must be nondecreasing")
-    area = 0.0
-    for i in range(xs.size):
-        upper = xs[i + 1] if i + 1 < xs.size else 1.0
-        area += float(cdf[i]) * float(upper - xs[i])
-    return area
-
-
 def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
-    try:
-        steps = read_ecdf_csv(input_path)
-    except DataError:
+    steps = read_ecdf_csv(input_path)
+    if steps is None:
         entries, _, col_labels = read_matrix_csv(input_path)
         if np.any(entries < 0) or np.any(entries > 1):
-            raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]") from None
+            raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
         steps = {name: ecdf_steps(entries[:, j]) for j, name in enumerate(col_labels)}
-    aucs = {name: _auc_from_steps(xs, cdf) for name, (xs, cdf) in steps.items()}
+    aucs = {name: ecdf_area(xs, cdf) for name, (xs, cdf) in steps.items()}
     Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
     Path(out_svg).write_text(render_ecdf_svg(steps, aucs), encoding="utf-8")
     print(f"wrote {out_svg} ({len(steps)} curves)")

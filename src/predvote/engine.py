@@ -345,6 +345,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     for key in ("iterations", "master_seed"):
         if key in doc and not _is_integer(doc[key]):
             raise ConfigError(f"{key}: must be an integer, got {doc[key]!r}")
+    failure_ceiling = doc.get("failure_ceiling", 0.01)
+    if isinstance(failure_ceiling, bool) or not isinstance(failure_ceiling, (int, float)):
+        raise ConfigError(f"failure_ceiling: must be a number, got {failure_ceiling!r}")
 
     try:
         config = RunConfig(
@@ -355,7 +358,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             iterations=doc.get("iterations", 5000),
             master_seed=doc.get("master_seed", 0),
             parallelism=parallelism,
-            failure_ceiling=float(doc.get("failure_ceiling", 0.01)),
+            failure_ceiling=float(failure_ceiling),
             kde_bandwidth=doc.get("kde_bandwidth", "silverman"),
             schema=_parse_schema(doc["schema"]) if "schema" in doc else None,
         )

@@ -64,13 +64,17 @@ def write_ecdf_csv(path: str, steps: dict[str, tuple[np.ndarray, np.ndarray]]) -
                 writer.writerow([name, repr(float(x)), repr(float(f))])
 
 
-def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    """Read ECDF step curves; returns None when the header is not strategy,x,cdf.
+
+    Every curve's jump points and levels must lie in [0, 1] and be
+    nondecreasing, and its last level must be 1.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["strategy", "x", "cdf"]:
-                raise DataError(f"{path}: not an ECDF step file")
+            if next(reader, None) != ["strategy", "x", "cdf"]:
+                return None
             collected: dict[str, list[tuple[float, float]]] = {}
             for i, row in enumerate(reader, start=2):
                 if len(row) != 3:
@@ -81,7 +85,16 @@ def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
                     raise DataError(f"{path}, line {i}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read ECDF file {path}: {exc}") from exc
-    return {
-        name: (np.array([x for x, _ in pairs]), np.array([f for _, f in pairs]))
-        for name, pairs in collected.items()
-    }
+    if not collected:
+        raise DataError(f"{path}: ECDF step file has no steps")
+    steps = {}
+    for name, pairs in collected.items():
+        xs, cdf = np.array(pairs).T
+        if not np.all((xs >= 0) & (xs <= 1) & (cdf >= 0) & (cdf <= 1)):
+            raise DataError(f"{path}: ECDF steps of {name!r} must lie in [0, 1]")
+        if np.any(np.diff(xs) < 0) or np.any(np.diff(cdf) < 0):
+            raise DataError(f"{path}: ECDF steps of {name!r} must be nondecreasing")
+        if cdf[-1] != 1.0:
+            raise DataError(f"{path}: ECDF of {name!r} must end at level 1, not {cdf[-1]!r}")
+        steps[name] = (xs, cdf)
+    return steps

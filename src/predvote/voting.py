@@ -13,9 +13,13 @@ per-candidate criterion is reduced:
   ecdf_auc    same scored matrix; criterion = area under each column's
               empirical CDF over [0, 1], smallest wins.
 
-The ECDF area satisfies the closed form AUC = 1 - column mean for values
-in [0, 1]. First/second-order stochastic dominance between score columns
-is available as a diagnostic; dominance implies a better ecdf_auc value.
+Every criterion and diagnostic depends only on a column's sorted values:
+fptp sums and ECDF areas are taken over sorted columns, so columns holding
+the same values tie exactly. The ECDF area has the closed form
+AUC = 1 - column mean for values in [0, 1]. First/second-order stochastic
+dominance is available as a diagnostic; for columns of one length it
+compares sorted columns elementwise, or their partial sums (Levy 1992,
+Management Science 38(4)). Dominance implies a better ecdf_auc value.
 """
 
 from __future__ import annotations
@@ -71,23 +75,6 @@ def _winners(values: np.ndarray, names: list[str], direction: str) -> tuple[str,
     return tuple(name for name, v in zip(names, values) if v == best)
 
 
-def _midranks_desc(row: np.ndarray) -> np.ndarray:
-    """Rank P for the smallest value down to 1 for the largest; ties get midranks."""
-    p = row.size
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(p)
-    i = 0
-    while i < p:
-        j = i
-        while j + 1 < p and row[order[j + 1]] == row[order[i]]:
-            j += 1
-        # positions i..j (0-based, ascending) share the descending midrank
-        midrank = p - (i + j) / 2.0
-        ranks[order[i : j + 1]] = midrank
-        i = j + 1
-    return ranks
-
-
 def fptp_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
     """First-past-the-post: each row gives its full single vote to the minimum."""
     a = matrix.entries
@@ -96,7 +83,7 @@ def fptp_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
     ties = a == row_min
     w[ties] = 1.0
     w /= ties.sum(axis=1, keepdims=True)
-    sums = w.sum(axis=0)
+    sums = np.sort(w, axis=0).sum(axis=0)
     result = SelectionResult(
         system=FPTP,
         criterion_values=sums,
@@ -108,8 +95,15 @@ def fptp_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
 
 
 def positional_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
-    """Positional voting: rank rows, choose the highest median rank."""
-    w = np.vstack([_midranks_desc(row) for row in matrix.entries])
+    """Positional voting: rank rows, choose the highest median rank.
+
+    Ranks run from P for a row's minimum down to 1 for its maximum; tied
+    entries share the midrank #greater + (#equal + 1) / 2.
+    """
+    a = matrix.entries
+    greater = (a[:, None, :] > a[:, :, None]).sum(axis=2)
+    equal = (a[:, None, :] == a[:, :, None]).sum(axis=2)
+    w = greater + (equal + 1) / 2.0
     medians = np.median(w, axis=0)
     result = SelectionResult(
         system=POSITIONAL,
@@ -163,7 +157,7 @@ def ecdf_auc_vote(w3: VotingMatrix) -> SelectionResult:
     scores = _require_scaled(w3)
     if np.any(scores < 0) or np.any(scores > 1):
         raise ValueError("scaled scores must lie in [0, 1]")
-    aucs = 1.0 - scores.mean(axis=0)
+    aucs = 1.0 - np.sort(scores, axis=0).mean(axis=0)
     return SelectionResult(
         system=ECDF_AUC,
         criterion_values=aucs,
@@ -193,13 +187,14 @@ def ecdf_steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.cumsum(counts) / v.size
 
 
-def integrate_ecdf(values: np.ndarray, upto: float = 1.0) -> float:
-    """Exact integral of the empirical CDF of `values` over [0, upto].
+def ecdf_area(xs: np.ndarray, cdf: np.ndarray) -> float:
+    """Area under an ECDF step curve from its first jump xs[0] up to 1.
 
-    Closed form for a step function: (1/n) * sum_i max(0, upto - v_i).
+    Level cdf[i] holds on [xs[i], xs[i + 1]) and the last level on
+    [xs[-1], 1]; for the steps of a column in [0, 1] the area equals
+    1 - column mean.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    return float(np.maximum(0.0, upto - v).mean())
+    return float(np.sum(np.asarray(cdf) * np.diff(xs, append=1.0)))
 
 
 def stochastic_dominance(w3: VotingMatrix, order: int = 1) -> np.ndarray:
@@ -207,28 +202,17 @@ def stochastic_dominance(w3: VotingMatrix, order: int = 1) -> np.ndarray:
 
     Higher scores are better. First order: F_i <= F_j everywhere with strict
     inequality somewhere. Second order: the same on the running integrals of
-    the ECDFs. The relation is irreflexive and antisymmetric.
+    the ECDFs. Columns share one length, so with s_i column i sorted
+    ascending, first order holds iff s_i >= s_j elementwise and s_i != s_j,
+    and second order iff the same holds for the partial sums cumsum(s_i)
+    (Levy 1992). The relation depends only on the sorted columns, so
+    columns holding the same values never dominate each other. It is
+    irreflexive and antisymmetric.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    scores = _require_scaled(w3)
-    n_rows, p = scores.shape
-    dominates = np.zeros((p, p), dtype=bool)
-    grids = {}
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            key = (min(i, j), max(i, j))
-            if key not in grids:
-                grids[key] = np.unique(np.concatenate([scores[:, key[0]], scores[:, key[1]], [1.0]]))
-            grid = grids[key]
-            if order == 1:
-                f_i = np.searchsorted(np.sort(scores[:, i]), grid, side="right") / n_rows
-                f_j = np.searchsorted(np.sort(scores[:, j]), grid, side="right") / n_rows
-            else:
-                f_i = np.array([integrate_ecdf(scores[:, i], x) for x in grid])
-                f_j = np.array([integrate_ecdf(scores[:, j], x) for x in grid])
-            if np.all(f_i <= f_j) and np.any(f_i < f_j):
-                dominates[i, j] = True
-    return dominates
+    s = np.sort(_require_scaled(w3), axis=0)
+    if order == 2:
+        s = np.cumsum(s, axis=0)
+    weakly = np.all(s[:, :, None] >= s[:, None, :], axis=0)
+    return weakly & ~weakly.T

@@ -88,6 +88,12 @@ class TestCmdRun:
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
         assert "kde_bandwidth" in capsys.readouterr().err
 
+    def test_string_failure_ceiling_exits_2(self, workspace, capsys):
+        tmp, config, data = workspace
+        config.write_text(json.dumps(minimal_config(failure_ceiling="0.5")), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
+        assert "failure_ceiling" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, workspace):
         tmp, _, data = workspace
         assert main(["run", "--config", str(tmp / "nope.json"), "--data", str(data), "--out", str(tmp / "x")]) == 2
@@ -286,3 +292,23 @@ class TestPlotEcdf:
         assert main(["plot-ecdf", str(path), "--out", str(svg)]) == 0
         # AUC = 0.5 * (0.8 - 0.2) + 1.0 * (1 - 0.8) = 0.5
         assert "AUC=0.500" in svg.read_text()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("", "no steps"),
+            ("a,0.2,0.6\na,0.8,0.5\na,0.9,1.0\n", "nondecreasing"),
+            ("a,0.2,0.5\na,1.2,1.0\n", r"\[0, 1\]"),
+            ("a,0.2,0.5\na,0.8,0.9\n", "level 1"),
+        ],
+        ids=["empty", "non_monotone", "out_of_range", "last_level_below_one"],
+    )
+    def test_bad_step_file_exits_3(self, tmp_path, capsys, body, message):
+        path = tmp_path / "ecdf.csv"
+        path.write_text("strategy,x,cdf\n" + body, encoding="utf-8")
+        svg = tmp_path / "p.svg"
+        assert main(["plot-ecdf", str(path), "--out", str(svg)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert re.search(message, err)
+        assert not svg.exists()

@@ -360,3 +360,16 @@ class TestConfigFromDict:
         doc[key] = value
         with pytest.raises(ConfigError, match=key):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["0.5", False, None])
+    def test_non_number_failure_ceiling_rejected(self, value):
+        # float() would read "0.5" as 0.5 and false as 0.0
+        doc = self.good_doc()
+        doc["failure_ceiling"] = value
+        with pytest.raises(ConfigError, match="failure_ceiling"):
+            config_from_dict(doc)
+
+    def test_integer_failure_ceiling_accepted(self):
+        doc = self.good_doc()
+        doc["failure_ceiling"] = 0
+        assert config_from_dict(doc).failure_ceiling == 0.0

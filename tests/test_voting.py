@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference_fixture as ref
+import voting_oracle as oracle
 from predvote.accuracy import AccuracyMatrix
 from predvote.voting import (
     ECDF_AUC,
@@ -12,11 +13,12 @@ from predvote.voting import (
     POSITIONAL,
     TRANSFORM_SCALED,
     VotingMatrix,
+    ecdf_area,
     ecdf_auc_vote,
     ecdf_steps,
+    elect,
     evaluative_vote,
     fptp_vote,
-    integrate_ecdf,
     positional_vote,
     scale_rows,
     stochastic_dominance,
@@ -186,20 +188,17 @@ class TestEcdfAuc:
         assert result.criterion_values[0] == pytest.approx(0.5)
 
     def test_identity_matches_step_integration(self):
-        # independent route: geometric rectangle integration of the step function
-        def rectangle_auc(values):
-            xs, counts = np.unique(values, return_counts=True)
-            levels = np.cumsum(counts) / values.size
-            bounds = np.append(xs, 1.0)
-            return float(np.sum(levels * np.diff(bounds)))
-
+        # independent route: the area under the step curve of the column
         rng = np.random.default_rng(3)
         for _ in range(200):
             scores = rng.uniform(0.0, 1.0, size=(rng.integers(2, 30), 3))
             result = ecdf_auc_vote(scaled_of(scores))
             for j in range(3):
-                assert abs(result.criterion_values[j] - rectangle_auc(scores[:, j])) < 1e-12
-                assert abs(integrate_ecdf(scores[:, j], 1.0) - rectangle_auc(scores[:, j])) < 1e-12
+                col = scores[:, j]
+                area = ecdf_area(*ecdf_steps(col))
+                assert abs(area - (1.0 - col.mean())) < 1e-12
+                assert abs(result.criterion_values[j] - (1.0 - col.mean())) < 1e-12
+                assert abs(oracle.integrate_ecdf(col) - area) < 1e-12
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -337,3 +336,84 @@ class TestInvariances:
             assert np.allclose(rb.criterion_values[perm], rp.criterion_values)
             assert set(rb.winners) == set(rp.winners)
         assert all_winner_sets(base) == all_winner_sets(permuted)
+
+
+def random_matrix(rng, k):
+    """Small S x P matrix: uniform values, or multiples of 1/8 with exact ties."""
+    shape = (int(rng.integers(2, 9)), int(rng.integers(2, 6)))
+    if k % 2 == 0:
+        return rng.uniform(0.0, 1.0, size=shape)
+    return rng.integers(0, 9, size=shape) / 8.0
+
+
+def near_tie(values, tol=1e-12):
+    """Whether some column sits within rounding of the best without equalling it."""
+    gaps = np.abs(values - values.max())
+    return bool(np.any((gaps > 0) & (gaps <= tol)))
+
+
+class TestOracles:
+    def test_agrees_with_oracles_on_random_matrices(self):
+        rng = np.random.default_rng(13)
+        dominating = [0, 0]
+        near_ties = 0
+        for k in range(2000):
+            entries = random_matrix(rng, k)
+            matrix = matrix_of(entries)
+            selections, matrices = elect(matrix)
+            expected_w2 = np.vstack([oracle.midranks_desc(row) for row in entries])
+            assert np.array_equal(matrices["w2"].entries, expected_w2)
+            for system, values in oracle.criteria(matrix).items():
+                result = selections[system]
+                oriented = -result.criterion_values if result.direction == LOWER_BETTER else result.criterion_values
+                if near_tie(values) or near_tie(oriented):
+                    # different columns of equal exact value: rounding decides (next test)
+                    near_ties += 1
+                    continue
+                assert set(result.winners) == set(np.array(matrix.col_labels)[values == values.max()])
+            for order in (1, 2):
+                dom = stochastic_dominance(scaled_of(entries), order=order)
+                assert np.array_equal(dom, oracle.stochastic_dominance(entries, order))
+                dominating[order - 1] += int(dom.any())
+        assert min(dominating) > 1000
+        assert near_ties < 10
+
+    @pytest.mark.xfail(strict=True, reason="equal ECDF areas of different columns can round apart")
+    def test_equal_area_columns_tie(self):
+        # exact scaled columns s1 and s4 both sum to 3.85 + 2/3; the float
+        # sums differ in the last bit, so s4 drops out of the winner set
+        entries = np.array([
+            [3, 6, 6, 3, 1], [2, 0, 3, 6, 8], [6, 3, 6, 2, 0], [2, 8, 8, 1, 8],
+            [5, 8, 3, 2, 8], [6, 7, 6, 8, 5], [0, 8, 7, 0, 5], [7, 5, 2, 8, 1],
+        ]) / 8.0
+        assert ecdf_auc_vote(scale_rows(matrix_of(entries))).winners == ("s1", "s4")
+
+
+class TestRowOrder:
+    """Criteria and diagnostics depend on a column's values, not on their row order."""
+
+    def test_fptp_ties_columns_with_the_same_votes(self):
+        # all three columns receive the votes 1, 1/2, 1/2, 1/3, 1/3, 0, 0, 0
+        entries = [[1, 0, 2], [1, 1, 2], [0, 2, 0], [2, 1, 1], [1, 1, 1], [0, 1, 2], [2, 2, 1], [2, 2, 2]]
+        w1, result = fptp_vote(matrix_of(entries))
+        assert all(sorted(col) == sorted(w1.entries[:, 0]) for col in w1.entries.T)
+        assert result.criterion_values[0] == result.criterion_values[1] == result.criterion_values[2]
+        assert result.winners == ("s1", "s2", "s3")
+
+    @staticmethod
+    def permuted_pairs():
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            col = rng.uniform(0.0, 1.0, size=int(rng.integers(3, 40)))
+            yield scaled_of(np.column_stack([col, rng.permutation(col)]))
+
+    def test_permuted_column_ties_under_ecdf_auc(self):
+        for w3 in self.permuted_pairs():
+            result = ecdf_auc_vote(w3)
+            assert result.criterion_values[0] == result.criterion_values[1]
+            assert result.winners == ("s1", "s2")
+
+    def test_permuted_column_never_dominates(self):
+        for w3 in self.permuted_pairs():
+            for order in (1, 2):
+                assert not stochastic_dominance(w3, order=order).any()
