@@ -144,13 +144,16 @@ class _KnnState:
     k_neighbors: int
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        # identical rows have identical distances, neighbour lists and means,
+        # so the search runs once per distinct standardised row
         xs = (x - self.x_mean) / self.x_scale
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(xs):
+        distinct, inverse = np.unique(xs, axis=0, return_inverse=True)
+        out = np.empty(distinct.shape[0])
+        for i, row in enumerate(distinct):
             d = np.sqrt(((self.x_train - row) ** 2).sum(axis=1))
             nearest = np.argsort(d, kind="stable")[: self.k_neighbors]
             out[i] = self.y_train[nearest].mean()
-        return out
+        return out[inverse.ravel()]
 
 
 @dataclass

@@ -13,18 +13,24 @@ per-candidate criterion is reduced:
   ecdf_auc    same scored matrix; criterion = area under each column's
               empirical CDF over [0, 1], smallest wins.
 
-Every criterion and diagnostic depends only on a column's sorted values:
-fptp sums and ECDF areas are taken over sorted columns, so columns holding
-the same values tie exactly. The ECDF area has the closed form
-AUC = 1 - column mean for values in [0, 1]. First/second-order stochastic
-dominance is available as a diagnostic; for columns of one length it
-compares sorted columns elementwise, or their partial sums (Levy 1992,
-Management Science 38(4)). Dominance implies a better ecdf_auc value.
+Winners and dominance are decided on exact rationals of the accuracy
+entries (fractions.Fraction): fptp shares 1/t, the scaled scores
+1 - (a - lo)/(hi - lo), and the sums, medians and partial sums of their
+columns. Different columns whose exact criteria are equal therefore tie,
+and the reported criterion_values are float() of those exact values.
+Positional midranks and their medians are exact in floating point. The
+ECDF area has the closed form AUC = 1 - column mean for values in [0, 1].
+First/second-order stochastic dominance is available as a diagnostic; for
+columns of one length it compares sorted columns elementwise, or their
+partial sums (Levy 1992, Management Science 38(4)). Dominance implies a
+better ecdf_auc value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,10 +51,18 @@ LOWER_BETTER = "lower_better"
 
 @dataclass
 class VotingMatrix:
+    """A transformed accuracy matrix.
+
+    exact holds the exact scaled scores (an object array of Fraction) when
+    scale_rows built the matrix; otherwise it is None and the float entries
+    are taken as exact.
+    """
+
     entries: np.ndarray
     transform: str
     row_labels: list
     col_labels: list[str]
+    exact: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.entries = np.atleast_2d(np.asarray(self.entries, dtype=np.float64))
@@ -70,9 +84,22 @@ class SelectionResult:
             raise ValueError("winner set cannot be empty")
 
 
+_fractions = np.vectorize(Fraction, otypes=[object])
+
+
 def _winners(values: np.ndarray, names: list[str], direction: str) -> tuple[str, ...]:
     best = values.min() if direction == LOWER_BETTER else values.max()
     return tuple(name for name, v in zip(names, values) if v == best)
+
+
+def _selection(system: str, exact: np.ndarray, names: list[str], direction: str) -> SelectionResult:
+    """Winners decided on exact criteria, reported as float(exact)."""
+    return SelectionResult(
+        system=system,
+        criterion_values=exact.astype(np.float64),
+        winners=_winners(exact, names, direction),
+        direction=direction,
+    )
 
 
 def fptp_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
@@ -82,14 +109,11 @@ def fptp_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
     row_min = a.min(axis=1, keepdims=True)
     ties = a == row_min
     w[ties] = 1.0
-    w /= ties.sum(axis=1, keepdims=True)
-    sums = np.sort(w, axis=0).sum(axis=0)
-    result = SelectionResult(
-        system=FPTP,
-        criterion_values=sums,
-        winners=_winners(sums, matrix.col_labels, HIGHER_BETTER),
-        direction=HIGHER_BETTER,
-    )
+    counts = ties.sum(axis=1)
+    w /= counts[:, None]
+    shares = np.array([Fraction(1, int(t)) for t in counts], dtype=object)
+    sums = (ties * shares[:, None]).sum(axis=0)
+    result = _selection(FPTP, sums, matrix.col_labels, HIGHER_BETTER)
     voting = VotingMatrix(w, TRANSFORM_FPTP, list(matrix.row_labels), list(matrix.col_labels))
     return voting, result
 
@@ -105,12 +129,7 @@ def positional_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResu
     equal = (a[:, None, :] == a[:, :, None]).sum(axis=2)
     w = greater + (equal + 1) / 2.0
     medians = np.median(w, axis=0)
-    result = SelectionResult(
-        system=POSITIONAL,
-        criterion_values=medians,
-        winners=_winners(medians, matrix.col_labels, HIGHER_BETTER),
-        direction=HIGHER_BETTER,
-    )
+    result = _selection(POSITIONAL, medians, matrix.col_labels, HIGHER_BETTER)
     voting = VotingMatrix(w, TRANSFORM_POSITIONAL, list(matrix.row_labels), list(matrix.col_labels))
     return voting, result
 
@@ -127,25 +146,27 @@ def scale_rows(matrix: AccuracyMatrix) -> VotingMatrix:
     scaled = np.ones_like(a)
     ok = span[:, 0] > 0
     scaled[ok] = 1.0 - (a[ok] - lo[ok]) / span[ok]
-    return VotingMatrix(scaled, TRANSFORM_SCALED, list(matrix.row_labels), list(matrix.col_labels))
+    exact = _fractions(a)
+    lo, hi = exact.min(axis=1, keepdims=True), exact.max(axis=1, keepdims=True)
+    exact_scaled = np.full(a.shape, Fraction(1), dtype=object)
+    exact_scaled[ok] = 1 - (exact[ok] - lo[ok]) / (hi[ok] - lo[ok])
+    w3 = VotingMatrix(scaled, TRANSFORM_SCALED, list(matrix.row_labels), list(matrix.col_labels))
+    w3.exact = exact_scaled
+    return w3
 
 
-def _require_scaled(w3: VotingMatrix) -> np.ndarray:
+def _exact_scores(w3: VotingMatrix) -> np.ndarray:
     if w3.transform != TRANSFORM_SCALED:
         raise TypeError(f"expected a scaled voting matrix, got transform {w3.transform!r}")
-    return w3.entries
+    return _fractions(w3.entries) if w3.exact is None else w3.exact
 
 
 def evaluative_vote(w3: VotingMatrix) -> SelectionResult:
     """Evaluative voting: highest column median of the scaled scores wins."""
-    scores = _require_scaled(w3)
-    medians = np.median(scores, axis=0)
-    return SelectionResult(
-        system=EVALUATIVE,
-        criterion_values=medians,
-        winners=_winners(medians, w3.col_labels, HIGHER_BETTER),
-        direction=HIGHER_BETTER,
-    )
+    s = np.sort(_exact_scores(w3), axis=0)
+    mid = s.shape[0] // 2
+    medians = s[mid] if s.shape[0] % 2 else (s[mid - 1] + s[mid]) / 2
+    return _selection(EVALUATIVE, medians, w3.col_labels, HIGHER_BETTER)
 
 
 def ecdf_auc_vote(w3: VotingMatrix) -> SelectionResult:
@@ -154,16 +175,11 @@ def ecdf_auc_vote(w3: VotingMatrix) -> SelectionResult:
     For values in [0, 1] the area equals 1 - column mean exactly; an all-1
     column has area 0 (best everywhere), an all-0 column area 1.
     """
-    scores = _require_scaled(w3)
-    if np.any(scores < 0) or np.any(scores > 1):
+    scores = _exact_scores(w3)
+    if np.any(w3.entries < 0) or np.any(w3.entries > 1):
         raise ValueError("scaled scores must lie in [0, 1]")
-    aucs = 1.0 - np.sort(scores, axis=0).mean(axis=0)
-    return SelectionResult(
-        system=ECDF_AUC,
-        criterion_values=aucs,
-        winners=_winners(aucs, w3.col_labels, LOWER_BETTER),
-        direction=LOWER_BETTER,
-    )
+    aucs = 1 - scores.sum(axis=0) / scores.shape[0]
+    return _selection(ECDF_AUC, aucs, w3.col_labels, LOWER_BETTER)
 
 
 def elect(matrix: AccuracyMatrix) -> tuple[dict[str, SelectionResult], dict[str, VotingMatrix]]:
@@ -205,14 +221,20 @@ def stochastic_dominance(w3: VotingMatrix, order: int = 1) -> np.ndarray:
     the ECDFs. Columns share one length, so with s_i column i sorted
     ascending, first order holds iff s_i >= s_j elementwise and s_i != s_j,
     and second order iff the same holds for the partial sums cumsum(s_i)
-    (Levy 1992). The relation depends only on the sorted columns, so
-    columns holding the same values never dominate each other. It is
-    irreflexive and antisymmetric.
+    (Levy 1992). Both are compared on the exact scores, so columns holding
+    the same values never dominate each other and rounding neither creates
+    nor hides a dominance. The relation is irreflexive and antisymmetric.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    s = np.sort(_require_scaled(w3), axis=0)
-    if order == 2:
-        s = np.cumsum(s, axis=0)
-    weakly = np.all(s[:, :, None] >= s[:, None, :], axis=0)
+    s = np.sort(_exact_scores(w3), axis=0)
+    p = s.shape[1]
+    # the partial sums of s_i - s_j are streamed and checked as they grow:
+    # their denominators lengthen with every row, and comparing two long
+    # partial sums would cost far more than adding one short difference
+    terms = accumulate if order == 2 else iter
+    weakly = np.array(
+        [[all(t >= 0 for t in terms(s[:, i] - s[:, j])) for j in range(p)] for i in range(p)],
+        dtype=bool,
+    )
     return weakly & ~weakly.T

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from predvote.dataset import synthesize_portfolio
 from predvote.errors import ConvergenceError, FitError
 from predvote.models import (
     ALL_FAMILIES,
@@ -322,6 +323,71 @@ class TestKnn:
     def test_k_exceeding_sample_rejected(self):
         with pytest.raises(FitError, match="k_neighbors"):
             fit(ModelSpec(KNN, {"k_neighbors": 5}), [[1.0], [2.0]], [1.0, 2.0])
+
+
+def knn_predict_per_row(model: FittedModel, x: np.ndarray) -> np.ndarray:
+    """The earlier kNN predict, kept as an oracle: one full neighbour search per query row."""
+    state = model._state
+    xs = (np.asarray(x, dtype=np.float64) - state.x_mean) / state.x_scale
+    out = np.empty(xs.shape[0])
+    for i, row in enumerate(xs):
+        d = np.sqrt(((state.x_train - row) ** 2).sum(axis=1))
+        nearest = np.argsort(d, kind="stable")[: state.k_neighbors]
+        out[i] = state.y_train[nearest].mean()
+    return out
+
+
+def knn_design(rng, kind: str, rows: int, q: int, patterns: np.ndarray) -> np.ndarray:
+    if kind == "continuous":
+        return rng.standard_normal((rows, q))
+    if kind == "grid":
+        return rng.integers(0, 4, size=(rows, q)).astype(float)
+    return patterns[rng.integers(0, patterns.shape[0], size=rows)]
+
+
+class TestKnnDistinctRows:
+    """predict and fitted_values equal the per-row search bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(model, x_train, x_query):
+        assert np.array_equal(model.fitted_values, knn_predict_per_row(model, x_train))
+        assert np.array_equal(model.predict(x_query), knn_predict_per_row(model, x_query))
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid", "dummy"])
+    def test_random_designs(self, kind):
+        # q runs over 1..13 (numpy's pairwise summation starts at 8 terms),
+        # k over 1..n with k = n in every fourth design
+        rng = np.random.default_rng({"continuous": 41, "grid": 42, "dummy": 43}[kind])
+        for case in range(140):
+            q = 1 + case % 13
+            n = int(rng.integers(1, 40))
+            k = n if case % 4 == 0 else int(rng.integers(1, n + 1))
+            patterns = rng.integers(0, 2, size=(int(rng.integers(1, 6)), q)).astype(float)
+            x = knn_design(rng, kind, n, q, patterns)
+            query = np.vstack([knn_design(rng, kind, int(rng.integers(0, 30)), q, patterns), x[::3]])
+            model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(n))
+            self.assert_matches_oracle(model, x, query)
+
+    def test_single_distinct_row(self):
+        rng = np.random.default_rng(44)
+        x = np.full((12, 3), 2.5)
+        for k in (1, 5, 12):
+            model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(12))
+            self.assert_matches_oracle(model, x, np.vstack([x[:4], rng.standard_normal((6, 3))]))
+
+    def test_rows_differing_in_the_sign_of_zero(self):
+        # the column means are exactly 0, so standardised rows keep their signed zeros
+        x = np.array([[-1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [-0.0, -1.0], [0.0, 0.0], [-0.0, -0.0]])
+        y = np.arange(6.0)
+        assert np.array_equal(x.mean(axis=0), [0.0, 0.0])
+        query = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 1.0]])
+        for k in range(1, 7):
+            self.assert_matches_oracle(fit(ModelSpec(KNN, {"k_neighbors": k}), x, y), x, query)
+
+    def test_synthetic_portfolio(self):
+        frame = synthesize_portfolio(500, 2000, 1)
+        model = fit(ModelSpec(KNN, {"k_neighbors": 5}), frame.x_sample, frame.y_sample)
+        self.assert_matches_oracle(model, frame.x_sample, frame.x_out)
 
 
 class TestUniformContract:
