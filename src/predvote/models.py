@@ -11,6 +11,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,40 +100,35 @@ class _GlmState:
 
 
 @dataclass
-class _TreeNode:
-    prediction: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
 class _TreeState:
-    root: _TreeNode
+    """A regression tree as flat node arrays; node 0 is the root.
+
+    An inner node sends a row to left[i] when x[feature[i]] <= threshold[i]
+    and to right[i] otherwise (NaN goes right). A leaf has feature -1 and
+    predicts value[i].
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
+        # all rows descend one level per pass; rows that reach a leaf drop out
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        rows = np.arange(x.shape[0])
+        while rows.size:
+            at = node[rows]
+            inner = self.feature[at] >= 0
+            rows, at = rows[inner], at[inner]
+            go_left = x[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return self.value[node]
 
-    def thresholds(self) -> list[tuple[int, float]]:
-        """All (feature, threshold) pairs in the tree, for diagnostics."""
-        pairs, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                pairs.append((node.feature, node.threshold))
-                stack.extend([node.left, node.right])
-        return pairs
+
+# elements per (rows x n x q) distance temporary in a kNN search (128 KB)
+_KNN_BLOCK_ELEMENTS = 16384
 
 
 @dataclass
@@ -147,13 +143,21 @@ class _KnnState:
         # identical rows have identical distances, neighbour lists and means,
         # so the search runs once per distinct standardised row
         xs = (x - self.x_mean) / self.x_scale
-        distinct, inverse = np.unique(xs, axis=0, return_inverse=True)
+        order = np.lexsort(xs.T)
+        ordered = xs[order]
+        starts = np.ones(ordered.shape[0], dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(ordered.shape[0], dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
+        distinct = ordered[starts]
         out = np.empty(distinct.shape[0])
-        for i, row in enumerate(distinct):
-            d = np.sqrt(((self.x_train - row) ** 2).sum(axis=1))
-            nearest = np.argsort(d, kind="stable")[: self.k_neighbors]
-            out[i] = self.y_train[nearest].mean()
-        return out[inverse.ravel()]
+        step = max(1, _KNN_BLOCK_ELEMENTS // self.x_train.size)
+        for lo in range(0, distinct.shape[0], step):
+            block = distinct[lo : lo + step, None, :]
+            d = np.sqrt(((self.x_train - block) ** 2).sum(axis=2))
+            nearest = np.argsort(d, axis=1, kind="stable")[:, : self.k_neighbors]
+            out[lo : lo + step] = self.y_train[nearest].mean(axis=1)
+        return out[inverse]
 
 
 @dataclass
@@ -162,16 +166,25 @@ class FittedModel:
 
     error_summary holds the parametric error description (residual_variance
     for OLS, log_variance for the log-normal fit, dispersion for the Gamma
-    GLM) and is None for nonparametric families. sample_residuals is
-    y - fitted on the training block, on the response scale.
+    GLM) and is None for nonparametric families. fitted_values and
+    sample_residuals (y - fitted, on the response scale) are computed from
+    the stored training block on first access.
     """
 
     spec: ModelSpec
-    fitted_values: np.ndarray
-    sample_residuals: np.ndarray
     error_summary: dict[str, float] | None
     n_features: int
     _state: object
+    _x_train: np.ndarray
+    _y_train: np.ndarray
+
+    @cached_property
+    def fitted_values(self) -> np.ndarray:
+        return self._state.predict(self._x_train)
+
+    @cached_property
+    def sample_residuals(self) -> np.ndarray:
+        return self._y_train - self.fitted_values
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -202,7 +215,7 @@ def _check_parametric_size(n: int, p: int, family: str) -> None:
         raise FitError(f"{family}: need at least {p + 1} rows for {p} coefficients, got {n}")
 
 
-def _fit_ols(x: np.ndarray, y: np.ndarray, spec: ModelSpec, log_scale: bool) -> FittedModel:
+def _fit_ols(x: np.ndarray, y: np.ndarray, spec: ModelSpec, log_scale: bool) -> tuple[_GlmState, dict]:
     intercept_only = bool(spec.hyperparams["intercept_only"])
     state = _GlmState(coef=np.empty(0), intercept_only=intercept_only, log_link=log_scale)
     design = state.design(x)
@@ -221,22 +234,14 @@ def _fit_ols(x: np.ndarray, y: np.ndarray, spec: ModelSpec, log_scale: bool) -> 
         summary = {"log_variance": sigma2}
     else:
         summary = {"residual_variance": sigma2}
-    fitted = state.predict(x)
-    return FittedModel(
-        spec=spec,
-        fitted_values=fitted,
-        sample_residuals=y - fitted,
-        error_summary=summary,
-        n_features=x.shape[1],
-        _state=state,
-    )
+    return state, summary
 
 
 def _gamma_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu))
 
 
-def _fit_gamma(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
+def _fit_gamma(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
     if np.any(y <= 0):
         raise FitError("gamma_glm_log_link: response must be strictly positive")
     intercept_only = bool(spec.hyperparams["intercept_only"])
@@ -281,90 +286,76 @@ def _fit_gamma(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
     state.deviance_path = deviance_path
     pearson = float((((y - mu) / mu) ** 2).sum())
     dispersion = pearson / (x.shape[0] - design.shape[1])
-    fitted = state.predict(x)
-    return FittedModel(
-        spec=spec,
-        fitted_values=fitted,
-        sample_residuals=y - fitted,
-        error_summary={"dispersion": dispersion},
-        n_features=x.shape[1],
-        _state=state,
-    )
+    return state, {"dispersion": dispersion}
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> _TreeNode:
-    node = _TreeNode(prediction=float(y.mean()))
+def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
+    """(feature, threshold) of the least-SSE split of one node, or None.
+
+    One stable sort per column and cumsums along the sorted rows score every
+    split position of every feature at once. A split after sorted position i
+    is a candidate iff the sorted covariate changes there; a NaN or +inf SSE
+    (an overflowing response) never wins, and the first (feature, position)
+    in feature-major order wins a tie.
+    """
     n = y.shape[0]
-    if depth >= max_depth or n < 2 * min_leaf or np.ptp(y) == 0.0:
-        return node
-
-    best_sse = np.inf
-    best: tuple[int, float, np.ndarray] | None = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs, ys = x[order, j], y[order]
-        # candidate split after position i iff the sorted covariate changes there
-        cum = np.cumsum(ys)
-        cum2 = np.cumsum(ys**2)
-        total, total2 = cum[-1], cum2[-1]
-        for i in range(min_leaf, n - min_leaf + 1):
-            if xs[i - 1] == xs[i]:
-                continue
-            left_sse = cum2[i - 1] - cum[i - 1] ** 2 / i
-            right_sse = (total2 - cum2[i - 1]) - (total - cum[i - 1]) ** 2 / (n - i)
-            sse = left_sse + right_sse
-            if sse < best_sse:  # strict improvement; first (j, i) wins ties
-                mid = (xs[i - 1] + xs[i]) / 2.0
-                if not (xs[i - 1] <= mid < xs[i]):  # midpoint rounded onto a neighbour
-                    mid = xs[i - 1]
-                best_sse = sse
-                best = (j, mid, x[:, j] <= mid)
-    if best is None:
-        return node
-
-    node.feature, node.threshold, mask = best
-    node.left = _grow_tree(x[mask], y[mask], depth + 1, max_depth, min_leaf)
-    node.right = _grow_tree(x[~mask], y[~mask], depth + 1, max_depth, min_leaf)
-    return node
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = x[order, np.arange(x.shape[1])]
+    feat, pos = np.nonzero((xs[min_leaf - 1 : n - min_leaf] != xs[min_leaf : n - min_leaf + 1]).T)
+    if feat.size == 0:
+        return None
+    i = pos + min_leaf  # rows sent left
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = y[order]
+        cum = np.cumsum(ys, axis=0)
+        cum2 = np.cumsum(ys**2, axis=0)
+        left, left2 = cum[i - 1, feat], cum2[i - 1, feat]
+        total, total2 = cum[-1, feat], cum2[-1, feat]
+        # squares use C pow() (float_power), as numpy scalar ** does, so trees match
+        # the per-position scan bit for bit; x * x differs in about 1 value in 1000
+        sse = (left2 - np.float_power(left, 2) / i) + (
+            (total2 - left2) - np.float_power(total - left, 2) / (n - i)
+        )
+    sse[np.isnan(sse)] = np.inf
+    best = int(np.argmin(sse))
+    if sse[best] == np.inf:
+        return None
+    j, i = int(feat[best]), int(i[best])
+    lower, upper = xs[i - 1, j], xs[i, j]
+    mid = (lower + upper) / 2.0
+    if not (lower <= mid < upper):  # midpoint rounded onto a neighbour
+        mid = lower
+    return j, mid
 
 
-def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
-    root = _grow_tree(x, y, 0, int(spec.hyperparams["max_depth"]), int(spec.hyperparams["min_leaf"]))
-    state = _TreeState(root=root)
-    fitted = state.predict(x)
-    return FittedModel(
-        spec=spec,
-        fitted_values=fitted,
-        sample_residuals=y - fitted,
-        error_summary=None,
-        n_features=x.shape[1],
-        _state=state,
-    )
+def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _TreeState:
+    max_depth = int(spec.hyperparams["max_depth"])
+    min_leaf = int(spec.hyperparams["min_leaf"])
+    # nodes are grown breadth first; each keeps its rows in training order
+    nodes = [(x, y, 0)]
+    table = []  # per node: feature, threshold, left, right, value
+    for x_node, y_node, depth in nodes:
+        split = None
+        if depth < max_depth and y_node.shape[0] >= 2 * min_leaf and np.ptp(y_node) != 0.0:
+            split = _best_split(x_node, y_node, min_leaf)
+        if split is None:
+            table.append((-1, np.nan, -1, -1, float(y_node.mean())))
+            continue
+        j, t = split
+        mask = x_node[:, j] <= t
+        table.append((j, t, len(nodes), len(nodes) + 1, float(y_node.mean())))
+        nodes += [(x_node[mask], y_node[mask], depth + 1), (x_node[~mask], y_node[~mask], depth + 1)]
+    return _TreeState(*(np.array(column) for column in zip(*table)))
 
 
-def _fit_knn(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> FittedModel:
+def _fit_knn(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _KnnState:
     k = int(spec.hyperparams["k_neighbors"])
     if k > x.shape[0]:
         raise FitError(f"knn: k_neighbors={k} exceeds the {x.shape[0]} training rows")
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0  # constant columns carry no distance information
-    state = _KnnState(
-        x_mean=mean,
-        x_scale=scale,
-        x_train=(x - mean) / scale,
-        y_train=y.copy(),
-        k_neighbors=k,
-    )
-    fitted = state.predict(x)
-    return FittedModel(
-        spec=spec,
-        fitted_values=fitted,
-        sample_residuals=y - fitted,
-        error_summary=None,
-        n_features=x.shape[1],
-        _state=state,
-    )
+    return _KnnState(x_mean=mean, x_scale=scale, x_train=(x - mean) / scale, y_train=y, k_neighbors=k)
 
 
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
@@ -374,8 +365,9 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
     positive families, singular designs) and ConvergenceError when the Gamma
     IRLS loop exhausts max_iter.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
+    # private copies: the model keeps them for its fitted values
+    x = np.array(x, dtype=np.float64, ndmin=2)
+    y = np.array(y, dtype=np.float64).ravel()
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]} entries")
     if x.shape[0] == 0:
@@ -383,12 +375,13 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
         raise FitError("training data contains non-finite values")
 
-    if spec.family == OLS_NORMAL:
-        return _fit_ols(x, y, spec, log_scale=False)
-    if spec.family == LOGNORMAL:
-        return _fit_ols(x, y, spec, log_scale=True)
-    if spec.family == GAMMA_GLM:
-        return _fit_gamma(x, y, spec)
-    if spec.family == REGRESSION_TREE:
-        return _fit_tree(x, y, spec)
-    return _fit_knn(x, y, spec)
+    summary = None
+    if spec.family in (OLS_NORMAL, LOGNORMAL):
+        state, summary = _fit_ols(x, y, spec, log_scale=spec.family == LOGNORMAL)
+    elif spec.family == GAMMA_GLM:
+        state, summary = _fit_gamma(x, y, spec)
+    elif spec.family == REGRESSION_TREE:
+        state = _fit_tree(x, y, spec)
+    else:
+        state = _fit_knn(x, y, spec)
+    return FittedModel(spec, summary, x.shape[1], state, x, y)

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -199,6 +202,96 @@ class TestGammaGlm:
         assert excinfo.value.iterations == 1
 
 
+@dataclass
+class OracleNode:
+    prediction: float
+    feature: int | None = None
+    threshold: float | None = None
+    left: "OracleNode | None" = None
+    right: "OracleNode | None" = None
+
+
+def grow_tree_recursive(x, y, depth, max_depth, min_leaf) -> OracleNode:
+    """The earlier recursive tree, kept as an oracle: a Python loop over split positions."""
+    node = OracleNode(prediction=float(y.mean()))
+    n = y.shape[0]
+    if depth >= max_depth or n < 2 * min_leaf or np.ptp(y) == 0.0:
+        return node
+    best_sse, best = np.inf, None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs, ys = x[order, j], y[order]
+        cum = np.cumsum(ys)
+        cum2 = np.cumsum(ys**2)
+        total, total2 = cum[-1], cum2[-1]
+        for i in range(min_leaf, n - min_leaf + 1):
+            if xs[i - 1] == xs[i]:
+                continue
+            left_sse = cum2[i - 1] - cum[i - 1] ** 2 / i
+            right_sse = (total2 - cum2[i - 1]) - (total - cum[i - 1]) ** 2 / (n - i)
+            sse = left_sse + right_sse
+            if sse < best_sse:  # strict improvement; first (j, i) wins ties
+                mid = (xs[i - 1] + xs[i]) / 2.0
+                if not (xs[i - 1] <= mid < xs[i]):
+                    mid = xs[i - 1]
+                best_sse, best = sse, (j, mid, x[:, j] <= mid)
+    if best is None:
+        return node
+    node.feature, node.threshold, mask = best
+    node.left = grow_tree_recursive(x[mask], y[mask], depth + 1, max_depth, min_leaf)
+    node.right = grow_tree_recursive(x[~mask], y[~mask], depth + 1, max_depth, min_leaf)
+    return node
+
+
+def tree_predict_per_row(root: OracleNode, x: np.ndarray) -> np.ndarray:
+    """The earlier per-row tree predict, kept as an oracle."""
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        node = root
+        while node.feature is not None:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out[i] = node.prediction
+    return out
+
+
+def oracle_splits(root: OracleNode) -> list[tuple[int, float]]:
+    pairs, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.feature is not None:
+            pairs.append((node.feature, node.threshold))
+            stack.extend([node.left, node.right])
+    return sorted(pairs)
+
+
+def tree_splits(model) -> list[tuple[int, float]]:
+    """(feature, threshold) of every inner node of a fitted tree."""
+    state = model._state
+    inner = state.feature >= 0
+    return sorted(zip(state.feature[inner].tolist(), state.threshold[inner].tolist()))
+
+
+def tree_leaf_rows(model, x) -> list[np.ndarray]:
+    """Row indices of x reaching each leaf, following the flat node arrays."""
+    state = model._state
+    leaves, stack = [], [(0, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if state.feature[node] < 0:
+            leaves.append(rows)
+            continue
+        go_left = x[rows, state.feature[node]] <= state.threshold[node]
+        stack += [(state.left[node], rows[go_left]), (state.right[node], rows[~go_left])]
+    return leaves
+
+
+def tree_depth(model, node=0) -> int:
+    state = model._state
+    if state.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(model, state.left[node]), tree_depth(model, state.right[node]))
+
+
 class TestRegressionTree:
     def test_pure_leaves_reproduce_training_values(self):
         x = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
@@ -211,7 +304,7 @@ class TestRegressionTree:
         x = rng.uniform(0.0, 1.0, size=(30, 2))
         y = rng.standard_normal(30)
         model = fit(ModelSpec(REGRESSION_TREE, {"max_depth": 1, "min_leaf": 1}), x, y)
-        root = model._state.root
+        root_feature, root_threshold = model._state.feature[0], model._state.threshold[0]
 
         def sse(v):
             return float(((v - v.mean()) ** 2).sum()) if v.size else 0.0
@@ -225,8 +318,8 @@ class TestRegressionTree:
                 total = sse(y[mask]) + sse(y[~mask])
                 if total < best[0]:
                     best = (total, j, t)
-        mask = x[:, root.feature] <= root.threshold
-        assert root.feature == best[1]
+        mask = x[:, root_feature] <= root_threshold
+        assert root_feature == best[1]
         assert sse(y[mask]) + sse(y[~mask]) == pytest.approx(best[0])
 
     def test_depth_limit_respected(self):
@@ -234,34 +327,21 @@ class TestRegressionTree:
         x = rng.standard_normal((200, 1))
         y = rng.standard_normal(200)
         model = fit(ModelSpec(REGRESSION_TREE, {"max_depth": 2, "min_leaf": 1}), x, y)
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(model._state.root) <= 2
+        assert tree_depth(model) <= 2
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((60, 1))
         y = rng.standard_normal(60)
         model = fit(ModelSpec(REGRESSION_TREE, {"max_depth": 10, "min_leaf": 8}), x, y)
-
-        def leaf_sizes(node, mask):
-            if node.is_leaf:
-                return [int(mask.sum())]
-            left = mask & (x[:, node.feature] <= node.threshold)
-            return leaf_sizes(node.left, left) + leaf_sizes(node.right, mask & ~left)
-
-        assert min(leaf_sizes(model._state.root, np.ones(60, dtype=bool))) >= 8
+        assert min(rows.size for rows in tree_leaf_rows(model, x)) >= 8
 
     def test_piecewise_constant_within_leaf(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(0.0, 1.0, size=(80, 2))
         y = np.sin(3 * x[:, 0]) + rng.standard_normal(80) * 0.1
         model = fit(ModelSpec(REGRESSION_TREE, {"max_depth": 3, "min_leaf": 5}), x, y)
-        thresholds = model._state.thresholds()
+        thresholds = tree_splits(model)
         point = x[17].copy()
         base = model.predict([point])[0]
         for j in range(2):
@@ -272,6 +352,88 @@ class TestRegressionTree:
                 moved = point.copy()
                 moved[j] = lo + frac * (hi - lo) + 1e-12
                 assert model.predict([moved])[0] == base
+
+
+class TestTreeMatchesRecursiveOracle:
+    """The flat-array tree equals the recursive per-position tree bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(x, y, max_depth, min_leaf, query):
+        model = fit(ModelSpec(REGRESSION_TREE, {"max_depth": max_depth, "min_leaf": min_leaf}), x, y)
+        with np.errstate(all="ignore"):
+            root = grow_tree_recursive(x, y, 0, max_depth, min_leaf)
+        assert tree_splits(model) == oracle_splits(root)
+        assert np.array_equal(model.fitted_values, tree_predict_per_row(root, x))
+        assert np.array_equal(model.predict(query), tree_predict_per_row(root, query))
+        return model
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid", "dummy"])
+    def test_random_designs(self, kind):
+        # max_depth 1..10 and min_leaf 1..8, some nodes with n < 2 * min_leaf;
+        # the queries add NaN and signed-zero rows to fresh and training rows
+        rng = np.random.default_rng({"continuous": 51, "grid": 52, "dummy": 53}[kind])
+        for case in range(80):
+            q = 1 + case % 7
+            n = int(rng.integers(1, 90))
+            patterns = rng.integers(0, 2, size=(int(rng.integers(1, 6)), q)).astype(float)
+            x = knn_design(rng, kind, n, q, patterns)
+            y = rng.standard_normal(n)
+            if case % 5 == 0:
+                y = np.round(3 * y)  # integer responses tie SSEs
+            odd = np.zeros((4, q))
+            odd[0, 0], odd[1, 0], odd[3, :] = np.nan, -0.0, np.nan
+            odd[2, :] = -0.0
+            query = np.vstack([knn_design(rng, kind, int(rng.integers(0, 30)), q, patterns), x, odd])
+            self.assert_matches_oracle(x, y, 1 + case % 10, 1 + case % 8, query)
+
+    def test_constant_response_is_one_leaf(self):
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal((30, 3))
+        model = self.assert_matches_oracle(x, np.full(30, 2.5), 5, 1, x)
+        assert model._state.feature.tolist() == [-1]
+
+    def test_sse_tie_across_features_goes_to_the_first(self):
+        # columns 1 and 2 copy column 0, so every split ties in SSE on three features
+        rng = np.random.default_rng(55)
+        col = rng.standard_normal(25)
+        x = np.column_stack([col, col, col])
+        model = self.assert_matches_oracle(x, rng.standard_normal(25), 4, 2, x)
+        assert set(model._state.feature.tolist()) == {-1, 0}
+
+    @pytest.mark.parametrize("seed", [777, 836, 2333])
+    def test_mirrored_features_tie_in_the_last_bit(self, seed):
+        # a column, its negation and its reversal give the same partitions, whose
+        # SSEs differ only in rounding; in these designs squaring the sums with
+        # x * x instead of pow() picks another feature than the oracle does
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 40))
+        col = rng.standard_normal(n)
+        x = np.column_stack([col, -col, col[::-1]])
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 3)
+        self.assert_matches_oracle(x, y, 3, 1, x)
+
+    @pytest.mark.parametrize("lower", [1.0, float(np.nextafter(1.0, 2.0))])
+    def test_adjacent_floats_split_at_the_lower_value(self, lower):
+        # the midpoint of two adjacent floats rounds onto one of them: onto the
+        # lower for an even last bit, onto the upper (then replaced) for an odd one
+        upper = np.nextafter(lower, 2.0)
+        x = np.array([[lower]] * 4 + [[upper]] * 4)
+        y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        model = self.assert_matches_oracle(x, y, 3, 1, np.array([[lower], [upper], [np.nan], [-0.0]]))
+        assert tree_splits(model) == [(0, lower)]
+        assert np.array_equal(model.predict(x), y)
+
+    def test_overflowing_responses_warn_nothing(self):
+        # squared sums of 1e200-scaled responses overflow; those SSE candidates are
+        # discarded without a RuntimeWarning
+        rng = np.random.default_rng(56)
+        x = rng.standard_normal((40, 3))
+        y = rng.standard_normal(40)
+        y[rng.choice(40, size=5, replace=False)] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = self.assert_matches_oracle(x, y, 6, 2, x)
+        assert model._state.feature.tolist() == [-1]
 
 
 class TestKnn:
@@ -384,6 +546,31 @@ class TestKnnDistinctRows:
         for k in range(1, 7):
             self.assert_matches_oracle(fit(ModelSpec(KNN, {"k_neighbors": k}), x, y), x, query)
 
+    def test_query_spanning_several_distance_blocks(self):
+        # 300 distinct continuous query rows; n * q sets how many rows share one
+        # distance temporary, so the search runs over many blocks of rows
+        rng = np.random.default_rng(45)
+        for q in (1, 2, 5, 8, 13):
+            n = int(rng.integers(60, 200))
+            x = rng.standard_normal((n, q))
+            model = fit(ModelSpec(KNN, {"k_neighbors": int(rng.integers(1, 12))}), x, rng.standard_normal(n))
+            query = np.vstack([rng.standard_normal((300, q)), x[::7]])
+            self.assert_matches_oracle(model, x, query)
+
+    def test_query_rows_with_nan_inf_and_negative_zero(self):
+        rng = np.random.default_rng(46)
+        for q in (1, 3, 9):
+            x = rng.integers(-2, 3, size=(30, q)).astype(float)
+            model = fit(ModelSpec(KNN, {"k_neighbors": 4}), x, rng.standard_normal(30))
+            query = np.vstack([x[:5], rng.standard_normal((5, q))])
+            query[1, 0] = np.nan
+            query[2, :] = np.nan
+            query[3, 0] = np.inf
+            query[4, -1] = -np.inf
+            query[5, :] = -0.0
+            query[6, 0] = -0.0
+            self.assert_matches_oracle(model, x, np.vstack([query, query[::-1]]))
+
     def test_synthetic_portfolio(self):
         frame = synthesize_portfolio(500, 2000, 1)
         model = fit(ModelSpec(KNN, {"k_neighbors": 5}), frame.x_sample, frame.y_sample)
@@ -396,6 +583,19 @@ class TestUniformContract:
         x, y = positive_data(seed=1)
         model = fit(spec, x, y)
         assert np.array_equal(model.predict(x), model.fitted_values)
+
+    @pytest.mark.parametrize("spec", family_specs(), ids=lambda s: s.family)
+    def test_fitted_values_are_lazy_and_use_the_block_as_fitted(self, spec):
+        # fit does not predict its own training rows; the first access does,
+        # on a copy that later changes to the caller's arrays do not reach
+        x, y = positive_data(seed=4)
+        model = fit(spec, x, y)
+        assert "fitted_values" not in vars(model) and "sample_residuals" not in vars(model)
+        expected = model.predict(x.copy())
+        x[:] = 1.0
+        y[:] = 1.0
+        assert np.array_equal(model.fitted_values, expected)
+        assert np.array_equal(model.sample_residuals, positive_data(seed=4)[1] - expected)
 
     @pytest.mark.parametrize("spec", family_specs(), ids=lambda s: s.family)
     def test_residual_identity(self, spec):
