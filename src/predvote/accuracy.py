@@ -56,13 +56,15 @@ def rmse(errors: np.ndarray) -> float:
     return float(np.sqrt(np.mean(e**2)))
 
 
-def qape(errors: np.ndarray, p: float) -> float:
-    """Inf-type p-quantile of the absolute errors.
+def order_statistic_quantile(values: np.ndarray, p: float) -> float:
+    """Inf-type p-quantile: sorted ascending, the value at 1-based index ceil(p * N)."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    index = min(max(math.ceil(p * ordered.size), 1), ordered.size)
+    return float(ordered[index - 1])
 
-    Sorted ascending, the value at 1-based index ceil(p * B) is returned:
-    the smallest x for which at least a fraction p of |errors| is <= x.
-    No interpolation.
-    """
+
+def qape(errors: np.ndarray, p: float) -> float:
+    """Inf-type p-quantile of |errors|: the smallest x with at least a fraction p of |errors| <= x."""
     e = np.asarray(errors, dtype=np.float64).ravel()
     if e.size == 0:
         raise ValueError("qape of an empty error vector")
@@ -70,9 +72,7 @@ def qape(errors: np.ndarray, p: float) -> float:
         raise ValueError("qape: errors contain non-finite values")
     if not 0.0 < p < 1.0:
         raise ValueError("qape order p must lie in (0, 1)")
-    ordered = np.sort(np.abs(e))
-    index = min(max(math.ceil(p * ordered.size), 1), ordered.size)
-    return float(ordered[index - 1])
+    return order_statistic_quantile(np.abs(e), p)
 
 
 @dataclass

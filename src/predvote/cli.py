@@ -125,9 +125,8 @@ def cmd_run(
     if seed is not None:
         config.master_seed = seed
     if workers is not None:
-        if workers < 1:
-            raise ConfigError("workers: must be a positive count")
         config.parallelism = workers
+    config.validate()
 
     try:
         frame = load_csv(data_path, config.schema)

@@ -23,12 +23,13 @@ from .accuracy import AccuracyMatrix, ErrorTensor, Measure, build_accuracy_matri
 from .dataset import ColumnSchema, StudyFrame
 from .errors import ConfigError, DataError, FitError, SimulationError
 from .generators import KdeModel, fit_kde, gen_nonparametric, gen_parametric
-from .models import ModelSpec, fit
+from .models import ModelSpec, fit, is_integer, is_real
 from .prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
 from .voting import SelectionResult, VotingMatrix, elect
 
 _M64 = (1 << 64) - 1
 _B_MAX = 1 << 32  # stream id = g * _B_MAX + b stays unique for any b <= 2^32
+_NAMED_PAIRS = 5  # (generator, strategy) pairs a failure-ceiling error lists
 
 
 def _avalanche(z: int) -> int:
@@ -72,6 +73,7 @@ class RunConfig:
     schema: ColumnSchema | None = None
 
     def validate(self) -> None:
+        """Check every field, types included; store the numbers as Python int and float."""
         if len(self.generators) < 1:
             raise ConfigError("generators: at least one data-generation model required")
         if len(self.strategies) < 2:
@@ -80,23 +82,28 @@ class RunConfig:
             raise ConfigError("characteristics: at least one characteristic required")
         if len(self.measures) < 1:
             raise ConfigError("measures: at least one accuracy measure required")
-        if self.iterations < 2:
-            raise ConfigError("iterations: need at least 2 Monte Carlo iterations")
-        if self.iterations > _B_MAX:
-            raise ConfigError(f"iterations: at most {_B_MAX} supported")
+        if not (is_integer(self.iterations) and 2 <= self.iterations <= _B_MAX):
+            raise ConfigError(
+                f"iterations: need an integer, at least 2 and at most {_B_MAX}, got {self.iterations!r}"
+            )
+        if not is_integer(self.master_seed):
+            raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
         names = [s.name for s in self.strategies]
         if len(set(names)) != len(names):
             raise ConfigError("strategies: names must be unique")
-        if not 0.0 <= self.failure_ceiling < 1.0:
-            raise ConfigError("failure_ceiling: must lie in [0, 1)")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ConfigError("parallelism: must be a positive worker count")
+        if not (is_real(self.failure_ceiling) and 0.0 <= self.failure_ceiling < 1.0):
+            raise ConfigError(f"failure_ceiling: must be a number in [0, 1), got {self.failure_ceiling!r}")
+        if self.parallelism is not None and not (is_integer(self.parallelism) and self.parallelism >= 1):
+            raise ConfigError(f"parallelism: must be a positive integer or 'auto', got {self.parallelism!r}")
         bandwidth = self.kde_bandwidth
-        numeric = isinstance(bandwidth, (int, float)) and not isinstance(bandwidth, bool)
-        if bandwidth != "silverman" and not (numeric and math.isfinite(bandwidth) and bandwidth > 0):
+        if bandwidth != "silverman" and not (is_real(bandwidth) and math.isfinite(bandwidth) and bandwidth > 0):
             raise ConfigError(
                 f"kde_bandwidth: must be 'silverman' or a finite positive number, got {bandwidth!r}"
             )
+        self.iterations, self.master_seed = int(self.iterations), int(self.master_seed)
+        self.failure_ceiling = float(self.failure_ceiling)
+        if self.parallelism is not None:
+            self.parallelism = int(self.parallelism)
 
 
 @dataclass
@@ -170,6 +177,11 @@ def _simulate_block(
     return g, b_lo, errors, mask
 
 
+def _worker_count(config: RunConfig, workers: int | None = None) -> int:
+    """The explicit worker count, else the configured parallelism, else one per CPU."""
+    return workers or config.parallelism or os.cpu_count() or 1
+
+
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
     """Run the Monte Carlo loop and return the raw error tensor.
 
@@ -182,7 +194,7 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     fitted, kdes = _fit_generators(config, frame)
     g_count = len(config.generators)
     b_count = config.iterations
-    workers = workers or config.parallelism or os.cpu_count() or 1
+    workers = _worker_count(config, workers)
 
     values = np.zeros((g_count, b_count, len(config.characteristics), len(config.strategies)))
     mask = np.zeros((g_count, b_count, len(config.strategies)), dtype=bool)
@@ -204,22 +216,27 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
 
     failure_rate = mask.sum() / mask.size
     if failure_rate > config.failure_ceiling:
+        share = mask.mean(axis=1)  # per (generator, strategy)
+        worst = sorted(zip(*np.nonzero(share)), key=lambda gp: -share[gp])[:_NAMED_PAIRS]
+        pairs = ", ".join(
+            f"{generator_label(g, config.generators[g])} × {config.strategies[p].name} ({share[g, p]:.2%})"
+            for g, p in worst
+        )
         raise SimulationError(
             f"strategy fit failures hit {failure_rate:.2%} of cells, "
-            f"above the ceiling of {config.failure_ceiling:.2%}"
+            f"above the ceiling of {config.failure_ceiling:.2%}; worst pairs: {pairs}"
         )
     return ErrorTensor(values=values, failure_mask=mask)
 
 
-def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> RunOutput:
+def run(config: RunConfig, frame: StudyFrame) -> RunOutput:
     """Full pipeline: simulate, build the accuracy matrix, vote, predict.
 
     Final plug-in predictions on the real sample are computed for the union
     of the four winner sets.
     """
     started = time.perf_counter()
-    workers = workers or config.parallelism or os.cpu_count() or 1
-    tensor = simulate_errors(config, frame, workers=workers)
+    tensor = simulate_errors(config, frame)
     gen_labels = [generator_label(i, s) for i, s in enumerate(config.generators)]
     char_labels = [c.name for c in config.characteristics]
     strategy_names = [s.name for s in config.strategies]
@@ -250,7 +267,7 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
         "version": __version__,
         "master_seed": config.master_seed,
         "iterations": config.iterations,
-        "workers": workers,
+        "workers": _worker_count(config),
         "wall_time_seconds": time.perf_counter() - started,
         "n": frame.n,
         "k": frame.k,
@@ -284,16 +301,24 @@ def _parse_schema(node: dict) -> ColumnSchema:
         raise ConfigError(f"schema: {exc}") from exc
 
 
-def _parse_model_spec(node: dict, context: str) -> ModelSpec:
-    try:
-        return ModelSpec(family=node["family"], hyperparams=dict(node.get("hyperparams", {})))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+def _model_spec(node: dict) -> ModelSpec:
+    return ModelSpec(family=node["family"], hyperparams=dict(node.get("hyperparams", {})))
 
 
-def _is_integer(value) -> bool:
-    # bool is a subclass of int, but true/false is not a count or a seed
-    return isinstance(value, int) and not isinstance(value, bool)
+def _strategy(node: dict) -> PredictionStrategy:
+    spec = _model_spec(node)
+    return PredictionStrategy(name=node.get("name") or spec.family, model=spec)
+
+
+def _parse_items(doc: dict, key: str, build) -> list:
+    """build(entry) for each entry of doc[key]; an entry's error is reported as key[i]."""
+    items = []
+    for i, node in enumerate(doc[key]):
+        try:
+            items.append(build(node))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}[{i}]: {exc}") from exc
+    return items
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -311,58 +336,21 @@ def config_from_dict(doc: dict) -> RunConfig:
         if required not in doc:
             raise ConfigError(f"{required}: missing required field")
 
-    generators = [
-        _parse_model_spec(node, f"generators[{i}]") for i, node in enumerate(doc["generators"])
-    ]
-    strategies = []
-    for i, node in enumerate(doc["strategies"]):
-        spec = _parse_model_spec(node, f"strategies[{i}]")
-        name = node.get("name") or spec.family
-        try:
-            strategies.append(PredictionStrategy(name=name, model=spec))
-        except ValueError as exc:
-            raise ConfigError(f"strategies[{i}]: {exc}") from exc
-    characteristics = []
-    for i, node in enumerate(doc["characteristics"]):
-        try:
-            characteristics.append(
-                Characteristic(kind=node["kind"], p=node.get("p"), name=node.get("name", ""))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"characteristics[{i}]: {exc}") from exc
-    measures = []
-    for i, node in enumerate(doc["measures"]):
-        try:
-            measures.append(Measure(kind=node["kind"], p=node.get("p")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"measures[{i}]: {exc}") from exc
-
     parallelism = doc.get("parallelism")
-    if parallelism in ("auto", None):
-        parallelism = None
-    elif not _is_integer(parallelism) or parallelism < 1:
-        raise ConfigError(f"parallelism: must be a positive integer or 'auto', got {parallelism!r}")
-    for key in ("iterations", "master_seed"):
-        if key in doc and not _is_integer(doc[key]):
-            raise ConfigError(f"{key}: must be an integer, got {doc[key]!r}")
-    failure_ceiling = doc.get("failure_ceiling", 0.01)
-    if isinstance(failure_ceiling, bool) or not isinstance(failure_ceiling, (int, float)):
-        raise ConfigError(f"failure_ceiling: must be a number, got {failure_ceiling!r}")
-
-    try:
-        config = RunConfig(
-            generators=generators,
-            strategies=strategies,
-            characteristics=characteristics,
-            measures=measures,
-            iterations=doc.get("iterations", 5000),
-            master_seed=doc.get("master_seed", 0),
-            parallelism=parallelism,
-            failure_ceiling=float(failure_ceiling),
-            kde_bandwidth=doc.get("kde_bandwidth", "silverman"),
-            schema=_parse_schema(doc["schema"]) if "schema" in doc else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = RunConfig(
+        generators=_parse_items(doc, "generators", _model_spec),
+        strategies=_parse_items(doc, "strategies", _strategy),
+        characteristics=_parse_items(
+            doc, "characteristics",
+            lambda node: Characteristic(kind=node["kind"], p=node.get("p"), name=node.get("name", "")),
+        ),
+        measures=_parse_items(doc, "measures", lambda node: Measure(kind=node["kind"], p=node.get("p"))),
+        iterations=doc.get("iterations", 5000),
+        master_seed=doc.get("master_seed", 0),
+        parallelism=None if parallelism == "auto" else parallelism,
+        failure_ceiling=doc.get("failure_ceiling", 0.01),
+        kde_bandwidth=doc.get("kde_bandwidth", "silverman"),
+        schema=_parse_schema(doc["schema"]) if "schema" in doc else None,
+    )
     config.validate()
     return config

@@ -10,6 +10,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,11 +38,24 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bool is excluded, true/false is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or numpy real number; bool is excluded, true/false is not a quantity."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model family plus validated hyperparameters.
 
     Unset hyperparameters take family defaults; unknown keys are rejected.
+    The type of each default sets the rule for its key: a bool default takes
+    a bool, an int default an integer >= 1 and a float default a finite
+    number > 0. Values are stored as Python bool, int and float.
     intercept_only drops all covariates from a parametric design, giving the
     null (location-only) member of that family.
     """
@@ -56,18 +71,17 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"{self.family}: unknown hyperparameter(s) {sorted(unknown)}")
         merged = {**defaults, **self.hyperparams}
-        if self.family == REGRESSION_TREE:
-            if int(merged["max_depth"]) < 1:
-                raise ValueError("regression_tree: max_depth must be >= 1")
-            if int(merged["min_leaf"]) < 1:
-                raise ValueError("regression_tree: min_leaf must be >= 1")
-        if self.family == KNN and int(merged["k_neighbors"]) < 1:
-            raise ValueError("knn: k_neighbors must be >= 1")
-        if self.family == GAMMA_GLM:
-            if int(merged["max_iter"]) < 1:
-                raise ValueError("gamma_glm_log_link: max_iter must be >= 1")
-            if float(merged["tol"]) <= 0:
-                raise ValueError("gamma_glm_log_link: tol must be > 0")
+        for key, default in defaults.items():
+            value = merged[key]
+            if isinstance(default, bool):
+                valid, rule = isinstance(value, bool), "a boolean"
+            elif isinstance(default, int):
+                valid, rule = is_integer(value) and value >= 1, "an integer >= 1"
+            else:
+                valid, rule = is_real(value) and math.isfinite(value) and value > 0, "a finite number > 0"
+            if not valid:
+                raise ValueError(f"{self.family}: {key} must be {rule}, got {value!r}")
+            merged[key] = type(default)(value)
         object.__setattr__(self, "hyperparams", merged)
 
     @property
@@ -173,7 +187,6 @@ class FittedModel:
 
     spec: ModelSpec
     error_summary: dict[str, float] | None
-    n_features: int
     _state: object
     _x_train: np.ndarray
     _y_train: np.ndarray
@@ -186,20 +199,20 @@ class FittedModel:
     def sample_residuals(self) -> np.ndarray:
         return self._y_train - self.fitted_values
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def _design(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.n_features:
-            raise ValueError(f"design has {x.shape[1]} columns, model was trained on {self.n_features}")
-        return self._state.predict(x)
+        if x.shape[1] != self._x_train.shape[1]:
+            raise ValueError(f"design has {x.shape[1]} columns, model was trained on {self._x_train.shape[1]}")
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self._state.predict(self._design(x))
 
     def linear_predictor(self, x: np.ndarray) -> np.ndarray:
         """Linear predictor eta of a parametric fit (used for generation)."""
         if not isinstance(self._state, _GlmState):
             raise ValueError(f"{self.spec.family} has no linear predictor")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.n_features:
-            raise ValueError(f"design has {x.shape[1]} columns, model was trained on {self.n_features}")
-        return self._state.linear(x)
+        return self._state.linear(self._design(x))
 
 
 def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -216,8 +229,7 @@ def _check_parametric_size(n: int, p: int, family: str) -> None:
 
 
 def _fit_ols(x: np.ndarray, y: np.ndarray, spec: ModelSpec, log_scale: bool) -> tuple[_GlmState, dict]:
-    intercept_only = bool(spec.hyperparams["intercept_only"])
-    state = _GlmState(coef=np.empty(0), intercept_only=intercept_only, log_link=log_scale)
+    state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=log_scale)
     design = state.design(x)
     _check_parametric_size(x.shape[0], design.shape[1], spec.family)
     target = y
@@ -244,10 +256,8 @@ def _gamma_deviance(y: np.ndarray, mu: np.ndarray) -> float:
 def _fit_gamma(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
     if np.any(y <= 0):
         raise FitError("gamma_glm_log_link: response must be strictly positive")
-    intercept_only = bool(spec.hyperparams["intercept_only"])
-    max_iter = int(spec.hyperparams["max_iter"])
-    tol = float(spec.hyperparams["tol"])
-    state = _GlmState(coef=np.empty(0), intercept_only=intercept_only, log_link=True)
+    max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
+    state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=True)
     design = state.design(x)
     _check_parametric_size(x.shape[0], design.shape[1], spec.family)
 
@@ -329,8 +339,7 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
 
 
 def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _TreeState:
-    max_depth = int(spec.hyperparams["max_depth"])
-    min_leaf = int(spec.hyperparams["min_leaf"])
+    max_depth, min_leaf = spec.hyperparams["max_depth"], spec.hyperparams["min_leaf"]
     # nodes are grown breadth first; each keeps its rows in training order
     nodes = [(x, y, 0)]
     table = []  # per node: feature, threshold, left, right, value
@@ -349,7 +358,7 @@ def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _TreeState:
 
 
 def _fit_knn(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _KnnState:
-    k = int(spec.hyperparams["k_neighbors"])
+    k = spec.hyperparams["k_neighbors"]
     if k > x.shape[0]:
         raise FitError(f"knn: k_neighbors={k} exceeds the {x.shape[0]} training rows")
     mean = x.mean(axis=0)
@@ -384,4 +393,4 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
         state = _fit_tree(x, y, spec)
     else:
         state = _fit_knn(x, y, spec)
-    return FittedModel(spec, summary, x.shape[1], state, x, y)
+    return FittedModel(spec, summary, state, x, y)

@@ -8,11 +8,11 @@ sample responses followed by model-fitted out-of-sample values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .accuracy import order_statistic_quantile
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
 from .models import ModelSpec, fit
@@ -60,13 +60,6 @@ class PredictionStrategy:
     def __post_init__(self):
         if not self.name:
             raise ValueError("strategy needs a non-empty name")
-
-
-def order_statistic_quantile(values: np.ndarray, p: float) -> float:
-    """Smallest sample value v with (fraction of values <= v) >= p."""
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    index = min(max(math.ceil(p * ordered.size), 1), ordered.size)
-    return float(ordered[index - 1])
 
 
 def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:

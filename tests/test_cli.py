@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,32 @@ class TestCmdRun:
         config.write_text(json.dumps(minimal_config(failure_ceiling="0.5")), encoding="utf-8")
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
         assert "failure_ceiling" in capsys.readouterr().err
+
+    def test_zero_workers_exits_2(self, workspace, capsys):
+        # --workers overrides parallelism and passes the document's check before any data is read
+        tmp, config, _ = workspace
+        assert main([
+            "run", "--config", str(config), "--data", str(tmp / "nope.csv"),
+            "--out", str(tmp / "x"), "--workers", "0",
+        ]) == 2
+        assert "parallelism" in capsys.readouterr().err
+
+    def test_readme_example_runs_or_names_failing_pairs(self, tmp_path, capsys):
+        # the documented configuration runs on the bundled data, or fails naming a
+        # (generator, strategy) pair; it exits 4 until positive responses are handled
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        doc["iterations"] = 20
+        config, data = tmp_path / "config.json", tmp_path / "data.csv"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        write_portfolio_csv(str(data), n=500, k=100, seed=1)
+        code = main([
+            "run", "--config", str(config), "--data", str(data),
+            "--out", str(tmp_path / "out"), "--workers", "1",
+        ])
+        err = capsys.readouterr().err
+        strategies = "|".join(re.escape(s["name"]) for s in doc["strategies"])
+        assert code == 0 or (code == 4 and re.search(rf"gen\d+_\w+ × ({strategies})\b", err)), err
 
     def test_missing_config_exits_2(self, workspace):
         tmp, _, data = workspace

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,10 @@ class TestSimulateErrors:
             failure_ceiling=0.001,
             master_seed=11,
         )
-        with pytest.raises(SimulationError, match="ceiling"):
+        with pytest.raises(SimulationError, match="ceiling") as raised:
             simulate_errors(config, frame, workers=1)
+        # only the lognormal refits fail, and the message names that pair alone
+        assert re.search(r"worst pairs: gen1_ols_normal × lognormal \(\d+\.\d\d%\)$", str(raised.value))
 
     def test_generator_unfit_on_real_data_is_config_error(self):
         rng = np.random.default_rng(8)
@@ -204,8 +208,8 @@ class TestSimulateErrors:
 
 class TestRun:
     def test_zero_error_strategy_elected_unanimously(self, linear_frame):
-        config = small_config(iterations=60, master_seed=21)
-        output = run(config, linear_frame, workers=1)
+        config = small_config(iterations=60, master_seed=21, parallelism=1)
+        output = run(config, linear_frame)
         for result in output.selections.values():
             assert result.winners == ("ols",)
         # the exact-fit generator leaves the matching strategy with zero error
@@ -232,16 +236,17 @@ class TestRun:
             measures=[Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95)],
             iterations=8,
             master_seed=31,
+            parallelism=2,
         )
-        output = run(config, frame, workers=2)
+        output = run(config, frame)
         assert output.accuracy_matrix.shape == (36, 6)
         assert len(output.accuracy_matrix.row_labels) == 36
         assert output.w1.entries.shape == (36, 6)
         assert output.metadata["effective_iterations"] == (np.full((6, 6), 8)).tolist()
 
     def test_metadata_contents(self, linear_frame):
-        config = small_config(iterations=20)
-        output = run(config, linear_frame, workers=1)
+        config = small_config(iterations=20, parallelism=1)
+        output = run(config, linear_frame)
         md = output.metadata
         assert md["iterations"] == 20
         assert md["master_seed"] == 123
@@ -250,6 +255,7 @@ class TestRun:
         assert md["strategies"] == ["ols", "null"]
         assert md["measures"] == ["rmse"]
         assert md["wall_time_seconds"] > 0
+        assert md["workers"] == 1
 
     def test_winner_refit_failure_is_simulation_error(self):
         # winner fit succeeds inside the loop oracle; simulate a failure by
@@ -259,9 +265,9 @@ class TestRun:
         y = np.exp(0.4 * x[:, 0] + 0.05 * rng.standard_normal(25))
         frame = StudyFrame(x_sample=x[:20], y_sample=y[:20] - 1.0, x_out=x[20:], column_names=["x"])
         # y - 1 straddles zero: lognormal generator unusable -> config error
-        config = small_config(generators=[ModelSpec("gamma_glm_log_link")])
+        config = small_config(generators=[ModelSpec("gamma_glm_log_link")], parallelism=1)
         with pytest.raises(ConfigError):
-            run(config, frame, workers=1)
+            run(config, frame)
 
 
 class TestConfigValidation:
@@ -288,6 +294,15 @@ class TestConfigValidation:
     def test_empty_generators_rejected(self):
         with pytest.raises(ConfigError, match="generation model"):
             small_config(generators=[]).validate()
+
+    def test_numpy_numbers_stored_as_python_values(self):
+        config = small_config(
+            iterations=np.int64(20), master_seed=np.uint64(7), parallelism=np.int32(2), failure_ceiling=np.float32(0.5)
+        )
+        config.validate()
+        values = (config.iterations, config.master_seed, config.parallelism, config.failure_ceiling)
+        assert values == (20, 7, 2, 0.5)
+        assert [type(v) for v in values] == [int, int, int, float]
 
 
 class TestConfigFromDict:
@@ -350,24 +365,29 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError, match="parallelism"):
             config_from_dict(doc)
 
+    def assert_rejected_on_both_paths(self, key, value):
+        # the JSON reader and the library's RunConfig share one check, with one message
+        doc = self.good_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key) as from_doc:
+            config_from_dict(doc)
+        frame = make_positive_frame(n=20, k=4, seed=1)
+        with pytest.raises(ConfigError, match=key) as from_library:
+            simulate_errors(small_config(**{key: value}), frame, workers=1)
+        assert str(from_doc.value) == str(from_library.value)
+
     @pytest.mark.parametrize(
         "key,value",
-        [("iterations", 3.9), ("master_seed", 1.7), ("master_seed", "1"), ("parallelism", True)],
+        [("iterations", 3.9), ("master_seed", 1.7), ("master_seed", "1"), ("parallelism", True), ("parallelism", 1.5)],
     )
     def test_non_integer_counts_rejected(self, key, value):
         # int() would truncate 3.9 to 3 and read true as 1
-        doc = self.good_doc()
-        doc[key] = value
-        with pytest.raises(ConfigError, match=key):
-            config_from_dict(doc)
+        self.assert_rejected_on_both_paths(key, value)
 
     @pytest.mark.parametrize("value", ["0.5", False, None])
     def test_non_number_failure_ceiling_rejected(self, value):
         # float() would read "0.5" as 0.5 and false as 0.0
-        doc = self.good_doc()
-        doc["failure_ceiling"] = value
-        with pytest.raises(ConfigError, match="failure_ceiling"):
-            config_from_dict(doc)
+        self.assert_rejected_on_both_paths("failure_ceiling", value)
 
     def test_integer_failure_ceiling_accepted(self):
         doc = self.good_doc()

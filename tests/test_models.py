@@ -57,11 +57,25 @@ class TestModelSpec:
             (GAMMA_GLM, {"tol": 0.0}),
             (GAMMA_GLM, {"max_iter": 0}),
             (OLS_NORMAL, {"bogus": 1}),
+            # bool("false") is True, int(2.5) is 2 and int(True) is 1: no casts
+            (OLS_NORMAL, {"intercept_only": "false"}),
+            (OLS_NORMAL, {"intercept_only": 1}),
+            (REGRESSION_TREE, {"max_depth": 2.5}),
+            (KNN, {"k_neighbors": True}),
+            (GAMMA_GLM, {"tol": float("nan")}),
+            (GAMMA_GLM, {"tol": float("inf")}),
+            (GAMMA_GLM, {"tol": "1e-8"}),
+            (GAMMA_GLM, {"max_iter": 100.0}),
         ],
     )
     def test_bad_hyperparams(self, family, params):
         with pytest.raises(ValueError):
             ModelSpec(family, params)
+
+    def test_numpy_numbers_stored_as_python_values(self):
+        spec = ModelSpec(GAMMA_GLM, {"max_iter": np.int64(50), "tol": np.float32(0.5), "intercept_only": True})
+        assert spec.hyperparams == {"max_iter": 50, "tol": 0.5, "intercept_only": True}
+        assert [type(v) for v in spec.hyperparams.values()] == [bool, int, float]
 
     def test_defaults_merged(self):
         spec = ModelSpec(REGRESSION_TREE, {"max_depth": 3})
