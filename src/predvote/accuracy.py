@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .models import is_real
 
 RMSE = "rmse"
 QAPE = "qape"
@@ -31,8 +32,9 @@ class Measure:
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == QAPE:
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise ValueError("qape measure needs order p in (0, 1)")
+            if not (is_real(self.p) and 0.0 < self.p < 1.0):
+                raise ValueError(f"qape measure needs a number p in (0, 1), got {self.p!r}")
+            object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
             raise ValueError("rmse takes no order p")
 

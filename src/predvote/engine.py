@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -22,9 +21,9 @@ from . import __version__
 from .accuracy import AccuracyMatrix, ErrorTensor, Measure, build_accuracy_matrix
 from .dataset import ColumnSchema, StudyFrame
 from .errors import ConfigError, DataError, FitError, SimulationError
-from .generators import KdeModel, fit_kde, gen_nonparametric, gen_parametric
+from .generators import KdeModel, draw_population, fit_kde, generator_location
 from .models import ModelSpec, fit, is_integer, is_real
-from .prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
+from .prediction import Characteristic, PredictionStrategy, RefitPlan, eval_characteristic, plan_refit, plug_in_predict
 from .voting import SelectionResult, VotingMatrix, elect
 
 _M64 = (1 << 64) - 1
@@ -143,8 +142,9 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> tuple[list, list[Kd
 def _simulate_block(
     frame: StudyFrame,
     generator_model,
+    location: np.ndarray,
     kde: KdeModel | None,
-    strategies: list[PredictionStrategy],
+    plans: list[RefitPlan],
     characteristics: list[Characteristic],
     master_seed: int,
     g: int,
@@ -153,23 +153,18 @@ def _simulate_block(
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Compute error slices for iterations b_lo..b_hi-1 (0-based) of generator g."""
     n = frame.n
-    x_full = frame.x_full
     count = b_hi - b_lo
-    errors = np.zeros((count, len(characteristics), len(strategies)))
-    mask = np.zeros((count, len(strategies)), dtype=bool)
+    errors = np.zeros((count, len(characteristics), len(plans)))
+    mask = np.zeros((count, len(plans)), dtype=bool)
     for local_b in range(count):
         b = b_lo + local_b
         rng = derive_stream(master_seed, g + 1, b + 1)
-        if kde is None:
-            population = gen_parametric(generator_model, x_full, rng, g, b)
-        else:
-            population = gen_nonparametric(generator_model, x_full, kde, rng, g, b)
-        y_gen = population.y_full
+        y_gen = draw_population(generator_model, location, kde, rng, g, b).y_full
         truth = np.array([eval_characteristic(c, y_gen) for c in characteristics])
         y_s_gen = y_gen[:n]
-        for p, strategy in enumerate(strategies):
+        for p, plan in enumerate(plans):
             try:
-                predicted = plug_in_predict(strategy, frame, y_s_gen, characteristics)
+                predicted = plan.plug_in(frame, y_s_gen, characteristics)
             except FitError:
                 mask[local_b, p] = True
                 continue
@@ -186,12 +181,17 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     """Run the Monte Carlo loop and return the raw error tensor.
 
     The result is independent of the worker count: every (g, b) cell is a
-    pure function of (config, frame).
+    pure function of (config, frame). What depends on the design alone (each
+    generator's location on x_full, each strategy's refit plan) is computed
+    once here, not in every cell.
     """
     config.validate()
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
     fitted, kdes = _fit_generators(config, frame)
+    x_full = frame.x_full
+    locations = [generator_location(model, x_full) for model in fitted]
+    plans = [plan_refit(strategy, frame) for strategy in config.strategies]
     g_count = len(config.generators)
     b_count = config.iterations
     workers = _worker_count(config, workers)
@@ -201,13 +201,20 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
 
     chunk = max(1, -(-b_count // (workers * 4)))
     tasks = [
-        (frame, fitted[g], kdes[g], config.strategies, config.characteristics,
+        (frame, fitted[g], locations[g], kdes[g], plans, config.characteristics,
          config.master_seed, g, lo, min(lo + chunk, b_count))
         for g in range(g_count)
         for lo in range(0, b_count, chunk)
     ]
     serial = workers == 1 or len(tasks) == 1
-    with (nullcontext() if serial else ProcessPoolExecutor(max_workers=workers)) as pool:
+    if serial:
+        pool = nullcontext()
+    else:
+        # imported here so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool:
         # map and pool.map both take one iterable per argument of _simulate_block
         blocks = (map if serial else pool.map)(_simulate_block, *zip(*tasks))
         for g, b_lo, err_block, mask_block in blocks:
@@ -311,7 +318,9 @@ def _strategy(node: dict) -> PredictionStrategy:
 
 
 def _parse_items(doc: dict, key: str, build) -> list:
-    """build(entry) for each entry of doc[key]; an entry's error is reported as key[i]."""
+    """build(entry) for each entry of the list doc[key]; an entry's error is reported as key[i]."""
+    if not isinstance(doc[key], list):
+        raise ConfigError(f"{key}: must be a list of entries, got {doc[key]!r}")
     items = []
     for i, node in enumerate(doc[key]):
         try:

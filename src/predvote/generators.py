@@ -6,7 +6,10 @@ families draw from the fitted positive-valued distributions directly
 (additive gaussian noise would produce invalid negative responses for
 them). Nonparametric families add noise sampled from a Gaussian-kernel
 density estimate of the training residuals, re-centred to mean zero within
-every generated vector.
+every generated vector. A draw is a location that depends on the model and
+the design alone (generator_location) plus a per-draw noise step
+(draw_population), so a caller drawing many populations computes the
+location once.
 """
 
 from __future__ import annotations
@@ -83,6 +86,52 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
     return KdeModel(support_points=centred, bandwidth=bandwidth)
 
 
+def generator_location(model: FittedModel, x_full: np.ndarray) -> np.ndarray:
+    """The part of a draw that is the same in every draw: eta for lognormal, else the fitted mean.
+
+    A Gamma mean must be finite and positive everywhere (SimulationError).
+    """
+    if model.spec.family == LOGNORMAL:
+        return model.linear_predictor(x_full)
+    mean = model.predict(x_full)
+    if model.spec.family == GAMMA_GLM:
+        bad = np.flatnonzero(~(np.isfinite(mean) & (mean > 0)))
+        if bad.size:
+            raise SimulationError(f"gamma generation: non-positive fitted mean at row {bad[0]}")
+    return mean
+
+
+def draw_population(
+    model: FittedModel,
+    location: np.ndarray,
+    kde: KdeModel | None,
+    rng: np.random.Generator,
+    generator_index: int = 0,
+    iteration_index: int = 0,
+) -> GeneratedPopulation:
+    """One draw around generator_location(model, x_full); kde is the residual KDE of a nonparametric model."""
+    size = location.shape[0]
+    family = model.spec.family
+    if kde is not None:
+        idx = rng.integers(0, kde.support_points.size, size=size)
+        noise = kde.support_points[idx] + rng.normal(0.0, kde.bandwidth, size=size)
+        noise -= noise.mean()
+        y = location + noise
+    elif family == OLS_NORMAL:
+        sd = float(model.error_summary["residual_variance"]) ** 0.5
+        y = location + rng.normal(0.0, sd, size=size)
+    elif family == LOGNORMAL:
+        sd = float(model.error_summary["log_variance"]) ** 0.5
+        y = np.exp(location + rng.normal(0.0, sd, size=size))
+    else:
+        dispersion = float(model.error_summary["dispersion"])
+        if dispersion <= 0.0:
+            y = location.copy()  # zero-dispersion limit is degenerate at the mean
+        else:
+            y = rng.gamma(shape=1.0 / dispersion, scale=location * dispersion)
+    return GeneratedPopulation(y_full=y, generator_index=generator_index, iteration_index=iteration_index)
+
+
 def gen_parametric(
     model: FittedModel,
     x_full: np.ndarray,
@@ -91,28 +140,10 @@ def gen_parametric(
     iteration_index: int = 0,
 ) -> GeneratedPopulation:
     """Parametric bootstrap draw of the full population response vector."""
-    family = model.spec.family
-    if family == OLS_NORMAL:
-        mean = model.predict(x_full)
-        sd = float(model.error_summary["residual_variance"]) ** 0.5
-        y = mean + rng.normal(0.0, sd, size=mean.shape[0])
-    elif family == LOGNORMAL:
-        eta = model.linear_predictor(x_full)
-        sd = float(model.error_summary["log_variance"]) ** 0.5
-        y = np.exp(eta + rng.normal(0.0, sd, size=eta.shape[0]))
-    elif family == GAMMA_GLM:
-        mu = model.predict(x_full)
-        bad = np.flatnonzero(~(np.isfinite(mu) & (mu > 0)))
-        if bad.size:
-            raise SimulationError(f"gamma generation: non-positive fitted mean at row {bad[0]}")
-        dispersion = float(model.error_summary["dispersion"])
-        if dispersion <= 0.0:
-            y = mu.copy()  # zero-dispersion limit is degenerate at the mean
-        else:
-            y = rng.gamma(shape=1.0 / dispersion, scale=mu * dispersion)
-    else:
-        raise ValueError(f"{family} is not a parametric family")
-    return GeneratedPopulation(y_full=y, generator_index=generator_index, iteration_index=iteration_index)
+    if not model.spec.is_parametric:
+        raise ValueError(f"{model.spec.family} is not a parametric family")
+    location = generator_location(model, x_full)
+    return draw_population(model, location, None, rng, generator_index, iteration_index)
 
 
 def gen_nonparametric(
@@ -131,11 +162,5 @@ def gen_nonparametric(
     """
     if model.spec.is_parametric:
         raise ValueError(f"{model.spec.family} is not a nonparametric family")
-    mean = model.predict(x_full)
-    size = mean.shape[0]
-    idx = rng.integers(0, kde.support_points.size, size=size)
-    noise = kde.support_points[idx] + rng.normal(0.0, kde.bandwidth, size=size)
-    noise -= noise.mean()
-    return GeneratedPopulation(
-        y_full=mean + noise, generator_index=generator_index, iteration_index=iteration_index
-    )
+    location = generator_location(model, x_full)
+    return draw_population(model, location, kde, rng, generator_index, iteration_index)

@@ -153,9 +153,10 @@ class _KnnState:
     y_train: np.ndarray
     k_neighbors: int
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        # identical rows have identical distances, neighbour lists and means,
-        # so the search runs once per distinct standardised row
+    def neighbours(self, x: np.ndarray) -> np.ndarray:
+        """(rows x k_neighbors) training-row indices, nearest first; distance ties go to the lowest row."""
+        # identical rows have identical distances and neighbour lists, so the
+        # search runs once per distinct standardised row
         xs = (x - self.x_mean) / self.x_scale
         order = np.lexsort(xs.T)
         ordered = xs[order]
@@ -164,14 +165,16 @@ class _KnnState:
         inverse = np.empty(ordered.shape[0], dtype=np.intp)
         inverse[order] = np.cumsum(starts) - 1
         distinct = ordered[starts]
-        out = np.empty(distinct.shape[0])
+        nearest = np.empty((distinct.shape[0], self.k_neighbors), dtype=np.intp)
         step = max(1, _KNN_BLOCK_ELEMENTS // self.x_train.size)
         for lo in range(0, distinct.shape[0], step):
             block = distinct[lo : lo + step, None, :]
             d = np.sqrt(((self.x_train - block) ** 2).sum(axis=2))
-            nearest = np.argsort(d, axis=1, kind="stable")[:, : self.k_neighbors]
-            out[lo : lo + step] = self.y_train[nearest].mean(axis=1)
-        return out[inverse]
+            nearest[lo : lo + step] = np.argsort(d, axis=1, kind="stable")[:, : self.k_neighbors]
+        return nearest[inverse]
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.y_train[self.neighbours(x)].mean(axis=1)
 
 
 @dataclass
@@ -213,6 +216,12 @@ class FittedModel:
         if not isinstance(self._state, _GlmState):
             raise ValueError(f"{self.spec.family} has no linear predictor")
         return self._state.linear(self._design(x))
+
+    def neighbours(self, x: np.ndarray) -> np.ndarray:
+        """Training-row indices a kNN fit averages for each row of x, (rows x k_neighbors)."""
+        if not isinstance(self._state, _KnnState):
+            raise ValueError(f"{self.spec.family} has no neighbour index")
+        return self._state.neighbours(self._design(x))
 
 
 def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .accuracy import order_statistic_quantile
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
-from .models import ModelSpec, fit
+from .models import KNN, ModelSpec, fit, is_real
 
 TOTAL = "total"
 MEAN = "mean"
@@ -41,8 +41,9 @@ class Characteristic:
         if self.kind not in CHARACTERISTIC_KINDS:
             raise ValueError(f"unknown characteristic kind {self.kind!r}")
         if self.kind == QUANTILE:
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise ValueError("quantile characteristic needs p in (0, 1)")
+            if not (is_real(self.p) and 0.0 < self.p < 1.0):
+                raise ValueError(f"quantile characteristic needs a number p in (0, 1), got {self.p!r}")
+            object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
             raise ValueError(f"{self.kind} characteristic takes no order p")
         if not self.name:
@@ -75,6 +76,47 @@ def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:
     return order_statistic_quantile(y, char.p)
 
 
+@dataclass(frozen=True)
+class RefitPlan:
+    """One strategy's refit on a fixed sample design, with the y-independent work done once.
+
+    On the frame it was planned for, plug_in(frame, y_s, ...) equals
+    plug_in_predict(strategy, frame, y_s, ...) for every finite y_s. A knn
+    refit averages y_s over the neighbours of x_out among x_sample, which
+    depend on the design alone, so the plan holds that (k x k_neighbors)
+    index; every other family is fitted afresh.
+    """
+
+    strategy: PredictionStrategy
+    neighbours: np.ndarray | None = None
+
+    def plug_in(self, frame: StudyFrame, y_s: np.ndarray, characteristics: list[Characteristic]) -> np.ndarray:
+        """Plug-in predictions of every characteristic; y_s is a float64 vector of length frame.n."""
+        if self.neighbours is not None:
+            y_out = y_s[self.neighbours].mean(axis=1)
+        else:
+            try:
+                model = fit(self.strategy.model, frame.x_sample, y_s)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"strategy {self.strategy.name!r}: {exc}", exc.iterations) from exc
+            except FitError as exc:
+                raise FitError(f"strategy {self.strategy.name!r}: {exc}") from exc
+            y_out = model.predict(frame.x_out) if frame.k else np.empty(0)
+        composite = np.concatenate([y_s, y_out])
+        return np.array([eval_characteristic(c, composite) for c in characteristics])
+
+
+def plan_refit(strategy: PredictionStrategy, frame: StudyFrame) -> RefitPlan:
+    """The refit plan of one strategy on frame's fixed design."""
+    if strategy.model.family == KNN:
+        try:
+            model = fit(strategy.model, frame.x_sample, np.zeros(frame.n))
+        except FitError:
+            return RefitPlan(strategy)  # k_neighbors > n: every refit raises this FitError
+        return RefitPlan(strategy, model.neighbours(frame.x_out))
+    return RefitPlan(strategy)
+
+
 def plug_in_predict(
     strategy: PredictionStrategy,
     frame: StudyFrame,
@@ -91,14 +133,4 @@ def plug_in_predict(
     y_s = np.asarray(y_s, dtype=np.float64).ravel()
     if y_s.size != frame.n:
         raise ValueError(f"y_s has length {y_s.size}, frame sample size is {frame.n}")
-    try:
-        model = fit(strategy.model, frame.x_sample, y_s)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"strategy {strategy.name!r}: {exc}", exc.iterations) from exc
-    except FitError as exc:
-        raise FitError(f"strategy {strategy.name!r}: {exc}") from exc
-    if frame.k:
-        composite = np.concatenate([y_s, model.predict(frame.x_out)])
-    else:
-        composite = y_s.copy()
-    return np.array([eval_characteristic(c, composite) for c in characteristics])
+    return RefitPlan(strategy).plug_in(frame, y_s, characteristics)

@@ -86,6 +86,15 @@ class TestMeasure:
         with pytest.raises(ValueError):
             Measure("rmse", 0.5)
 
+    @pytest.mark.parametrize("p", ["0.5", True, float("nan"), [0.5]])
+    def test_non_number_p_is_value_error(self, p):
+        with pytest.raises(ValueError, match="qape"):
+            Measure("qape", p)
+
+    def test_numpy_p_stored_as_float(self):
+        measure = Measure("qape", np.float64(0.95))
+        assert type(measure.p) is float and measure.p == 0.95 and measure.label == "qape0.95"
+
 
 def tensor_from(values, mask=None):
     values = np.asarray(values, dtype=float)

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predvote
 import reference_fixture as ref
 from predvote.cli import main
 from predvote.dataset import write_portfolio_csv
@@ -94,6 +98,12 @@ class TestCmdRun:
         config.write_text(json.dumps(minimal_config(failure_ceiling="0.5")), encoding="utf-8")
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
         assert "failure_ceiling" in capsys.readouterr().err
+
+    def test_non_list_generators_exits_2(self, workspace, capsys):
+        tmp, config, data = workspace
+        config.write_text(json.dumps(minimal_config(generators=5)), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
+        assert "generators: must be a list of entries" in capsys.readouterr().err
 
     def test_zero_workers_exits_2(self, workspace, capsys):
         # --workers overrides parallelism and passes the document's check before any data is read
@@ -339,3 +349,16 @@ class TestPlotEcdf:
         assert str(path) in err
         assert re.search(message, err)
         assert not svg.exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a serial run never uses the pool, so importing the CLI must not load multiprocessing
+    src = str(Path(predvote.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import sys, predvote.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from predvote.engine import (
     run,
     simulate_errors,
 )
-from predvote.errors import ConfigError, DataError, SimulationError
+from predvote.errors import ConfigError, DataError, FitError, SimulationError
 from predvote.generators import fit_kde, gen_nonparametric, gen_parametric
 from predvote.models import ModelSpec, fit
 from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
@@ -106,6 +106,65 @@ class TestSimulateErrors:
         assert np.array_equal(tensor.values, expected)
         assert not tensor.failure_mask.any()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            ModelSpec("lognormal"),
+            ModelSpec("gamma_glm_log_link"),
+            ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 3}),
+            ModelSpec("knn", {"k_neighbors": 4}),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_matches_per_cell_public_api_loop(self, generator, workers):
+        # covariates on a half-unit grid repeat rows and tie distances, so the
+        # once-per-run kNN neighbour index meets the lowest-row tie rule
+        base = make_positive_frame(n=30, k=8, seed=12)
+        frame = StudyFrame(
+            x_sample=np.round(2 * base.x_sample) / 2,
+            y_sample=base.y_sample,
+            x_out=np.round(2 * base.x_out) / 2,
+            column_names=base.column_names,
+        )
+        config = small_config(
+            generators=[generator],
+            strategies=[
+                PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 3})),
+                PredictionStrategy("tree", ModelSpec("regression_tree", {"max_depth": 2, "min_leaf": 3})),
+                PredictionStrategy("ols", ModelSpec("ols_normal")),
+                PredictionStrategy("knn_over_n", ModelSpec("knn", {"k_neighbors": 31})),
+            ],
+            characteristics=[Characteristic("total"), Characteristic("median"), Characteristic("quantile", 0.9)],
+            iterations=12,
+            master_seed=19,
+            failure_ceiling=0.5,
+        )
+        tensor = simulate_errors(config, frame, workers=workers)
+
+        model = fit(generator, frame.x_sample, frame.y_sample)
+        kde = None if generator.is_parametric else fit_kde(model.sample_residuals)
+        expected = np.zeros_like(tensor.values)
+        expected_mask = np.zeros_like(tensor.failure_mask)
+        for b in range(config.iterations):
+            rng = derive_stream(19, 1, b + 1)
+            if kde is None:
+                y_gen = gen_parametric(model, frame.x_full, rng).y_full
+            else:
+                y_gen = gen_nonparametric(model, frame.x_full, kde, rng).y_full
+            truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
+            for p, strategy in enumerate(config.strategies):
+                try:
+                    predicted = plug_in_predict(strategy, frame, y_gen[: frame.n], config.characteristics)
+                except FitError:
+                    expected_mask[0, b, p] = True
+                    continue
+                expected[0, b, :, p] = predicted - truth
+        assert np.array_equal(tensor.values, expected)
+        assert np.array_equal(tensor.failure_mask, expected_mask)
+        # k_neighbors > n masks every cell of that strategy and no other
+        assert expected_mask[0, :, 3].all() and not expected_mask[0, :, :3].any()
+
     def test_worker_count_does_not_change_results(self):
         frame = make_positive_frame(n=40, k=8, seed=3)
         config = small_config(
@@ -192,6 +251,17 @@ class TestSimulateErrors:
         )
         config = small_config(generators=[ModelSpec("lognormal")])
         with pytest.raises(ConfigError, match="generator"):
+            simulate_errors(config, frame, workers=1)
+
+    def test_gamma_generator_with_zero_mean_is_simulation_error(self):
+        # the generator's location is computed once per run, before any cell
+        base = make_positive_frame(n=30, k=4, seed=14)
+        frame = StudyFrame(
+            x_sample=base.x_sample, y_sample=base.y_sample,
+            x_out=np.vstack([base.x_out, [[-1e5, 0.0]]]), column_names=base.column_names,
+        )
+        config = small_config(generators=[ModelSpec("gamma_glm_log_link")])
+        with pytest.raises(SimulationError, match="non-positive fitted mean at row 34"):
             simulate_errors(config, frame, workers=1)
 
     def test_out_block_required(self):
@@ -349,6 +419,14 @@ class TestConfigFromDict:
         doc = self.good_doc()
         doc["measures"][1]["p"] = 2.0
         with pytest.raises(ConfigError, match=r"measures\[1\]"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["generators", "strategies", "characteristics", "measures"])
+    @pytest.mark.parametrize("value", [5, "ols_normal", {"family": "ols_normal"}], ids=["int", "str", "dict"])
+    def test_non_list_item_field_rejected(self, key, value):
+        doc = self.good_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"^{key}: must be a list of entries"):
             config_from_dict(doc)
 
     def test_default_strategy_name_is_family(self):

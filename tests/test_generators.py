@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from predvote.errors import DataError
+from predvote.errors import DataError, SimulationError
 from predvote.generators import (
     GeneratedPopulation,
     KdeModel,
     fit_kde,
     gen_nonparametric,
     gen_parametric,
+    generator_location,
 )
 from predvote.models import ModelSpec, fit
 
@@ -73,6 +74,17 @@ class TestParametricGeneration:
         logs = np.log(draws)
         assert logs.mean() == pytest.approx(eta, abs=3 * np.sqrt(s2 / 20000))
         assert abs(np.var(logs) - s2) < 0.05 * s2
+
+    def test_gamma_mean_underflowing_to_zero_is_simulation_error(self):
+        # exp(eta) underflows to 0.0 far outside the sample range
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.0, 1.0, size=(50, 1))
+        model = fit(ModelSpec("gamma_glm_log_link"), x, np.exp(1.0 + 0.5 * x[:, 0] + 0.1 * rng.standard_normal(50)))
+        x_full = np.array([[0.5], [0.2], [-1e5]])
+        with pytest.raises(SimulationError, match="non-positive fitted mean at row 2"):
+            generator_location(model, x_full)
+        with pytest.raises(SimulationError, match="non-positive fitted mean at row 2"):
+            gen_parametric(model, x_full, rng)
 
     def test_nonparametric_family_rejected(self):
         rng = np.random.default_rng(0)

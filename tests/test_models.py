@@ -521,13 +521,37 @@ def knn_design(rng, kind: str, rows: int, q: int, patterns: np.ndarray) -> np.nd
     return patterns[rng.integers(0, patterns.shape[0], size=rows)]
 
 
+def knn_predict_distinct_rows(model: FittedModel, x: np.ndarray) -> np.ndarray:
+    """The earlier distinct-row kNN predict, kept as an oracle: it averages inside the search blocks."""
+    state = model._state
+    xs = (np.asarray(x, dtype=np.float64) - state.x_mean) / state.x_scale
+    order = np.lexsort(xs.T)
+    ordered = xs[order]
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(ordered.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    distinct = ordered[starts]
+    out = np.empty(distinct.shape[0])
+    step = max(1, 16384 // state.x_train.size)
+    for lo in range(0, distinct.shape[0], step):
+        block = distinct[lo : lo + step, None, :]
+        d = np.sqrt(((state.x_train - block) ** 2).sum(axis=2))
+        nearest = np.argsort(d, axis=1, kind="stable")[:, : state.k_neighbors]
+        out[lo : lo + step] = state.y_train[nearest].mean(axis=1)
+    return out[inverse]
+
+
 class TestKnnDistinctRows:
-    """predict and fitted_values equal the per-row search bit for bit."""
+    """predict and fitted_values equal the per-row and the distinct-row searches bit for bit."""
 
     @staticmethod
     def assert_matches_oracle(model, x_train, x_query):
+        for x in (x_train, x_query):
+            predicted = model.predict(x)
+            assert np.array_equal(predicted, knn_predict_per_row(model, x))
+            assert np.array_equal(predicted, knn_predict_distinct_rows(model, x))
         assert np.array_equal(model.fitted_values, knn_predict_per_row(model, x_train))
-        assert np.array_equal(model.predict(x_query), knn_predict_per_row(model, x_query))
 
     @pytest.mark.parametrize("kind", ["continuous", "grid", "dummy"])
     def test_random_designs(self, kind):
@@ -589,6 +613,38 @@ class TestKnnDistinctRows:
         frame = synthesize_portfolio(500, 2000, 1)
         model = fit(ModelSpec(KNN, {"k_neighbors": 5}), frame.x_sample, frame.y_sample)
         self.assert_matches_oracle(model, frame.x_sample, frame.x_out)
+
+
+class TestKnnNeighbours:
+    def test_shape_dtype_and_lowest_row_ties(self):
+        # rows 0, 2 and 4 sit at the query, rows 1 and 3 one unit away
+        x = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
+        model = fit(ModelSpec(KNN, {"k_neighbors": 4}), x, np.arange(5.0))
+        idx = model.neighbours(np.array([[0.0], [1.0], [0.0]]))
+        assert idx.shape == (3, 4) and idx.dtype == np.intp
+        assert idx.tolist() == [[0, 2, 4, 1], [1, 3, 0, 2], [0, 2, 4, 1]]
+
+    @pytest.mark.parametrize("kind", ["continuous", "grid", "dummy"])
+    def test_matches_bruteforce_stable_argsort(self, kind):
+        rng = np.random.default_rng({"continuous": 47, "grid": 48, "dummy": 49}[kind])
+        for case in range(40):
+            q = 1 + case % 13
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(1, n + 1))
+            patterns = rng.integers(0, 2, size=(int(rng.integers(1, 6)), q)).astype(float)
+            x = knn_design(rng, kind, n, q, patterns)
+            query = np.vstack([knn_design(rng, kind, int(rng.integers(0, 30)), q, patterns), x[::3]])
+            model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(n))
+            state = model._state
+            qs = (query - state.x_mean) / state.x_scale
+            d = np.sqrt(((qs[:, None, :] - state.x_train[None, :, :]) ** 2).sum(axis=2))
+            expected = np.argsort(d, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(model.neighbours(query), expected)
+
+    def test_other_families_have_no_neighbour_index(self):
+        x, y = positive_data(seed=7)
+        with pytest.raises(ValueError, match="neighbour"):
+            fit(ModelSpec(OLS_NORMAL), x, y).neighbours(x)
 
 
 class TestUniformContract:

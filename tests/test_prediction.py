@@ -58,6 +58,15 @@ class TestCharacteristic:
             Characteristic("mode")
         assert Characteristic("quantile", 0.95).name == "q0.95"
 
+    @pytest.mark.parametrize("p", ["0.5", True, float("nan"), [0.5]])
+    def test_non_number_p_is_value_error(self, p):
+        with pytest.raises(ValueError, match="quantile"):
+            Characteristic("quantile", p=p)
+
+    def test_numpy_p_stored_as_float(self):
+        char = Characteristic("quantile", p=np.float64(0.9))
+        assert type(char.p) is float and char.p == 0.9 and char.name == "q0.9"
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             PredictionStrategy("", ModelSpec("ols_normal"))
