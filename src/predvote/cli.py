@@ -1,7 +1,8 @@
 """Command-line interface: run simulations, re-vote saved matrices, plot ECDFs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
-failure (fit-failure ceiling breached or a winner refit failed).
+failure (fit-failure ceiling breached, a winner refit failed, a Gamma
+generator mean not positive, or a non-finite simulated population).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from . import __version__
 from .accuracy import AccuracyMatrix, ErrorTensor, Measure, build_accuracy_matrix
 from .dataset import ColumnSchema, StudyFrame
 from .errors import ConfigError, DataError, FitError, SimulationError
-from .generators import KdeModel, draw_population, fit_kde, generator_location
+from .generators import Generator, fit_kde
 from .models import ModelSpec, fit, is_integer, is_real
 from .prediction import Characteristic, PredictionStrategy, RefitPlan, eval_characteristic, plan_refit, plug_in_predict
 from .voting import SelectionResult, VotingMatrix, elect
@@ -87,9 +87,11 @@ class RunConfig:
             )
         if not is_integer(self.master_seed):
             raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
-        names = [s.name for s in self.strategies]
-        if len(set(names)) != len(names):
-            raise ConfigError("strategies: names must be unique")
+        for key, items in (("strategies", self.strategies), ("characteristics", self.characteristics)):
+            names = [item.name for item in items]
+            repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"{key}: names must be unique, {repeated!r} is repeated")
         if not (is_real(self.failure_ceiling) and 0.0 <= self.failure_ceiling < 1.0):
             raise ConfigError(f"failure_ceiling: must be a number in [0, 1), got {self.failure_ceiling!r}")
         if self.parallelism is not None and not (is_integer(self.parallelism) and self.parallelism >= 1):
@@ -120,56 +122,50 @@ def generator_label(index: int, spec: ModelSpec) -> str:
     return f"gen{index + 1}_{spec.family}"
 
 
-def _fit_generators(config: RunConfig, frame: StudyFrame) -> tuple[list, list[KdeModel | None]]:
-    fitted, kdes = [], []
+def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
+    fitted = []
     for i, spec in enumerate(config.generators):
         label = generator_label(i, spec)
         try:
             model = fit(spec, frame.x_sample, frame.y_sample)
         except FitError as exc:
             raise ConfigError(f"generator {label!r} cannot be fitted on the sample data: {exc}") from exc
-        fitted.append(model)
-        if spec.is_parametric:
-            kdes.append(None)
-        else:
-            try:
-                kdes.append(fit_kde(model.sample_residuals, config.kde_bandwidth))
-            except DataError as exc:
-                raise ConfigError(f"generator {label!r}: residual KDE failed: {exc}") from exc
-    return fitted, kdes
+        try:
+            kde = None if spec.is_parametric else fit_kde(model.sample_residuals, config.kde_bandwidth)
+        except DataError as exc:
+            raise ConfigError(f"generator {label!r}: residual KDE failed: {exc}") from exc
+        fitted.append((model, kde))
+    # every fit and KDE is checked (ConfigError) before any location is built (SimulationError)
+    return [Generator.from_model(model, frame.x_full, kde) for model, kde in fitted]
 
 
-def _simulate_block(
-    frame: StudyFrame,
-    generator_model,
-    location: np.ndarray,
-    kde: KdeModel | None,
-    plans: list[RefitPlan],
-    characteristics: list[Characteristic],
-    master_seed: int,
-    g: int,
-    b_lo: int,
-    b_hi: int,
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Compute error slices for iterations b_lo..b_hi-1 (0-based) of generator g."""
-    n = frame.n
-    count = b_hi - b_lo
-    errors = np.zeros((count, len(characteristics), len(plans)))
-    mask = np.zeros((count, len(plans)), dtype=bool)
-    for local_b in range(count):
-        b = b_lo + local_b
-        rng = derive_stream(master_seed, g + 1, b + 1)
-        y_gen = draw_population(generator_model, location, kde, rng, g, b).y_full
-        truth = np.array([eval_characteristic(c, y_gen) for c in characteristics])
-        y_s_gen = y_gen[:n]
-        for p, plan in enumerate(plans):
-            try:
-                predicted = plan.plug_in(frame, y_s_gen, characteristics)
-            except FitError:
-                mask[local_b, p] = True
-                continue
-            errors[local_b, :, p] = predicted - truth
-    return g, b_lo, errors, mask
+@dataclass(frozen=True)
+class _Cells:
+    """What every (generator, iteration) cell of a run reads besides its generator."""
+
+    frame: StudyFrame
+    plans: list[RefitPlan]
+    characteristics: list[Characteristic]
+    master_seed: int
+
+    def block(self, generator: Generator, g: int, b_lo: int, b_hi: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """Error slices for iterations b_lo..b_hi-1 (0-based) of generator g."""
+        n = self.frame.n
+        count = b_hi - b_lo
+        errors = np.zeros((count, len(self.characteristics), len(self.plans)))
+        mask = np.zeros((count, len(self.plans)), dtype=bool)
+        for local_b in range(count):
+            y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
+            truth = np.array([eval_characteristic(c, y_gen) for c in self.characteristics])
+            y_s_gen = y_gen[:n]
+            for p, plan in enumerate(self.plans):
+                try:
+                    predicted = plan.plug_in(self.frame, y_s_gen, self.characteristics)
+                except FitError:
+                    mask[local_b, p] = True
+                    continue
+                errors[local_b, :, p] = predicted - truth
+        return g, b_lo, errors, mask
 
 
 def _worker_count(config: RunConfig, workers: int | None = None) -> int:
@@ -182,31 +178,30 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
 
     The result is independent of the worker count: every (g, b) cell is a
     pure function of (config, frame). What depends on the design alone (each
-    generator's location on x_full, each strategy's refit plan) is computed
-    once here, not in every cell.
+    Generator, with its location on x_full, and each strategy's refit plan)
+    is built once here, not in every cell.
     """
     config.validate()
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
-    fitted, kdes = _fit_generators(config, frame)
-    x_full = frame.x_full
-    locations = [generator_location(model, x_full) for model in fitted]
-    plans = [plan_refit(strategy, frame) for strategy in config.strategies]
-    g_count = len(config.generators)
+    generators = _fit_generators(config, frame)
+    cells = _Cells(
+        frame, [plan_refit(strategy, frame) for strategy in config.strategies],
+        config.characteristics, config.master_seed,
+    )
     b_count = config.iterations
     workers = _worker_count(config, workers)
 
-    values = np.zeros((g_count, b_count, len(config.characteristics), len(config.strategies)))
-    mask = np.zeros((g_count, b_count, len(config.strategies)), dtype=bool)
+    values = np.zeros((len(generators), b_count, len(config.characteristics), len(config.strategies)))
+    mask = np.zeros((len(generators), b_count, len(config.strategies)), dtype=bool)
 
     chunk = max(1, -(-b_count // (workers * 4)))
     tasks = [
-        (frame, fitted[g], locations[g], kdes[g], plans, config.characteristics,
-         config.master_seed, g, lo, min(lo + chunk, b_count))
-        for g in range(g_count)
+        (generator, g, lo, min(lo + chunk, b_count))
+        for g, generator in enumerate(generators)
         for lo in range(0, b_count, chunk)
     ]
-    serial = workers == 1 or len(tasks) == 1
+    serial = workers == 1  # iterations >= 2, so two or more workers always get two or more tasks
     if serial:
         pool = nullcontext()
     else:
@@ -215,8 +210,8 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
 
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
-        # map and pool.map both take one iterable per argument of _simulate_block
-        blocks = (map if serial else pool.map)(_simulate_block, *zip(*tasks))
+        # map and pool.map both take one iterable per argument of cells.block
+        blocks = (map if serial else pool.map)(cells.block, *zip(*tasks))
         for g, b_lo, err_block, mask_block in blocks:
             values[g, b_lo : b_lo + err_block.shape[0]] = err_block
             mask[g, b_lo : b_lo + mask_block.shape[0]] = mask_block

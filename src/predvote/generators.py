@@ -7,9 +7,8 @@ families draw from the fitted positive-valued distributions directly
 them). Nonparametric families add noise sampled from a Gaussian-kernel
 density estimate of the training residuals, re-centred to mean zero within
 every generated vector. A draw is a location that depends on the model and
-the design alone (generator_location) plus a per-draw noise step
-(draw_population), so a caller drawing many populations computes the
-location once.
+the design alone plus per-draw noise; a Generator holds both, so a caller
+drawing many populations builds it once.
 """
 
 from __future__ import annotations
@@ -57,6 +56,25 @@ class KdeModel:
             raise ValueError("support_points must be centred to mean zero")
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """(q75, q25) as np.percentile(values, [75, 25]) computes them, bit for bit, for 2 or more values.
+
+    np.percentile would import numpy.ma (through np.unique) on its first
+    call; this is numpy's linear method on one sort: the virtual index
+    n*q + (1 - q) - 1 and numpy's lerp, which interpolates down from the
+    upper neighbour when the weight is at least 0.5.
+    """
+    ordered = np.sort(values)
+    quartiles = []
+    for q in (0.75, 0.25):
+        at = ordered.size * q + (1.0 - q) - 1
+        lo = int(at)  # floor: at >= 0
+        t = at - lo
+        a, b = ordered[lo], ordered[lo + 1]
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return quartiles[0], quartiles[1]
+
+
 def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeModel:
     """Fit the residual KDE used by the nonparametric generator.
 
@@ -74,7 +92,7 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
         if rule != "silverman":
             raise ValueError(f"unknown bandwidth rule {rule!r}")
         sd = float(centred.std(ddof=1))
-        q75, q25 = np.percentile(centred, [75.0, 25.0])
+        q75, q25 = _quartiles(centred)
         spread = min(sd, (q75 - q25) / 1.34)
         if spread == 0.0:
             spread = sd
@@ -86,50 +104,60 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
     return KdeModel(support_points=centred, bandwidth=bandwidth)
 
 
-def generator_location(model: FittedModel, x_full: np.ndarray) -> np.ndarray:
-    """The part of a draw that is the same in every draw: eta for lognormal, else the fitted mean.
+@dataclass(frozen=True)
+class Generator:
+    """A fitted model made ready to draw; build it once per run with from_model.
 
-    A Gamma mean must be finite and positive everywhere (SimulationError).
+    location is eta for lognormal and the fitted mean on x_full otherwise;
+    scale is the noise sd (ols_normal, lognormal) or the Gamma dispersion;
+    kde is the residual KDE of a nonparametric model.
     """
-    if model.spec.family == LOGNORMAL:
-        return model.linear_predictor(x_full)
-    mean = model.predict(x_full)
-    if model.spec.family == GAMMA_GLM:
-        bad = np.flatnonzero(~(np.isfinite(mean) & (mean > 0)))
-        if bad.size:
-            raise SimulationError(f"gamma generation: non-positive fitted mean at row {bad[0]}")
-    return mean
 
+    family: str
+    location: np.ndarray
+    scale: float = 0.0
+    kde: KdeModel | None = None
 
-def draw_population(
-    model: FittedModel,
-    location: np.ndarray,
-    kde: KdeModel | None,
-    rng: np.random.Generator,
-    generator_index: int = 0,
-    iteration_index: int = 0,
-) -> GeneratedPopulation:
-    """One draw around generator_location(model, x_full); kde is the residual KDE of a nonparametric model."""
-    size = location.shape[0]
-    family = model.spec.family
-    if kde is not None:
-        idx = rng.integers(0, kde.support_points.size, size=size)
-        noise = kde.support_points[idx] + rng.normal(0.0, kde.bandwidth, size=size)
-        noise -= noise.mean()
-        y = location + noise
-    elif family == OLS_NORMAL:
-        sd = float(model.error_summary["residual_variance"]) ** 0.5
-        y = location + rng.normal(0.0, sd, size=size)
-    elif family == LOGNORMAL:
-        sd = float(model.error_summary["log_variance"]) ** 0.5
-        y = np.exp(location + rng.normal(0.0, sd, size=size))
-    else:
-        dispersion = float(model.error_summary["dispersion"])
-        if dispersion <= 0.0:
-            y = location.copy()  # zero-dispersion limit is degenerate at the mean
+    @classmethod
+    def from_model(cls, model: FittedModel, x_full: np.ndarray, kde: KdeModel | None = None) -> "Generator":
+        """The generator of model on x_full; kde is the residual KDE of a nonparametric model, else None.
+
+        A Gamma mean must be finite and positive everywhere (SimulationError).
+        """
+        family = model.spec.family
+        if model.spec.is_parametric != (kde is None):
+            raise ValueError(f"{family} is not a {'parametric' if kde is None else 'nonparametric'} family")
+        if family == LOGNORMAL:
+            return cls(family, model.linear_predictor(x_full), float(model.error_summary["log_variance"]) ** 0.5)
+        mean = model.predict(x_full)
+        if family == OLS_NORMAL:
+            return cls(family, mean, float(model.error_summary["residual_variance"]) ** 0.5)
+        if family == GAMMA_GLM:
+            bad = np.flatnonzero(~(np.isfinite(mean) & (mean > 0)))
+            if bad.size:
+                raise SimulationError(f"gamma generation: non-positive fitted mean at row {bad[0]}")
+            return cls(family, mean, float(model.error_summary["dispersion"]))
+        return cls(family, mean, kde=kde)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One simulated response vector of length n + k; a non-finite value is a SimulationError."""
+        size = self.location.shape[0]
+        if self.kde is not None:
+            idx = rng.integers(0, self.kde.support_points.size, size=size)
+            noise = self.kde.support_points[idx] + rng.normal(0.0, self.kde.bandwidth, size=size)
+            noise -= noise.mean()
+            y = self.location + noise
+        elif self.family == OLS_NORMAL:
+            y = self.location + rng.normal(0.0, self.scale, size=size)
+        elif self.family == LOGNORMAL:
+            y = np.exp(self.location + rng.normal(0.0, self.scale, size=size))
+        elif self.scale <= 0.0:
+            y = self.location.copy()  # zero-dispersion Gamma limit is degenerate at the mean
         else:
-            y = rng.gamma(shape=1.0 / dispersion, scale=location * dispersion)
-    return GeneratedPopulation(y_full=y, generator_index=generator_index, iteration_index=iteration_index)
+            y = rng.gamma(shape=1.0 / self.scale, scale=self.location * self.scale)
+        if not np.all(np.isfinite(y)):
+            raise SimulationError("generated population contains non-finite values")
+        return y
 
 
 def gen_parametric(
@@ -140,10 +168,7 @@ def gen_parametric(
     iteration_index: int = 0,
 ) -> GeneratedPopulation:
     """Parametric bootstrap draw of the full population response vector."""
-    if not model.spec.is_parametric:
-        raise ValueError(f"{model.spec.family} is not a parametric family")
-    location = generator_location(model, x_full)
-    return draw_population(model, location, None, rng, generator_index, iteration_index)
+    return GeneratedPopulation(Generator.from_model(model, x_full).draw(rng), generator_index, iteration_index)
 
 
 def gen_nonparametric(
@@ -160,7 +185,4 @@ def gen_nonparametric(
     residuals; the engine guarantees that pairing. The generated noise
     vector is re-centred to sum exactly to zero within each draw.
     """
-    if model.spec.is_parametric:
-        raise ValueError(f"{model.spec.family} is not a nonparametric family")
-    location = generator_location(model, x_full)
-    return draw_population(model, location, kde, rng, generator_index, iteration_index)
+    return GeneratedPopulation(Generator.from_model(model, x_full, kde).draw(rng), generator_index, iteration_index)

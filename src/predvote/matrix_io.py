@@ -38,6 +38,9 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
     if len(rows) < 2 or len(rows[0]) < 2:
         raise DataError(f"{path}: expected a header row plus at least one labeled data row")
     col_labels = rows[0][1:]
+    repeated = next((label for i, label in enumerate(col_labels) if label in col_labels[:i]), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column label {repeated!r} is repeated; strategy names must be unique")
     width = len(col_labels)
     row_labels, data = [], []
     for i, row in enumerate(rows[1:], start=2):

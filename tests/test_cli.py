@@ -105,6 +105,15 @@ class TestCmdRun:
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
         assert "generators: must be a list of entries" in capsys.readouterr().err
 
+    def test_duplicate_characteristic_name_exits_2(self, workspace, capsys):
+        tmp, config, data = workspace
+        doc = minimal_config(characteristics=[{"kind": "total"}, {"kind": "mean", "name": "total"}])
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
+        assert "characteristics: names must be unique, 'total' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_workers_exits_2(self, workspace, capsys):
         # --workers overrides parallelism and passes the document's check before any data is read
         tmp, config, _ = workspace
@@ -251,6 +260,15 @@ class TestCmdVote:
         bad.write_text("voter,a,b\nr1,1.0,x\n", encoding="utf-8")
         assert main(["vote", str(bad), "--out", str(tmp_path / "out")]) == 3
 
+    def test_repeated_column_label_exits_3(self, tmp_path, capsys):
+        # keyed by name, the two 'a' columns (1 and 2 first-place votes) would merge silently
+        matrix_path = tmp_path / "dup.csv"
+        matrix_path.write_text("voter,a,a,b\nr1,0.1,0.2,0.3\nr2,0.3,0.2,0.1\nr3,0.2,0.1,0.3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["vote", str(matrix_path), "--out", str(out), "--tie-break"]) == 3
+        assert "column label 'a' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_matrix_exits_3(self, tmp_path):
         assert main(["vote", str(tmp_path / "none.csv"), "--out", str(tmp_path / "out")]) == 3
 
@@ -318,6 +336,14 @@ class TestPlotEcdf:
         w3 = tmp_path / "w3.csv"
         write_matrix_csv(str(w3), np.array([[0.5, 1.5]]), ["r1"], ["a", "b"])
         assert main(["plot-ecdf", str(w3), "--out", str(tmp_path / "p.svg")]) == 3
+
+    def test_repeated_column_label_exits_3(self, tmp_path, capsys):
+        matrix_path = tmp_path / "w3.csv"
+        write_matrix_csv(str(matrix_path), np.array([[0.0, 1.0, 0.5]]), ["r1"], ["a", "b", "a"])
+        svg = tmp_path / "p.svg"
+        assert main(["plot-ecdf", str(matrix_path), "--out", str(svg)]) == 3
+        assert "column label 'a' is repeated" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_accepts_ecdf_step_input(self, tmp_path):
         steps = {"a": (np.array([0.2, 0.8]), np.array([0.5, 1.0]))}

@@ -1,3 +1,5 @@
+import io
+import pickle
 import re
 
 import numpy as np
@@ -15,7 +17,7 @@ from predvote.engine import (
     simulate_errors,
 )
 from predvote.errors import ConfigError, DataError, FitError, SimulationError
-from predvote.generators import fit_kde, gen_nonparametric, gen_parametric
+from predvote.generators import Generator, fit_kde, gen_nonparametric, gen_parametric
 from predvote.models import ModelSpec, fit
 from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
 
@@ -175,6 +177,57 @@ class TestSimulateErrors:
         t8 = simulate_errors(config, frame, workers=8)
         assert np.array_equal(t1.values, t8.values)
         assert np.array_equal(t1.failure_mask, t8.failure_mask)
+
+    def test_pool_tasks_carry_one_generator_and_no_fitted_model(self, monkeypatch):
+        # a stand-in pool that ships every task through pickle, as the process pool does,
+        # and runs it here; the classes each task's pickle names are recorded
+        import concurrent.futures
+
+        shipped = []
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                shipped[-1]["classes"].add(name)
+                return super().find_class(module, name)
+
+        class PicklingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    shipped.append({"classes": set()})
+                    fn_copy, args_copy = Recorder(io.BytesIO(pickle.dumps((fn, args)))).load()
+                    shipped[-1]["args"] = args_copy
+                    yield fn_copy(*args_copy)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        frame = make_positive_frame(n=40, k=8, seed=3)
+        config = small_config(
+            generators=[ModelSpec("gamma_glm_log_link"), ModelSpec("regression_tree")],
+            strategies=[
+                PredictionStrategy("ols", ModelSpec("ols_normal")),
+                PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 3})),
+            ],
+            iterations=6,
+        )
+        pooled = simulate_errors(config, frame, workers=2)
+        serial = simulate_errors(config, frame, workers=1)
+        assert np.array_equal(pooled.values, serial.values)
+        assert np.array_equal(pooled.failure_mask, serial.failure_mask)
+        assert len(shipped) >= 2
+        for task in shipped:
+            assert not task["classes"] & {"FittedModel", "_GlmState", "_TreeState", "_KnnState"}
+            generator, g, b_lo, b_hi = task["args"]
+            assert isinstance(generator, Generator)
+            assert generator.family == config.generators[g].family
+            assert 0 <= b_lo < b_hi <= config.iterations
 
     def test_error_identity_on_sampled_cells(self):
         frame = make_positive_frame(n=25, k=5, seed=4)
@@ -353,6 +406,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unique"):
             config.validate()
 
+    def test_duplicate_strategy_name_is_named(self):
+        config = small_config()
+        config.strategies = [config.strategies[0], config.strategies[1], config.strategies[0]]
+        with pytest.raises(ConfigError, match="strategies: names must be unique, 'ols' is repeated"):
+            config.validate()
+
+    def test_duplicate_characteristic_names_rejected(self):
+        config = small_config(characteristics=[Characteristic("total"), Characteristic("mean", name="total")])
+        with pytest.raises(ConfigError, match="characteristics: names must be unique, 'total' is repeated"):
+            config.validate()
+
+    def test_equal_default_characteristic_names_rejected(self):
+        config = small_config(characteristics=[Characteristic("quantile", 0.95), Characteristic("quantile", 0.95)])
+        with pytest.raises(ConfigError, match="'q0.95' is repeated"):
+            config.validate()
+
     def test_iteration_floor(self):
         with pytest.raises(ConfigError, match="at least 2"):
             small_config(iterations=1).validate()
@@ -407,6 +476,12 @@ class TestConfigFromDict:
         doc = self.good_doc()
         del doc["measures"]
         with pytest.raises(ConfigError, match="measures"):
+            config_from_dict(doc)
+
+    def test_duplicate_characteristic_name_rejected(self):
+        doc = self.good_doc()
+        doc["characteristics"] = [{"kind": "total"}, {"kind": "mean", "name": "total"}]
+        with pytest.raises(ConfigError, match="characteristics: names must be unique, 'total' is repeated"):
             config_from_dict(doc)
 
     def test_bad_family_reports_position(self):

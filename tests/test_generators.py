@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import predvote
 
 from predvote.errors import DataError, SimulationError
 from predvote.generators import (
     GeneratedPopulation,
+    Generator,
     KdeModel,
+    _quartiles,
     fit_kde,
     gen_nonparametric,
     gen_parametric,
-    generator_location,
 )
 from predvote.models import ModelSpec, fit
 
@@ -82,7 +90,7 @@ class TestParametricGeneration:
         model = fit(ModelSpec("gamma_glm_log_link"), x, np.exp(1.0 + 0.5 * x[:, 0] + 0.1 * rng.standard_normal(50)))
         x_full = np.array([[0.5], [0.2], [-1e5]])
         with pytest.raises(SimulationError, match="non-positive fitted mean at row 2"):
-            generator_location(model, x_full)
+            Generator.from_model(model, x_full)
         with pytest.raises(SimulationError, match="non-positive fitted mean at row 2"):
             gen_parametric(model, x_full, rng)
 
@@ -206,3 +214,92 @@ class TestGeneratedPopulation:
 
         with pytest.raises(SimulationError):
             GeneratedPopulation(y_full=np.array([1.0, np.inf]))
+
+
+GENERATOR_CASES = ("ols_normal", "lognormal", "gamma_glm_log_link", "regression_tree", "knn", "gamma_zero_dispersion")
+
+
+def fitted_generators():
+    """({case: (model, kde)}, x_full) over GENERATOR_CASES; kde is None for a parametric model."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0.0, 2.0, size=(60, 2))
+    y = np.exp(1.0 + 0.5 * x[:, 0] - 0.3 * x[:, 1] + 0.2 * rng.standard_normal(60))
+    cases = {}
+    for family in GENERATOR_CASES[:5]:
+        model = fit(ModelSpec(family), x, y)
+        cases[family] = (model, None if model.spec.is_parametric else fit_kde(model.sample_residuals))
+    # a constant response of 1.0 leaves the intercept-only Gamma fit with dispersion exactly 0
+    flat = fit(ModelSpec("gamma_glm_log_link", {"intercept_only": True}), x, np.ones(60))
+    assert flat.error_summary["dispersion"] == 0.0
+    cases["gamma_zero_dispersion"] = (flat, None)
+    return cases, rng.uniform(0.0, 2.0, size=(90, 2))
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("case", GENERATOR_CASES)
+    def test_draw_equals_gen_wrappers_bit_for_bit(self, case):
+        cases, x_full = fitted_generators()
+        model, kde = cases[case]
+        generator = Generator.from_model(model, x_full, kde)
+        for seed in range(200):
+            if kde is None:
+                expected = gen_parametric(model, x_full, np.random.default_rng(seed)).y_full
+            else:
+                expected = gen_nonparametric(model, x_full, kde, np.random.default_rng(seed)).y_full
+            assert np.array_equal(generator.draw(np.random.default_rng(seed)), expected)
+
+    def test_zero_dispersion_draw_is_a_copy_of_the_mean(self):
+        cases, x_full = fitted_generators()
+        model, _ = cases["gamma_zero_dispersion"]
+        generator = Generator.from_model(model, x_full)
+        y = generator.draw(np.random.default_rng(0))
+        assert np.array_equal(y, model.predict(x_full))
+        y[0] = -1.0
+        assert generator.location[0] != -1.0
+
+    def test_non_finite_draw_is_simulation_error(self):
+        generator = Generator("lognormal", np.array([0.0, 800.0]), 0.1)
+        with np.errstate(over="ignore"), pytest.raises(SimulationError, match="non-finite"):
+            generator.draw(np.random.default_rng(0))  # exp(800) overflows to inf
+
+    def test_kde_goes_with_nonparametric_models_only(self):
+        cases, x_full = fitted_generators()
+        tree, tree_kde = cases["regression_tree"]
+        with pytest.raises(ValueError, match="not a parametric"):
+            Generator.from_model(tree, x_full)
+        with pytest.raises(ValueError, match="not a nonparametric"):
+            Generator.from_model(cases["ols_normal"][0], x_full, tree_kde)
+
+
+class TestQuartiles:
+    def test_equal_to_numpy_percentile(self):
+        rng = np.random.default_rng(31)
+        for i in range(1200):
+            n = int(rng.integers(2, 601))
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4)
+            if i % 4 == 1:
+                values = np.round(values, 1)  # rounded values, many ties
+            elif i % 4 == 2:
+                values[: n // 2] = values[0]  # a constant half
+            elif i % 4 == 3:
+                values = rng.integers(0, 4, n).astype(np.float64)
+            centred = values - values.mean()
+            assert np.array_equal(_quartiles(centred), np.percentile(centred, [75.0, 25.0])), (i, n)
+
+    def test_tree_generator_fit_and_kde_leave_numpy_ma_unloaded(self):
+        # np.percentile would import numpy.ma on its first call
+        src = str(Path(predvote.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = (
+            "import sys, numpy as np\n"
+            "from predvote.generators import fit_kde\n"
+            "from predvote.models import ModelSpec, fit\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.integers(0, 3, size=(80, 2)).astype(float)\n"
+            "model = fit(ModelSpec('regression_tree'), x, x[:, 0] + rng.standard_normal(80))\n"
+            "fit_kde(model.sample_residuals)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
