@@ -13,7 +13,7 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -56,6 +56,13 @@ def derive_stream(master_seed: int, g: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mixed))
 
 
+def _worker_setting(key: str, value) -> int | None:
+    """The one worker-count rule, for RunConfig.parallelism and simulate_errors(workers=...)."""
+    if value is not None and not (is_integer(value) and value >= 1):
+        raise ConfigError(f"{key}: must be a positive integer or unset, got {value!r}")
+    return None if value is None else int(value)
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs besides the data itself."""
@@ -94,8 +101,7 @@ class RunConfig:
                 raise ConfigError(f"{key}: names must be unique, {repeated!r} is repeated")
         if not (is_real(self.failure_ceiling) and 0.0 <= self.failure_ceiling < 1.0):
             raise ConfigError(f"failure_ceiling: must be a number in [0, 1), got {self.failure_ceiling!r}")
-        if self.parallelism is not None and not (is_integer(self.parallelism) and self.parallelism >= 1):
-            raise ConfigError(f"parallelism: must be a positive integer or 'auto', got {self.parallelism!r}")
+        self.parallelism = _worker_setting("parallelism", self.parallelism)
         bandwidth = self.kde_bandwidth
         if bandwidth != "silverman" and not (is_real(bandwidth) and math.isfinite(bandwidth) and bandwidth > 0):
             raise ConfigError(
@@ -103,8 +109,6 @@ class RunConfig:
             )
         self.iterations, self.master_seed = int(self.iterations), int(self.master_seed)
         self.failure_ceiling = float(self.failure_ceiling)
-        if self.parallelism is not None:
-            self.parallelism = int(self.parallelism)
 
 
 @dataclass
@@ -170,7 +174,7 @@ class _Cells:
 
 def _worker_count(config: RunConfig, workers: int | None = None) -> int:
     """The explicit worker count, else the configured parallelism, else one per CPU."""
-    return workers or config.parallelism or os.cpu_count() or 1
+    return _worker_setting("workers", workers) or config.parallelism or os.cpu_count() or 1
 
 
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
@@ -182,6 +186,7 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     is built once here, not in every cell.
     """
     config.validate()
+    workers = _worker_count(config, workers)
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
     generators = _fit_generators(config, frame)
@@ -190,7 +195,6 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
         config.characteristics, config.master_seed,
     )
     b_count = config.iterations
-    workers = _worker_count(config, workers)
 
     values = np.zeros((len(generators), b_count, len(config.characteristics), len(config.strategies)))
     mask = np.zeros((len(generators), b_count, len(config.strategies)), dtype=bool)
@@ -260,10 +264,8 @@ def run(config: RunConfig, frame: StudyFrame) -> RunOutput:
                     final_predictions[name] = plug_in_predict(
                         by_name[name], frame, frame.y_sample, config.characteristics
                     )
-                except FitError as exc:
-                    raise SimulationError(
-                        f"winning strategy {name!r} cannot be fitted on the real sample: {exc}"
-                    ) from exc
+                except FitError as exc:  # the message names the strategy
+                    raise SimulationError(f"a winning strategy cannot be fitted on the real sample: {exc}") from exc
 
     metadata = {
         "version": __version__,
@@ -326,35 +328,28 @@ def _parse_items(doc: dict, key: str, build) -> list:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Build a validated RunConfig from a parsed configuration document."""
+    """Build a validated RunConfig from a parsed document; a field it leaves out keeps RunConfig's default."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a mapping")
-    known = {
-        "schema", "generators", "strategies", "characteristics", "measures",
-        "iterations", "master_seed", "parallelism", "failure_ceiling", "kde_bandwidth",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown configuration field(s): {sorted(unknown)}")
-    for required in ("generators", "strategies", "characteristics", "measures"):
+    for required in (f.name for f in fields(RunConfig) if f.default is MISSING):
         if required not in doc:
             raise ConfigError(f"{required}: missing required field")
 
-    parallelism = doc.get("parallelism")
-    config = RunConfig(
-        generators=_parse_items(doc, "generators", _model_spec),
-        strategies=_parse_items(doc, "strategies", _strategy),
-        characteristics=_parse_items(
-            doc, "characteristics",
-            lambda node: Characteristic(kind=node["kind"], p=node.get("p"), name=node.get("name", "")),
-        ),
-        measures=_parse_items(doc, "measures", lambda node: Measure(kind=node["kind"], p=node.get("p"))),
-        iterations=doc.get("iterations", 5000),
-        master_seed=doc.get("master_seed", 0),
-        parallelism=None if parallelism == "auto" else parallelism,
-        failure_ceiling=doc.get("failure_ceiling", 0.01),
-        kde_bandwidth=doc.get("kde_bandwidth", "silverman"),
-        schema=_parse_schema(doc["schema"]) if "schema" in doc else None,
+    values = dict(doc)
+    values["generators"] = _parse_items(doc, "generators", _model_spec)
+    values["strategies"] = _parse_items(doc, "strategies", _strategy)
+    values["characteristics"] = _parse_items(
+        doc, "characteristics",
+        lambda node: Characteristic(kind=node["kind"], p=node.get("p"), name=node.get("name", "")),
     )
+    values["measures"] = _parse_items(doc, "measures", lambda node: Measure(kind=node["kind"], p=node.get("p")))
+    if "schema" in doc:
+        values["schema"] = _parse_schema(doc["schema"])
+    if values.get("parallelism") == "auto":
+        values["parallelism"] = None
+    config = RunConfig(**values)
     config.validate()
     return config

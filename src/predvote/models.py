@@ -119,7 +119,7 @@ class _TreeState:
 
     An inner node sends a row to left[i] when x[feature[i]] <= threshold[i]
     and to right[i] otherwise (NaN goes right). A leaf has feature -1 and
-    predicts value[i].
+    predicts value[i]; an inner node's value is NaN.
     """
 
     feature: np.ndarray
@@ -361,7 +361,7 @@ def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _TreeState:
             continue
         j, t = split
         mask = x_node[:, j] <= t
-        table.append((j, t, len(nodes), len(nodes) + 1, float(y_node.mean())))
+        table.append((j, t, len(nodes), len(nodes) + 1, np.nan))
         nodes += [(x_node[mask], y_node[mask], depth + 1), (x_node[~mask], y_node[~mask], depth + 1)]
     return _TreeState(*(np.array(column) for column in zip(*table)))
 

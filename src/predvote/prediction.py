@@ -80,28 +80,22 @@ def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:
 class RefitPlan:
     """One strategy's refit on a fixed sample design, with the y-independent work done once.
 
-    On the frame it was planned for, plug_in(frame, y_s, ...) equals
-    plug_in_predict(strategy, frame, y_s, ...) for every finite y_s. A knn
+    Built by plan_refit, it is the one plug-in path: the Monte Carlo cells,
+    the winners' final predictions and plug_in_predict all run it. A knn
     refit averages y_s over the neighbours of x_out among x_sample, which
     depend on the design alone, so the plan holds that (k x k_neighbors)
-    index; every other family is fitted afresh.
+    index; every other family is fitted afresh on each y_s.
     """
 
     strategy: PredictionStrategy
     neighbours: np.ndarray | None = None
 
     def plug_in(self, frame: StudyFrame, y_s: np.ndarray, characteristics: list[Characteristic]) -> np.ndarray:
-        """Plug-in predictions of every characteristic; y_s is a float64 vector of length frame.n."""
+        """Each characteristic's plug-in prediction from a finite float64 y_s of length frame.n; FitError propagates."""
         if self.neighbours is not None:
             y_out = y_s[self.neighbours].mean(axis=1)
         else:
-            try:
-                model = fit(self.strategy.model, frame.x_sample, y_s)
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"strategy {self.strategy.name!r}: {exc}", exc.iterations) from exc
-            except FitError as exc:
-                raise FitError(f"strategy {self.strategy.name!r}: {exc}") from exc
-            y_out = model.predict(frame.x_out) if frame.k else np.empty(0)
+            y_out = fit(self.strategy.model, frame.x_sample, y_s).predict(frame.x_out)
         composite = np.concatenate([y_s, y_out])
         return np.array([eval_characteristic(c, composite) for c in characteristics])
 
@@ -125,12 +119,21 @@ def plug_in_predict(
 ) -> np.ndarray:
     """Plug-in predictions of every characteristic under one strategy.
 
-    Fits the strategy's model on (x_sample, y_s), predicts the out-of-sample
-    block, and evaluates each characteristic on [y_s ; predictions]. Fit
-    failures propagate with the strategy name attached; y_s is never
-    mutated.
+    Refits the strategy on (x_sample, y_s) through plan_refit, the path the
+    Monte Carlo cells take, and evaluates each characteristic on
+    [y_s ; predictions for x_out]. A non-finite y_s or a failed refit raises
+    FitError with the strategy name attached once; a ConvergenceError keeps
+    its type and iteration count. y_s is never mutated.
     """
     y_s = np.asarray(y_s, dtype=np.float64).ravel()
     if y_s.size != frame.n:
         raise ValueError(f"y_s has length {y_s.size}, frame sample size is {frame.n}")
-    return RefitPlan(strategy).plug_in(frame, y_s, characteristics)
+    if not np.all(np.isfinite(y_s)):
+        # the knn gather would average NaN into the predictions without complaint
+        raise FitError(f"strategy {strategy.name!r}: training data contains non-finite values")
+    try:
+        return plan_refit(strategy, frame).plug_in(frame, y_s, characteristics)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"strategy {strategy.name!r}: {exc}", exc.iterations) from exc
+    except FitError as exc:
+        raise FitError(f"strategy {strategy.name!r}: {exc}") from exc

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import pickle
 import re
@@ -19,7 +20,7 @@ from predvote.engine import (
 from predvote.errors import ConfigError, DataError, FitError, SimulationError
 from predvote.generators import Generator, fit_kde, gen_nonparametric, gen_parametric
 from predvote.models import ModelSpec, fit
-from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
+from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic
 
 
 def small_config(**overrides):
@@ -36,6 +37,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def refit_plug_in(strategy, frame, y_s, characteristics):
+    """Oracle of the engine's plug-in: a fresh fit, its predictions for x_out, the composite's characteristics."""
+    y_out = fit(strategy.model, frame.x_sample, y_s).predict(frame.x_out)
+    composite = np.concatenate([y_s, y_out])
+    return np.array([eval_characteristic(c, composite) for c in characteristics])
 
 
 class TestDeriveStream:
@@ -103,7 +111,7 @@ class TestSimulateErrors:
             y_gen = gen_nonparametric(gen_model, x_full, kde, rng).y_full
             truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
             for p, strategy in enumerate(config.strategies):
-                predicted = plug_in_predict(strategy, frame, y_gen[: frame.n], config.characteristics)
+                predicted = refit_plug_in(strategy, frame, y_gen[: frame.n], config.characteristics)
                 expected[0, b, :, p] = predicted - truth
         assert np.array_equal(tensor.values, expected)
         assert not tensor.failure_mask.any()
@@ -157,7 +165,7 @@ class TestSimulateErrors:
             truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
             for p, strategy in enumerate(config.strategies):
                 try:
-                    predicted = plug_in_predict(strategy, frame, y_gen[: frame.n], config.characteristics)
+                    predicted = refit_plug_in(strategy, frame, y_gen[: frame.n], config.characteristics)
                 except FitError:
                     expected_mask[0, b, p] = True
                     continue
@@ -177,6 +185,15 @@ class TestSimulateErrors:
         t8 = simulate_errors(config, frame, workers=8)
         assert np.array_equal(t1.values, t8.values)
         assert np.array_equal(t1.failure_mask, t8.failure_mask)
+
+    @pytest.mark.parametrize("workers", [0, True, -1, 2.5])
+    def test_bad_worker_count_is_config_error(self, workers):
+        # the rule RunConfig.validate applies to parallelism; 0 would fall back to the default,
+        # true would run one worker, and the pool would reject -1 and 2.5 with bare errors
+        frame = make_positive_frame(n=20, k=4, seed=1)
+        message = f"workers: must be a positive integer or unset, got {workers!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            simulate_errors(small_config(), frame, workers=workers)
 
     def test_pool_tasks_carry_one_generator_and_no_fitted_model(self, monkeypatch):
         # a stand-in pool that ships every task through pickle, as the process pool does,
@@ -242,7 +259,7 @@ class TestSimulateErrors:
             stream = derive_stream(5, 1, b + 1)
             y_gen = gen_parametric(gen_model, frame.x_full, stream).y_full
             truth = eval_characteristic(config.characteristics[c], y_gen)
-            predicted = plug_in_predict(
+            predicted = refit_plug_in(
                 config.strategies[p], frame, y_gen[: frame.n], config.characteristics
             )[c]
             assert abs(tensor.values[0, b, c, p] - (predicted - truth)) < 1e-10
@@ -392,6 +409,29 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(config, frame)
 
+    def test_winner_refit_failure_names_the_strategy_once(self, monkeypatch):
+        # the refit fails on the real sample only, not on any simulated one
+        import predvote.prediction
+
+        frame = make_positive_frame(n=30, k=6, seed=6)
+        config = small_config(iterations=20, parallelism=1)
+        (winner,) = run(config, frame).final_predictions
+        real_fit = predvote.prediction.fit
+
+        def fit_failing_on_the_real_sample(spec, x, y):
+            if np.array_equal(y, frame.y_sample):
+                raise FitError("lognormal: response must be strictly positive")
+            return real_fit(spec, x, y)
+
+        monkeypatch.setattr(predvote.prediction, "fit", fit_failing_on_the_real_sample)
+        with pytest.raises(SimulationError) as raised:
+            run(config, frame)
+        assert str(raised.value) == (
+            f"a winning strategy cannot be fitted on the real sample: "
+            f"strategy {winner!r}: lognormal: response must be strictly positive"
+        )
+        assert str(raised.value).count(repr(winner)) == 1
+
 
 class TestConfigValidation:
     def test_single_strategy_rejected(self):
@@ -465,6 +505,16 @@ class TestConfigFromDict:
         assert config.characteristics[1].name == "q0.9"
         assert config.measures[1].label == "qape0.5"
         assert config.parallelism is None
+
+    def test_minimal_document_takes_runconfig_defaults(self):
+        doc = {key: self.good_doc()[key] for key in ("generators", "strategies", "characteristics", "measures")}
+        config = config_from_dict(doc)
+        defaults = [f for f in dataclasses.fields(RunConfig) if f.default is not dataclasses.MISSING]
+        assert {f.name for f in defaults} == {
+            "iterations", "master_seed", "parallelism", "failure_ceiling", "kde_bandwidth", "schema"
+        }
+        for f in defaults:
+            assert getattr(config, f.name) == f.default, f.name
 
     def test_unknown_field_rejected(self):
         doc = self.good_doc()

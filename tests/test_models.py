@@ -414,6 +414,14 @@ class TestTreeMatchesRecursiveOracle:
         model = self.assert_matches_oracle(x, rng.standard_normal(25), 4, 2, x)
         assert set(model._state.feature.tolist()) == {-1, 0}
 
+    def test_only_leaves_hold_values(self):
+        rng = np.random.default_rng(57)
+        x = rng.standard_normal((40, 3))
+        state = self.assert_matches_oracle(x, rng.standard_normal(40), 4, 3, x)._state
+        leaf = state.feature == -1
+        assert not leaf.all()
+        assert np.isnan(state.value[~leaf]).all() and np.isfinite(state.value[leaf]).all()
+
     @pytest.mark.parametrize("seed", [777, 836, 2333])
     def test_mirrored_features_tie_in_the_last_bit(self, seed):
         # a column, its negation and its reversal give the same partitions, whose

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from predvote.dataset import StudyFrame
-from predvote.errors import FitError
+from predvote.errors import ConvergenceError, FitError
 from predvote.models import ModelSpec, fit
 from predvote.prediction import (
     Characteristic,
@@ -72,6 +72,15 @@ class TestCharacteristic:
             PredictionStrategy("", ModelSpec("ols_normal"))
 
 
+FAMILY_SPECS = [
+    ModelSpec("ols_normal"),
+    ModelSpec("lognormal"),
+    ModelSpec("gamma_glm_log_link"),
+    ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 2}),
+    ModelSpec("knn", {"k_neighbors": 3}),
+]
+
+
 class TestPlugIn:
     def chars(self):
         return [Characteristic("total"), Characteristic("median"), Characteristic("quantile", 0.9)]
@@ -90,6 +99,17 @@ class TestPlugIn:
         want = [eval_characteristic(c, y) for c in self.chars()]
         assert np.allclose(got, want)
 
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
+    def test_every_family_predicts_an_empty_out_block(self, spec):
+        # the composite of a k = 0 frame is y_s itself, whatever the family
+        rng = np.random.default_rng(1)
+        y = rng.uniform(1.0, 5.0, size=12)
+        frame = StudyFrame(
+            x_sample=rng.standard_normal((12, 2)), y_sample=y, x_out=np.empty((0, 2)), column_names=["a", "b"]
+        )
+        got = plug_in_predict(PredictionStrategy("s", spec), frame, y, self.chars())
+        assert np.array_equal(got, [eval_characteristic(c, y) for c in self.chars()])
+
     def test_noiseless_linear_total_is_true_total(self, linear_frame):
         strategy = PredictionStrategy("ols", ModelSpec("ols_normal"))
         total = plug_in_predict(strategy, linear_frame, linear_frame.y_sample, [Characteristic("total")])[0]
@@ -103,17 +123,7 @@ class TestPlugIn:
         total = plug_in_predict(strategy, linear_frame, y, [Characteristic("total")])[0]
         assert total == pytest.approx(y.sum() + linear_frame.k * y.mean(), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ModelSpec("ols_normal"),
-            ModelSpec("lognormal"),
-            ModelSpec("gamma_glm_log_link"),
-            ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 2}),
-            ModelSpec("knn", {"k_neighbors": 3}),
-        ],
-        ids=lambda s: s.family,
-    )
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
     def test_total_equals_independent_summation(self, positive_frame, spec):
         strategy = PredictionStrategy("s", spec)
         total = plug_in_predict(strategy, positive_frame, positive_frame.y_sample, [Characteristic("total")])[0]
@@ -142,6 +152,21 @@ class TestPlugIn:
         strategy = PredictionStrategy("my_lognormal", ModelSpec("lognormal"))
         with pytest.raises(FitError, match="my_lognormal"):
             plug_in_predict(strategy, positive_frame, y, self.chars())
+
+    def test_convergence_error_keeps_its_type_and_iterations(self, positive_frame):
+        strategy = PredictionStrategy("slow_gamma", ModelSpec("gamma_glm_log_link", {"max_iter": 1, "tol": 1e-300}))
+        with pytest.raises(ConvergenceError, match="^strategy 'slow_gamma': gamma_glm_log_link: IRLS") as raised:
+            plug_in_predict(strategy, positive_frame, positive_frame.y_sample, self.chars())
+        assert raised.value.iterations == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.family)
+    def test_non_finite_sample_is_fit_error_naming_the_strategy(self, positive_frame, spec, bad):
+        # knn predicts by gathering y_s, which would carry the NaN into the result unchecked
+        y = positive_frame.y_sample.copy()
+        y[3] = bad
+        with pytest.raises(FitError, match="^strategy 'my_strategy': training data contains non-finite values$"):
+            plug_in_predict(PredictionStrategy("my_strategy", spec), positive_frame, y, self.chars())
 
     def test_wrong_sample_length_rejected(self, positive_frame):
         with pytest.raises(ValueError, match="length"):
