@@ -58,6 +58,12 @@ def rmse(errors: np.ndarray) -> float:
     return float(np.sqrt(np.mean(e**2)))
 
 
+def sorted_median(ordered: np.ndarray):
+    """Midpoint median along axis 0 of float (as np.median, NaN aside) or Fraction values sorted along it."""
+    mid = ordered.shape[0] // 2
+    return ordered[mid] if ordered.shape[0] % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def order_statistic_quantile(values: np.ndarray, p: float) -> float:
     """Inf-type p-quantile: sorted ascending, the value at 1-based index ceil(p * N)."""
     ordered = np.sort(np.asarray(values, dtype=np.float64))

@@ -100,13 +100,6 @@ class StudyFrame:
         return np.vstack([self.x_sample, self.x_out])
 
 
-def _cell(row: dict[str, str], column: str, index: int) -> str:
-    value = row.get(column)
-    if value is None:
-        raise DataError(f"column {column!r}, row {index}: missing cell")
-    return value
-
-
 def _parse_flag(token: str, column: str, index: int) -> bool:
     t = token.strip().lower()
     if t in _TRUE_TOKENS:
@@ -126,8 +119,8 @@ def _parse_number(token: str, column: str, index: int) -> float:
     return value
 
 
-def encode_table(rows: list[dict[str, str]], schema: ColumnSchema) -> StudyFrame:
-    """Encode raw string records into a StudyFrame.
+def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema) -> StudyFrame:
+    """Encode raw string columns, one equal-length list per schema column, into a StudyFrame.
 
     Sample/out rows are split by the schema's flag column. Categorical
     covariates are dummy-coded with the alphabetically first sample-observed
@@ -135,12 +128,9 @@ def encode_table(rows: list[dict[str, str]], schema: ColumnSchema) -> StudyFrame
     error. Response cells on out-of-sample rows are ignored with a warning.
     Row indices in error messages are 1-based data rows.
     """
-    if not rows:
+    flags = [_parse_flag(token, schema.sample_flag, i + 1) for i, token in enumerate(columns[schema.sample_flag])]
+    if not flags:
         raise DataError("no data rows")
-    flags = [
-        _parse_flag(_cell(r, schema.sample_flag, i + 1), schema.sample_flag, i + 1)
-        for i, r in enumerate(rows)
-    ]
     sample_idx = [i for i, f in enumerate(flags) if f]
     out_idx = [i for i, f in enumerate(flags) if not f]
     if not sample_idx:
@@ -148,8 +138,8 @@ def encode_table(rows: list[dict[str, str]], schema: ColumnSchema) -> StudyFrame
     if not out_idx:
         raise DataError("no rows flagged as out-of-sample")
 
-    y = np.array([_parse_number(_cell(rows[i], schema.response, i + 1), schema.response, i + 1) for i in sample_idx])
-    ignored = sum(1 for i in out_idx if _cell(rows[i], schema.response, i + 1).strip())
+    y = np.array([_parse_number(columns[schema.response][i], schema.response, i + 1) for i in sample_idx])
+    ignored = sum(1 for i in out_idx if columns[schema.response][i].strip())
     if ignored:
         warnings.warn(f"ignoring response values on {ignored} out-of-sample row(s)", stacklevel=2)
 
@@ -159,17 +149,14 @@ def encode_table(rows: list[dict[str, str]], schema: ColumnSchema) -> StudyFrame
     sample_cols: list[np.ndarray] = []
     out_cols: list[np.ndarray] = []
     for cov_name, kind in schema.covariates:
+        cells = columns[cov_name]
         if kind == NUMERIC:
             names.append(cov_name)
-            sample_cols.append(
-                np.array([_parse_number(_cell(rows[i], cov_name, i + 1), cov_name, i + 1) for i in sample_idx])
-            )
-            out_cols.append(
-                np.array([_parse_number(_cell(rows[i], cov_name, i + 1), cov_name, i + 1) for i in out_idx])
-            )
+            sample_cols.append(np.array([_parse_number(cells[i], cov_name, i + 1) for i in sample_idx]))
+            out_cols.append(np.array([_parse_number(cells[i], cov_name, i + 1) for i in out_idx]))
             continue
-        sample_levels = [_cell(rows[i], cov_name, i + 1).strip() for i in sample_idx]
-        out_levels = [_cell(rows[i], cov_name, i + 1).strip() for i in out_idx]
+        sample_levels = [cells[i].strip() for i in sample_idx]
+        out_levels = [cells[i].strip() for i in out_idx]
         if "" in sample_levels or "" in out_levels:
             raise DataError(f"column {cov_name!r}: empty categorical cell")
         levels = sorted(set(sample_levels))
@@ -194,16 +181,25 @@ def encode_table(rows: list[dict[str, str]], schema: ColumnSchema) -> StudyFrame
 
 
 def load_csv(path: str, schema: ColumnSchema) -> StudyFrame:
-    """Load a headered CSV file and encode it according to the schema."""
+    """Load a headered CSV file and encode it according to the schema; blank lines are skipped."""
+    needed = [schema.response, schema.sample_flag, *(n for n, _ in schema.covariates)]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.response, schema.sample_flag] + [n for n, _ in schema.covariates]
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in needed if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
-        rows = list(reader)
-    return encode_table(rows, schema)
+        repeated = next((c for c in needed if header.count(c) > 1), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} is repeated in the header")
+        rows = [row for row in reader if row]
+    position = {c: header.index(c) for c in needed}
+    width = max(position.values()) + 1
+    for i, row in enumerate(rows):
+        if len(row) < width:
+            short = next(c for c in needed if position[c] >= len(row))
+            raise DataError(f"column {short!r}, row {i + 1}: missing cell")
+    return encode_columns({c: [row[j] for row in rows] for c, j in position.items()}, schema)
 
 
 def write_csv(frame: StudyFrame, path: str, response_name: str = "response", flag_name: str = "insample") -> None:
@@ -211,10 +207,8 @@ def write_csv(frame: StudyFrame, path: str, response_name: str = "response", fla
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([response_name, *frame.column_names, flag_name])
-        for i in range(frame.n):
-            writer.writerow([repr(float(frame.y_sample[i])), *[repr(float(v)) for v in frame.x_sample[i]], "1"])
-        for i in range(frame.k):
-            writer.writerow(["", *[repr(float(v)) for v in frame.x_out[i]], "0"])
+        writer.writerows([*map(repr, row), "1"] for row in np.column_stack([frame.y_sample, frame.x_sample]).tolist())
+        writer.writerows(["", *map(repr, x), "0"] for x in frame.x_out.tolist())
 
 
 def encoded_schema(frame: StudyFrame, response_name: str = "response", flag_name: str = "insample") -> ColumnSchema:
@@ -262,7 +256,7 @@ def portfolio_schema() -> ColumnSchema:
     )
 
 
-def _portfolio_rows(n: int, k: int, seed: int) -> list[dict[str, str]]:
+def _portfolio_columns(n: int, k: int, seed: int) -> dict[str, list[str]]:
     if n < 10:
         raise DataError("synthetic portfolio needs n >= 10")
     if k < 1:
@@ -277,13 +271,11 @@ def _portfolio_rows(n: int, k: int, seed: int) -> list[dict[str, str]]:
             if effect:
                 eta[draws[name] == j] += effect
     y = np.exp(eta + _PORTFOLIO_SIGMA * rng.standard_normal(total))
-    rows = []
-    for i in range(total):
-        row = {name: levels[draws[name][i]] for name, levels in _PORTFOLIO_FACTORS}
-        row[_PORTFOLIO_RESPONSE] = repr(float(y[i])) if i < n else ""
-        row[_PORTFOLIO_FLAG] = "1" if i < n else "0"
-        rows.append(row)
-    return rows
+    return {
+        _PORTFOLIO_RESPONSE: [repr(v) for v in y[:n].tolist()] + [""] * k,
+        **{name: [levels[j] for j in draws[name].tolist()] for name, levels in _PORTFOLIO_FACTORS},
+        _PORTFOLIO_FLAG: ["1"] * n + ["0"] * k,
+    }
 
 
 def synthesize_portfolio(n: int, k: int, seed: int) -> StudyFrame:
@@ -292,14 +284,11 @@ def synthesize_portfolio(n: int, k: int, seed: int) -> StudyFrame:
     After reference coding the five categorical factors the frame has
     q = 1 + 2 + 1 + 1 + 2 = 7 columns.
     """
-    return encode_table(_portfolio_rows(n, k, seed), portfolio_schema())
+    return encode_columns(_portfolio_columns(n, k, seed), portfolio_schema())
 
 
 def write_portfolio_csv(path: str, n: int, k: int, seed: int) -> None:
     """Write the raw (pre-encoding) synthetic portfolio as a CSV file."""
-    rows = _portfolio_rows(n, k, seed)
-    fields = [_PORTFOLIO_RESPONSE] + [name for name, _ in _PORTFOLIO_FACTORS] + [_PORTFOLIO_FLAG]
+    columns = _portfolio_columns(n, k, seed)  # in the file's column order
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(fh).writerows([list(columns), *zip(*columns.values())])

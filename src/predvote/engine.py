@@ -23,7 +23,7 @@ from .dataset import ColumnSchema, StudyFrame
 from .errors import ConfigError, DataError, FitError, SimulationError
 from .generators import Generator, fit_kde
 from .models import ModelSpec, fit, is_integer, is_real
-from .prediction import Characteristic, PredictionStrategy, RefitPlan, eval_characteristic, plan_refit, plug_in_predict
+from .prediction import Characteristic, PredictionStrategy, RefitPlan, eval_characteristic, plan_refit
 from .voting import SelectionResult, VotingMatrix, elect
 
 _M64 = (1 << 64) - 1
@@ -185,6 +185,11 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     Generator, with its location on x_full, and each strategy's refit plan)
     is built once here, not in every cell.
     """
+    return _simulate(config, frame, workers)[0]
+
+
+def _simulate(config: RunConfig, frame: StudyFrame, workers: int | None) -> tuple[ErrorTensor, list[RefitPlan]]:
+    """simulate_errors plus the refit plans its cells ran, for the winners' final predictions."""
     config.validate()
     workers = _worker_count(config, workers)
     if frame.k < 1:
@@ -232,17 +237,17 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
             f"strategy fit failures hit {failure_rate:.2%} of cells, "
             f"above the ceiling of {config.failure_ceiling:.2%}; worst pairs: {pairs}"
         )
-    return ErrorTensor(values=values, failure_mask=mask)
+    return ErrorTensor(values=values, failure_mask=mask), cells.plans
 
 
 def run(config: RunConfig, frame: StudyFrame) -> RunOutput:
     """Full pipeline: simulate, build the accuracy matrix, vote, predict.
 
     Final plug-in predictions on the real sample are computed for the union
-    of the four winner sets.
+    of the four winner sets, with the refit plans the cells ran.
     """
     started = time.perf_counter()
-    tensor = simulate_errors(config, frame)
+    tensor, plans = _simulate(config, frame, None)
     gen_labels = [generator_label(i, s) for i, s in enumerate(config.generators)]
     char_labels = [c.name for c in config.characteristics]
     strategy_names = [s.name for s in config.strategies]
@@ -256,16 +261,16 @@ def run(config: RunConfig, frame: StudyFrame) -> RunOutput:
     selections, voting_matrices = elect(matrix)
 
     final_predictions: dict[str, np.ndarray] = {}
-    by_name = {s.name: s for s in config.strategies}
+    plan_by_name = {plan.strategy.name: plan for plan in plans}
     for result in selections.values():
         for name in result.winners:
             if name not in final_predictions:
-                try:
-                    final_predictions[name] = plug_in_predict(
-                        by_name[name], frame, frame.y_sample, config.characteristics
-                    )
-                except FitError as exc:  # the message names the strategy
-                    raise SimulationError(f"a winning strategy cannot be fitted on the real sample: {exc}") from exc
+                try:  # y_sample is finite (StudyFrame checks it), so plug_in_predict's checks would pass
+                    final_predictions[name] = plan_by_name[name].plug_in(frame, frame.y_sample, config.characteristics)
+                except FitError as exc:
+                    raise SimulationError(
+                        f"a winning strategy cannot be fitted on the real sample: strategy {name!r}: {exc}"
+                    ) from exc
 
     metadata = {
         "version": __version__,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accuracy import order_statistic_quantile
+from .accuracy import order_statistic_quantile, sorted_median
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
 from .models import KNN, ModelSpec, fit, is_real
@@ -72,7 +72,8 @@ def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:
     if char.kind == MEAN:
         return float(y.mean())
     if char.kind == MEDIAN:
-        return float(np.median(y))
+        ordered = np.sort(y)  # NaN sorts last and, as in np.median, is the median
+        return float(ordered[-1] if np.isnan(ordered[-1]) else sorted_median(ordered))
     return order_statistic_quantile(y, char.p)
 
 

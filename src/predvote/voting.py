@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .accuracy import AccuracyMatrix
+from .accuracy import AccuracyMatrix, sorted_median
 
 FPTP = "fptp"
 POSITIONAL = "positional"
@@ -128,7 +128,7 @@ def positional_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResu
     greater = (a[:, None, :] > a[:, :, None]).sum(axis=2)
     equal = (a[:, None, :] == a[:, :, None]).sum(axis=2)
     w = greater + (equal + 1) / 2.0
-    medians = np.median(w, axis=0)
+    medians = sorted_median(np.sort(w, axis=0))
     result = _selection(POSITIONAL, medians, matrix.col_labels, HIGHER_BETTER)
     voting = VotingMatrix(w, TRANSFORM_POSITIONAL, list(matrix.row_labels), list(matrix.col_labels))
     return voting, result
@@ -163,9 +163,7 @@ def _exact_scores(w3: VotingMatrix) -> np.ndarray:
 
 def evaluative_vote(w3: VotingMatrix) -> SelectionResult:
     """Evaluative voting: highest column median of the scaled scores wins."""
-    s = np.sort(_exact_scores(w3), axis=0)
-    mid = s.shape[0] // 2
-    medians = s[mid] if s.shape[0] % 2 else (s[mid - 1] + s[mid]) / 2
+    medians = sorted_median(np.sort(_exact_scores(w3), axis=0))
     return _selection(EVALUATIVE, medians, w3.col_labels, HIGHER_BETTER)
 
 

@@ -1,4 +1,6 @@
 import math
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,34 @@ from predvote.accuracy import (
     build_accuracy_matrix,
     qape,
     rmse,
+    sorted_median,
 )
 from predvote.errors import DataError
+
+
+class TestSortedMedian:
+    def test_equals_numpy_median_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        sizes = [*range(1, 1201), *rng.integers(1201, 3001, size=899).tolist(), 3000]
+        for i, n in enumerate(sizes):
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+            if i % 4 == 1:
+                values = np.round(values, 1)  # rounded values, many ties
+            elif i % 4 == 2:
+                values[: n // 2] = values[-1]  # a constant half
+            elif i % 4 == 3:
+                values = rng.integers(0, 4, n).astype(np.float64)
+            assert np.array_equal(sorted_median(np.sort(values)), np.median(values)), (i, n)
+
+    def test_middle_value_or_midpoint(self):
+        assert sorted_median(np.array([1.0, 2.0, 7.0])) == 2.0
+        assert sorted_median(np.array([1.0, 2.0, 7.0, 9.0])) == 4.5
+
+    def test_exact_on_fractions(self):
+        rng = np.random.default_rng(43)
+        for n in range(1, 40):
+            column = np.array([Fraction(int(v), 8) for v in rng.integers(0, 9, n)], dtype=object)
+            assert sorted_median(np.sort(column)) == statistics.median(column)
 
 
 class TestRmse:

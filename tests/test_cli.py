@@ -159,6 +159,15 @@ class TestCmdRun:
         bad_data.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["run", "--config", str(config), "--data", str(bad_data), "--out", str(tmp / "x")]) == 3
 
+    def test_repeated_data_column_exits_3(self, workspace, tmp_path, capsys):
+        tmp, config, data = workspace
+        lines = data.read_text(encoding="utf-8").splitlines()
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join(f"{line},{line.split(',')[1]}" for line in lines) + "\n", encoding="utf-8")
+        assert lines[0].split(",")[1] == "gender"
+        assert main(["run", "--config", str(config), "--data", str(doubled), "--out", str(tmp / "x")]) == 3
+        assert "column 'gender' is repeated in the header" in capsys.readouterr().err
+
     def test_seed_override_changes_results_and_reproduces(self, workspace):
         tmp, config, data = workspace
         outs = [tmp / f"o{i}" for i in range(3)]

@@ -95,6 +95,55 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="at least 2 levels"):
             load_csv(str(path), BASIC_SCHEMA)
 
+    def test_short_row_names_the_missing_cell(self, tmp_path):
+        path = tmp_path / "short.csv"
+        write_lines(path, ["claim,gender,insample", "1.0,f,1", "2.0,m", ",f,0"])
+        with pytest.raises(DataError, match=r"^column 'insample', row 2: missing cell$"):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        write_lines(path, ["claim,gender,insample"])
+        with pytest.raises(DataError, match=r"^no data rows$"):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    def test_empty_categorical_cell_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_lines(path, ["claim,gender,insample", "1.0,f,1", "2.0, ,1", ",m,0"])
+        with pytest.raises(DataError, match=r"^column 'gender': empty categorical cell$"):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    def test_blank_lines_skipped_and_rows_numbered_without_them(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        write_lines(path, ["claim,gender,insample", "", "1.0,f,1", "", "", "2.0,m,1", ",f,0", ""])
+        frame = load_csv(str(path), BASIC_SCHEMA)
+        assert (frame.n, frame.k) == (2, 1)
+        assert np.array_equal(frame.y_sample, [1.0, 2.0])
+        write_lines(path, ["claim,gender,insample", "", "1.0,f,1", "", "oops,m,1", ",f,0"])
+        with pytest.raises(DataError, match=r"^column 'claim', row 2: cannot parse 'oops' as a number$"):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    def test_repeated_schema_column_in_header_named(self, tmp_path):
+        # a dict reader would silently keep the last of the two gender columns
+        path = tmp_path / "repeated.csv"
+        write_lines(path, ["claim,gender,gender,insample", "1.0,f,m,1", "2.0,m,f,1", ",f,m,0"])
+        with pytest.raises(DataError, match=r"column 'gender' is repeated in the header"):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    def test_repeated_unread_column_is_allowed(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        write_lines(path, ["note,claim,gender,note,insample", "a,1.0,f,b,1", "c,2.0,m,d,1", "e,,f,f,0"])
+        assert load_csv(str(path), BASIC_SCHEMA).column_names == ["gender=m"]
+
+    def test_portfolio_csv_reloads_to_the_synthetic_frame(self, tmp_path):
+        path = tmp_path / "portfolio.csv"
+        for n, k, seed in ((40, 8, 3), (500, 2000, 1)):
+            write_portfolio_csv(str(path), n, k, seed)
+            loaded, direct = load_csv(str(path), portfolio_schema()), synthesize_portfolio(n, k, seed)
+            assert loaded.column_names == direct.column_names
+            for name in ("x_sample", "y_sample", "x_out"):
+                assert np.array_equal(getattr(loaded, name), getattr(direct, name)), name
+
     def test_portfolio_csv_encodes_to_seven_columns(self, tmp_path):
         # non-reference dummy levels: 1 + 2 + 1 + 1 + 2
         path = tmp_path / "portfolio.csv"

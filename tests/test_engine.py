@@ -20,7 +20,7 @@ from predvote.engine import (
 from predvote.errors import ConfigError, DataError, FitError, SimulationError
 from predvote.generators import Generator, fit_kde, gen_nonparametric, gen_parametric
 from predvote.models import ModelSpec, fit
-from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic
+from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
 
 
 def small_config(**overrides):
@@ -408,6 +408,33 @@ class TestRun:
         config = small_config(generators=[ModelSpec("gamma_glm_log_link")], parallelism=1)
         with pytest.raises(ConfigError):
             run(config, frame)
+
+    def test_each_refit_plan_is_built_once_for_cells_and_winners(self, monkeypatch):
+        import predvote.engine
+        import predvote.prediction
+
+        frame = make_positive_frame(n=30, k=6, seed=6)
+        strategies = [
+            PredictionStrategy("ols", ModelSpec("ols_normal")),
+            PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 3})),
+            PredictionStrategy("knn_wide", ModelSpec("knn", {"k_neighbors": 12})),
+        ]
+        config = small_config(strategies=strategies, iterations=12, parallelism=1)
+        real_plan_refit = predvote.engine.plan_refit
+        planned = []
+
+        def counting_plan_refit(strategy, frame):
+            planned.append(strategy.name)
+            return real_plan_refit(strategy, frame)
+
+        for module in (predvote.engine, predvote.prediction):
+            monkeypatch.setattr(module, "plan_refit", counting_plan_refit)
+        output = run(config, frame)
+        assert sorted(planned) == ["knn", "knn_wide", "ols"]
+        assert output.final_predictions
+        for name, predicted in output.final_predictions.items():
+            strategy = next(s for s in strategies if s.name == name)
+            assert np.array_equal(predicted, plug_in_predict(strategy, frame, frame.y_sample, config.characteristics))
 
     def test_winner_refit_failure_names_the_strategy_once(self, monkeypatch):
         # the refit fails on the real sample only, not on any simulated one

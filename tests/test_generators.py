@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -303,3 +304,40 @@ class TestQuartiles:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_cli_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median would import numpy.ma on its first call; the medians come from np.sort
+        src = str(Path(predvote.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        factors = ("gender", "district", "payment", "engine", "age_group")
+        config = {
+            "schema": {
+                "response": "claim_amount",
+                "sample_flag": "insample",
+                "covariates": [{"name": name, "kind": "categorical"} for name in factors],
+            },
+            "generators": [{"family": "ols_normal"}, {"family": "regression_tree"}],
+            "strategies": [
+                {"name": "ols", "family": "ols_normal"},
+                {"name": "knn", "family": "knn", "hyperparams": {"k_neighbors": 5}},
+                {"name": "tree", "family": "regression_tree", "hyperparams": {"max_depth": 3}},
+            ],
+            "characteristics": [{"kind": "total"}, {"kind": "median"}, {"kind": "quantile", "p": 0.95}],
+            "measures": [{"kind": "rmse"}, {"kind": "qape", "p": 0.95}],
+            "iterations": 4,
+            "master_seed": 1,
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code = (
+            "import sys\n"
+            "from predvote.cli import main\n"
+            "from predvote.dataset import write_portfolio_csv\n"
+            "write_portfolio_csv('data.csv', 80, 30, 1)\n"
+            "code = main(['run', '--config', 'config.json', '--data', 'data.csv', '--out', 'out', '--svg', '--workers', '1'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "0 False"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ class TestCharacteristic:
     def test_median_midpoint_convention(self):
         assert eval_characteristic(Characteristic("median"), [1.0, 2.0, 3.0, 4.0]) == 2.5
         assert eval_characteristic(Characteristic("median"), [5.0, 1.0, 3.0]) == 3.0
+
+    def test_median_equals_numpy_median(self):
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            values = rng.lognormal(7.0, 0.8, size=int(rng.integers(1, 1500)))
+            if i % 2:
+                values = np.round(values, -2)  # ties
+            assert eval_characteristic(Characteristic("median"), values) == np.median(values), i
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 2.0], [np.nan, 1.0], [3.0, 1.0, 2.0, np.inf, np.nan]])
+    def test_median_of_nan_input_is_nan(self, values):
+        assert math.isnan(eval_characteristic(Characteristic("median"), values))
 
     def test_quantile_order_statistic(self):
         # ceil(0.95 * 100) = 95th order statistic

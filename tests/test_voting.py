@@ -128,6 +128,14 @@ class TestPositional:
         assert np.array_equal(result.criterion_values, [2.5, 2.5, 1.0])
         assert result.winners == ("s1", "s2")
 
+    def test_median_criterion_equals_numpy_median_of_midranks(self):
+        rng = np.random.default_rng(9)
+        for i in range(400):
+            rows, cols = int(rng.integers(1, 41)), int(rng.integers(2, 9))
+            entries = rng.integers(0, 4, size=(rows, cols)).astype(float)  # ties give half-integer midranks
+            w2, result = positional_vote(matrix_of(entries))
+            assert np.array_equal(result.criterion_values, np.median(w2.entries, axis=0)), i
+
     def test_matches_scipy_rankdata(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(5)
