@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .models import is_real
+from .models import order_p
 
 RMSE = "rmse"
 QAPE = "qape"
@@ -31,12 +31,7 @@ class Measure:
     def __post_init__(self):
         if self.kind not in MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == QAPE:
-            if not (is_real(self.p) and 0.0 < self.p < 1.0):
-                raise ValueError(f"qape measure needs a number p in (0, 1), got {self.p!r}")
-            object.__setattr__(self, "p", float(self.p))
-        elif self.p is not None:
-            raise ValueError("rmse takes no order p")
+        object.__setattr__(self, "p", order_p(f"{self.kind} measure", self.p, self.kind == QAPE))
 
     @property
     def label(self) -> str:
@@ -78,8 +73,7 @@ def qape(errors: np.ndarray, p: float) -> float:
         raise ValueError("qape of an empty error vector")
     if not np.all(np.isfinite(e)):
         raise ValueError("qape: errors contain non-finite values")
-    if not 0.0 < p < 1.0:
-        raise ValueError("qape order p must lie in (0, 1)")
+    order_p("qape", p, True)
     return order_statistic_quantile(np.abs(e), p)
 
 

@@ -129,12 +129,7 @@ def cmd_run(
         config.parallelism = workers
     config.validate()
 
-    try:
-        frame = load_csv(data_path, config.schema)
-    except OSError as exc:
-        raise DataError(f"cannot read data file {data_path}: {exc}") from exc
-
-    output = run(config, frame)
+    output = run(config, load_csv(data_path, config.schema))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,6 @@ level so that parametric design matrices stay full rank.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .matrix_io import read_rows, write_rows
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -183,16 +183,13 @@ def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema) -> Study
 def load_csv(path: str, schema: ColumnSchema) -> StudyFrame:
     """Load a headered CSV file and encode it according to the schema; blank lines are skipped."""
     needed = [schema.response, schema.sample_flag, *(n for n, _ in schema.covariates)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {missing}")
-        repeated = next((c for c in needed if header.count(c) > 1), None)
-        if repeated is not None:
-            raise DataError(f"{path}: column {repeated!r} is repeated in the header")
-        rows = [row for row in reader if row]
+    header, rows, _ = read_rows(path, "data file")
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing column(s) {missing}")
+    repeated = next((c for c in needed if header.count(c) > 1), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column {repeated!r} is repeated in the header")
     position = {c: header.index(c) for c in needed}
     width = max(position.values()) + 1
     for i, row in enumerate(rows):
@@ -202,21 +199,21 @@ def load_csv(path: str, schema: ColumnSchema) -> StudyFrame:
     return encode_columns({c: [row[j] for row in rows] for c, j in position.items()}, schema)
 
 
-def write_csv(frame: StudyFrame, path: str, response_name: str = "response", flag_name: str = "insample") -> None:
+def write_csv(frame: StudyFrame, path: str) -> None:
     """Serialize an encoded frame; floats use repr so reloading is exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([response_name, *frame.column_names, flag_name])
-        writer.writerows([*map(repr, row), "1"] for row in np.column_stack([frame.y_sample, frame.x_sample]).tolist())
-        writer.writerows(["", *map(repr, x), "0"] for x in frame.x_out.tolist())
+    write_rows(path, [
+        ["response", *frame.column_names, "insample"],
+        *([*map(repr, row), "1"] for row in np.column_stack([frame.y_sample, frame.x_sample]).tolist()),
+        *(["", *map(repr, x), "0"] for x in frame.x_out.tolist()),
+    ])
 
 
-def encoded_schema(frame: StudyFrame, response_name: str = "response", flag_name: str = "insample") -> ColumnSchema:
+def encoded_schema(frame: StudyFrame) -> ColumnSchema:
     """Schema describing a file produced by write_csv (all-numeric covariates)."""
     return ColumnSchema(
-        response=response_name,
+        response="response",
         covariates=tuple((name, NUMERIC) for name in frame.column_names),
-        sample_flag=flag_name,
+        sample_flag="insample",
     )
 
 
@@ -290,5 +287,4 @@ def synthesize_portfolio(n: int, k: int, seed: int) -> StudyFrame:
 def write_portfolio_csv(path: str, n: int, k: int, seed: int) -> None:
     """Write the raw (pre-encoding) synthetic portfolio as a CSV file."""
     columns = _portfolio_columns(n, k, seed)  # in the file's column order
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([list(columns), *zip(*columns.values())])
+    write_rows(path, [list(columns), *zip(*columns.values())])

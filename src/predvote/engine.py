@@ -152,12 +152,15 @@ class _Cells:
     characteristics: list[Characteristic]
     master_seed: int
 
-    def block(self, generator: Generator, g: int, b_lo: int, b_hi: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-        """Error slices for iterations b_lo..b_hi-1 (0-based) of generator g."""
+    def block(
+        self, generator: Generator, g: int, b_lo: int, b_hi: int
+    ) -> tuple[int, int, np.ndarray, np.ndarray, dict[int, str]]:
+        """Error and mask slices of iterations b_lo..b_hi-1 (0-based) of generator g, and {p: p's first FitError}."""
         n = self.frame.n
         count = b_hi - b_lo
         errors = np.zeros((count, len(self.characteristics), len(self.plans)))
         mask = np.zeros((count, len(self.plans)), dtype=bool)
+        reasons: dict[int, str] = {}
         for local_b in range(count):
             y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
             truth = np.array([eval_characteristic(c, y_gen) for c in self.characteristics])
@@ -165,11 +168,12 @@ class _Cells:
             for p, plan in enumerate(self.plans):
                 try:
                     predicted = plan.plug_in(self.frame, y_s_gen, self.characteristics)
-                except FitError:
+                except FitError as exc:
                     mask[local_b, p] = True
+                    reasons.setdefault(p, str(exc))
                     continue
                 errors[local_b, :, p] = predicted - truth
-        return g, b_lo, errors, mask
+        return g, b_lo, errors, mask, reasons
 
 
 def _worker_count(config: RunConfig, workers: int | None = None) -> int:
@@ -221,16 +225,20 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int | None) -> tupl
     with pool:
         # map and pool.map both take one iterable per argument of cells.block
         blocks = (map if serial else pool.map)(cells.block, *zip(*tasks))
-        for g, b_lo, err_block, mask_block in blocks:
+        first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
+        for g, b_lo, err_block, mask_block, reasons in blocks:
             values[g, b_lo : b_lo + err_block.shape[0]] = err_block
             mask[g, b_lo : b_lo + mask_block.shape[0]] = mask_block
+            for p, reason in reasons.items():
+                first_reason.setdefault((g, p), reason)
 
     failure_rate = mask.sum() / mask.size
     if failure_rate > config.failure_ceiling:
         share = mask.mean(axis=1)  # per (generator, strategy)
         worst = sorted(zip(*np.nonzero(share)), key=lambda gp: -share[gp])[:_NAMED_PAIRS]
         pairs = ", ".join(
-            f"{generator_label(g, config.generators[g])} × {config.strategies[p].name} ({share[g, p]:.2%})"
+            f"{generator_label(g, config.generators[g])} × {config.strategies[p].name} "
+            f"({share[g, p]:.2%}: {first_reason[g, p]})"
             for g, p in worst
         )
         raise SimulationError(

@@ -1,7 +1,9 @@
-"""CSV serialization of labeled matrices and ECDF step data.
+"""Every CSV file predvote reads or writes: the data file, labeled matrices and ECDF steps.
 
-Numbers are written with repr, which round-trips doubles exactly, so a
-reloaded matrix equals the in-memory one bit for bit.
+read_rows and write_rows are the only places a CSV file is opened. Every
+file is UTF-8; blank records are skipped on reading, and an unreadable
+file raises DataError. Numbers are written with repr, which round-trips
+doubles exactly, so a reloaded matrix equals the in-memory one bit for bit.
 """
 
 from __future__ import annotations
@@ -13,44 +15,52 @@ import numpy as np
 from .errors import DataError
 
 
-def label_to_str(label) -> str:
-    if isinstance(label, (tuple, list)):
-        return "|".join(str(part) for part in label)
-    return str(label)
-
-
-def write_matrix_csv(path: str, entries: np.ndarray, row_labels: list, col_labels: list[str]) -> None:
-    entries = np.atleast_2d(np.asarray(entries, dtype=np.float64))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voter", *[str(c) for c in col_labels]])
-        for label, row in zip(row_labels, entries):
-            writer.writerow([label_to_str(label), *[repr(float(v)) for v in row]])
-
-
-def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
-    """Read a labeled matrix; returns (entries, row_labels, col_labels)."""
+def read_rows(path, what: str) -> tuple[list[str], list[list[str]], range | list[int]]:
+    """(first non-blank record, the non-blank ones after it, their 1-based file record numbers); what names the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise DataError(f"cannot read matrix file {path}: {exc}") from exc
-    if len(rows) < 2 or len(rows[0]) < 2:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    numbers = range(1, len(rows) + 1)
+    if [] in rows:  # numbers stay a range, with nothing stored per record, unless a blank record is skipped
+        numbers = [number for number, row in zip(numbers, rows) if row]
+        rows = [row for row in rows if row]
+    return (rows.pop(0) if rows else []), rows, numbers[1:]
+
+
+def write_rows(path, rows) -> None:
+    """Write an iterable of rows of cells as UTF-8 CSV in csv.writer's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def write_matrix_csv(path: str, entries: np.ndarray, row_labels: list, col_labels: list[str]) -> None:
+    entries = np.atleast_2d(np.asarray(entries, dtype=np.float64))
+    labels = ["|".join(map(str, label)) if isinstance(label, (tuple, list)) else str(label) for label in row_labels]
+    rows = ([label, *[repr(float(v)) for v in row]] for label, row in zip(labels, entries))
+    write_rows(path, [["voter", *[str(c) for c in col_labels]], *rows])
+
+
+def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
+    """Read a labeled matrix; returns (entries, row_labels, col_labels)."""
+    header, rows, lines = read_rows(path, "matrix file")
+    if not rows or len(header) < 2:
         raise DataError(f"{path}: expected a header row plus at least one labeled data row")
-    col_labels = rows[0][1:]
+    col_labels = header[1:]
     repeated = next((label for i, label in enumerate(col_labels) if label in col_labels[:i]), None)
     if repeated is not None:
         raise DataError(f"{path}: column label {repeated!r} is repeated; strategy names must be unique")
     width = len(col_labels)
     row_labels, data = [], []
-    for i, row in enumerate(rows[1:], start=2):
+    for line, row in zip(lines, rows):
         if len(row) != width + 1:
-            raise DataError(f"{path}, line {i}: expected {width + 1} cells, found {len(row)}")
+            raise DataError(f"{path}, line {line}: expected {width + 1} cells, found {len(row)}")
         row_labels.append(row[0])
         try:
             data.append([float(cell) for cell in row[1:]])
         except ValueError as exc:
-            raise DataError(f"{path}, line {i}: {exc}") from exc
+            raise DataError(f"{path}, line {line}: {exc}") from exc
     entries = np.array(data)
     if not np.all(np.isfinite(entries)):
         raise DataError(f"{path}: matrix contains non-finite entries")
@@ -59,12 +69,8 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
 
 def write_ecdf_csv(path: str, steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
     """Long-format ECDF jump points: one (strategy, x, cdf) row per step."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "x", "cdf"])
-        for name, (xs, cdf) in steps.items():
-            for x, f in zip(xs, cdf):
-                writer.writerow([name, repr(float(x)), repr(float(f))])
+    body = ([name, repr(float(x)), repr(float(f))] for name, (xs, cdf) in steps.items() for x, f in zip(xs, cdf))
+    write_rows(path, [["strategy", "x", "cdf"], *body])
 
 
 def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
@@ -73,21 +79,17 @@ def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
     Every curve's jump points and levels must lie in [0, 1] and be
     nondecreasing, and its last level must be 1.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["strategy", "x", "cdf"]:
-                return None
-            collected: dict[str, list[tuple[float, float]]] = {}
-            for i, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise DataError(f"{path}, line {i}: expected 3 cells")
-                try:
-                    collected.setdefault(row[0], []).append((float(row[1]), float(row[2])))
-                except ValueError as exc:
-                    raise DataError(f"{path}, line {i}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read ECDF file {path}: {exc}") from exc
+    header, rows, lines = read_rows(path, "ECDF file")
+    if header != ["strategy", "x", "cdf"]:
+        return None
+    collected: dict[str, list[tuple[float, float]]] = {}
+    for line, row in zip(lines, rows):
+        if len(row) != 3:
+            raise DataError(f"{path}, line {line}: expected 3 cells")
+        try:
+            collected.setdefault(row[0], []).append((float(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from exc
     if not collected:
         raise DataError(f"{path}: ECDF step file has no steps")
     steps = {}

@@ -48,6 +48,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def order_p(what: str, p, ordered: bool) -> float | None:
+    """The order p of what: an ordered kind needs a real number in (0, 1), stored as a float; others take none."""
+    if ordered and not (is_real(p) and 0.0 < p < 1.0):
+        raise ValueError(f"{what} needs a number p in (0, 1), got {p!r}")
+    if not ordered and p is not None:
+        raise ValueError(f"{what} takes no order p")
+    return float(p) if ordered else None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model family plus validated hyperparameters.

@@ -15,7 +15,7 @@ import numpy as np
 from .accuracy import order_statistic_quantile, sorted_median
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
-from .models import KNN, ModelSpec, fit, is_real
+from .models import KNN, ModelSpec, fit, order_p
 
 TOTAL = "total"
 MEAN = "mean"
@@ -40,12 +40,7 @@ class Characteristic:
     def __post_init__(self):
         if self.kind not in CHARACTERISTIC_KINDS:
             raise ValueError(f"unknown characteristic kind {self.kind!r}")
-        if self.kind == QUANTILE:
-            if not (is_real(self.p) and 0.0 < self.p < 1.0):
-                raise ValueError(f"quantile characteristic needs a number p in (0, 1), got {self.p!r}")
-            object.__setattr__(self, "p", float(self.p))
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} characteristic takes no order p")
+        object.__setattr__(self, "p", order_p(f"{self.kind} characteristic", self.p, self.kind == QUANTILE))
         if not self.name:
             default = f"q{self.p:g}" if self.kind == QUANTILE else self.kind
             object.__setattr__(self, "name", default)

@@ -124,21 +124,29 @@ class TestCmdRun:
         assert "parallelism" in capsys.readouterr().err
 
     def test_readme_example_runs_or_names_failing_pairs(self, tmp_path, capsys):
-        # the documented configuration runs on the bundled data, or fails naming a
-        # (generator, strategy) pair; it exits 4 until positive responses are handled
+        # the documented configuration runs on the bundled data, or fails naming each listed
+        # (generator, strategy) pair with its failure share and first reason, equally at
+        # workers 1 and 2; it exits 4 until positive responses are handled
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
         doc["iterations"] = 20
         config, data = tmp_path / "config.json", tmp_path / "data.csv"
         config.write_text(json.dumps(doc), encoding="utf-8")
         write_portfolio_csv(str(data), n=500, k=100, seed=1)
-        code = main([
-            "run", "--config", str(config), "--data", str(data),
-            "--out", str(tmp_path / "out"), "--workers", "1",
-        ])
-        err = capsys.readouterr().err
+        outcomes = []
+        for workers in ("1", "2"):
+            code = main([
+                "run", "--config", str(config), "--data", str(data),
+                "--out", str(tmp_path / f"out{workers}"), "--workers", workers,
+            ])
+            outcomes.append((code, capsys.readouterr().err))
+        code, err = outcomes[0]
+        assert outcomes[1] == outcomes[0]
+        if code == 0:
+            return
         strategies = "|".join(re.escape(s["name"]) for s in doc["strategies"])
-        assert code == 0 or (code == 4 and re.search(rf"gen\d+_\w+ × ({strategies})\b", err)), err
+        named = re.findall(rf"gen\d+_\w+ × (?:{strategies}) \(\d+\.\d\d%: [^)]+\)", err)
+        assert code == 4 and named and len(named) == err.count(" × "), err
 
     def test_missing_config_exits_2(self, workspace):
         tmp, _, data = workspace

@@ -306,10 +306,38 @@ class TestSimulateErrors:
             failure_ceiling=0.001,
             master_seed=11,
         )
-        with pytest.raises(SimulationError, match="ceiling") as raised:
-            simulate_errors(config, frame, workers=1)
-        # only the lognormal refits fail, and the message names that pair alone
-        assert re.search(r"worst pairs: gen1_ols_normal × lognormal \(\d+\.\d\d%\)$", str(raised.value))
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(SimulationError, match="ceiling") as raised:
+                simulate_errors(config, frame, workers=workers)
+            messages.append(str(raised.value))
+        # only the lognormal refits fail, and the message names that pair alone with its first reason
+        assert re.search(
+            r"worst pairs: gen1_ols_normal × lognormal \(\d+\.\d\d%: lognormal: response must be strictly positive\)$",
+            messages[0],
+        ), messages[0]
+        assert messages[0] == messages[1]
+
+    def test_ceiling_error_names_the_first_reason_in_iteration_order(self):
+        # one IRLS step never converges and a non-positive draw fails before it, so the pair's
+        # refits fail for two reasons; at this seed the rarer one comes first, and is named
+        frame = make_positive_frame(n=30, k=5, seed=7, noise=0.55)
+        strategy = PredictionStrategy("gamma1", ModelSpec("gamma_glm_log_link", {"max_iter": 1, "tol": 1e-300}))
+        config = small_config(strategies=[small_config().strategies[0], strategy], iterations=40, master_seed=26)
+        generator = Generator.from_model(fit(config.generators[0], frame.x_sample, frame.y_sample), frame.x_full)
+        reasons = []
+        for b in range(1, config.iterations + 1):
+            y_s = generator.draw(derive_stream(config.master_seed, 1, b))[: frame.n]
+            try:
+                refit_plug_in(strategy, frame, y_s, config.characteristics)
+            except FitError as exc:
+                reasons.append(str(exc))
+        assert len(reasons) == config.iterations and "IRLS" in reasons[0]
+        assert sum("IRLS" in reason for reason in reasons) < config.iterations / 2
+        for workers in (1, 2):
+            with pytest.raises(SimulationError) as raised:
+                simulate_errors(config, frame, workers=workers)
+            assert str(raised.value).endswith(f"gen1_ols_normal × gamma1 (100.00%: {reasons[0]})"), raised.value
 
     def test_generator_unfit_on_real_data_is_config_error(self):
         rng = np.random.default_rng(8)

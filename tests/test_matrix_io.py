@@ -1,0 +1,115 @@
+"""The one CSV layer: every reader skips blank records and names an unreadable file; the writers' bytes are pinned."""
+
+import hashlib
+import re
+
+import numpy as np
+import pytest
+
+from predvote.cli import main
+from predvote.dataset import ColumnSchema, load_csv, synthesize_portfolio, write_csv, write_portfolio_csv
+from predvote.errors import DataError
+from predvote.matrix_io import read_ecdf_csv, read_matrix_csv, write_ecdf_csv, write_matrix_csv
+
+# SHA-256 of each writer's file on the fixed inputs below, recorded before the writers shared write_rows
+WRITTEN = {
+    "portfolio.csv": (
+        lambda path: write_portfolio_csv(path, 40, 12, 3),
+        "bb1c78521cb9d3320081492a202d7e59561e60db06e39d71da1602ae4e52de48",
+    ),
+    "frame.csv": (
+        lambda path: write_csv(synthesize_portfolio(30, 8, 2), path),
+        "1142a570779abddd3c0ffe4cab3feb6979dc2b100b0e001b3ce775ff6e4891c6",
+    ),
+    "matrix.csv": (
+        lambda path: write_matrix_csv(
+            path,
+            np.array([[0.1, 1 / 3, 2.0], [1e-300, -0.0, 7.25]]),
+            [("gen1_ols_normal", "total", "rmse"), 'plain "label"'],
+            ["a", "b,c", "d"],
+        ),
+        "92a2753f4ed64a468cc7d7894f3d30b41dd451f9c0e759fc74f0ee77afadde61",
+    ),
+    "ecdf.csv": (
+        lambda path: write_ecdf_csv(
+            path,
+            {
+                "a": (np.array([0.0, 0.5, 1.0]), np.array([1 / 3, 2 / 3, 1.0])),
+                "b,c": (np.array([0.25]), np.array([1.0])),
+            },
+        ),
+        "d0e7505294f68e7fadf083e11d3313a463bbdf506ca80acf708b3a6b03f2e359",
+    ),
+}
+
+SCHEMA = ColumnSchema(response="claim", covariates=(("gender", "categorical"),), sample_flag="insample")
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_writer_bytes_are_pinned(tmp_path, name):
+    write, digest = WRITTEN[name]
+    path = tmp_path / name
+    write(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_vote_reads_a_matrix_with_blank_lines(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("voter,a,b\n\nr1,0.1,0.2\n\n\nr2,0.3,0.1\n\n", encoding="utf-8")
+    entries, row_labels, col_labels = read_matrix_csv(str(matrix))
+    assert np.array_equal(entries, [[0.1, 0.2], [0.3, 0.1]])
+    assert (row_labels, col_labels) == (["r1", "r2"], ["a", "b"])
+    assert main(["vote", str(matrix), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_plot_ecdf_reads_a_step_file_with_blank_lines(tmp_path):
+    steps = tmp_path / "ecdf.csv"
+    steps.write_text("\nstrategy,x,cdf\na,0.0,0.5\n\na,1.0,1.0\n\nb,0.5,1.0\n", encoding="utf-8")
+    curves = read_ecdf_csv(str(steps))
+    assert list(curves) == ["a", "b"]
+    assert np.array_equal(curves["a"][0], [0.0, 1.0]) and np.array_equal(curves["a"][1], [0.5, 1.0])
+    assert main(["plot-ecdf", str(steps), "--out", str(tmp_path / "plot.svg")]) == 0
+
+
+def test_blank_line_before_the_data_header_is_skipped(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("\n\nclaim,gender,insample\n10.0,f,1\n12.5,m,1\n,m,0\n", encoding="utf-8")
+    frame = load_csv(str(data), SCHEMA)
+    assert (frame.n, frame.k) == (2, 1)
+    assert np.array_equal(frame.y_sample, [10.0, 12.5])
+
+
+@pytest.mark.parametrize(
+    "read, kind",
+    [
+        (read_matrix_csv, "matrix file"),
+        (read_ecdf_csv, "ECDF file"),
+        (lambda path: load_csv(path, SCHEMA), "data file"),
+    ],
+)
+def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, kind):
+    path = str(tmp_path / "nope.csv")
+    with pytest.raises(DataError, match=f"^{re.escape(f'cannot read {kind} {path}: ')}"):
+        read(path)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("voter,a,b\nr1,0.1,0.2\n\nr2,0.3,oops\n", 4),
+        ("\nvoter,a,b\n\n\nr1,0.1,0.2,9\n", 5),
+        ("voter,a,b\n\nr1,0.1,0.2\n\nr2,0.3\n", 5),
+    ],
+)
+def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body, line):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(body, encoding="utf-8")
+    with pytest.raises(DataError, match=f", line {line}: "):
+        read_matrix_csv(str(matrix))
+
+
+def test_bad_step_after_blank_lines_reports_its_file_line(tmp_path):
+    steps = tmp_path / "ecdf.csv"
+    steps.write_text("strategy,x,cdf\n\na,0.5,1.0\n\n\na,zero,1.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=", line 6: "):
+        read_ecdf_csv(str(steps))

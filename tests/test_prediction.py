@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from predvote.accuracy import Measure, qape
 from predvote.dataset import StudyFrame
 from predvote.errors import ConvergenceError, FitError
 from predvote.models import ModelSpec, fit
@@ -190,3 +192,27 @@ class TestPlugIn:
                 np.ones(positive_frame.n + 1),
                 self.chars(),
             )
+
+
+ORDERED_KINDS = [
+    (lambda p: Measure("qape", p), "qape measure"),
+    (lambda p: Characteristic("quantile", p), "quantile characteristic"),
+    (lambda p: qape([1.0], p), "qape"),
+]
+
+
+@pytest.mark.parametrize("p", [None, 0.0, 1.0, -0.5, "0.5", True, float("nan"), [0.5]])
+@pytest.mark.parametrize("build, what", ORDERED_KINDS)
+def test_order_statistic_kinds_share_one_p_rule(build, what, p):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} needs a number p in (0, 1), got {p!r}')}$"):
+        build(p)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: Measure("rmse", 0.5), "rmse measure takes no order p"),
+     (lambda: Characteristic("median", 0.5), "median characteristic takes no order p")],
+)
+def test_other_kinds_take_no_order_p(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
