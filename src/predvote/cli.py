@@ -19,7 +19,15 @@ from .accuracy import AccuracyMatrix
 from .dataset import load_csv
 from .engine import config_from_dict, run
 from .errors import ConfigError, DataError, PredvoteError, SimulationError
-from .matrix_io import read_ecdf_csv, read_matrix_csv, write_ecdf_csv, write_matrix_csv
+from .matrix_io import (
+    ECDF_HEADER,
+    parse_ecdf,
+    parse_matrix,
+    read_matrix_csv,
+    read_rows,
+    write_ecdf_csv,
+    write_matrix_csv,
+)
 from .plots import render_ecdf_svg
 from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_area, ecdf_steps, elect, stochastic_dominance
 
@@ -118,6 +126,8 @@ def cmd_run(
         doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {config_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read configuration {config_path}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
     config = config_from_dict(doc)
@@ -187,9 +197,11 @@ def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False, svg: bool 
 
 
 def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
-    steps = read_ecdf_csv(input_path)
-    if steps is None:
-        entries, _, col_labels = read_matrix_csv(input_path)
+    table = read_rows(input_path, "ECDF file")
+    if table[0] == ECDF_HEADER:
+        steps = parse_ecdf(input_path, *table)
+    else:
+        entries, _, col_labels = parse_matrix(input_path, *table)
         if np.any(entries < 0) or np.any(entries > 1):
             raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
         steps = {name: ecdf_steps(entries[:, j]) for j, name in enumerate(col_labels)}

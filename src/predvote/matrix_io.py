@@ -1,9 +1,11 @@
 """Every CSV file predvote reads or writes: the data file, labeled matrices and ECDF steps.
 
 read_rows and write_rows are the only places a CSV file is opened. Every
-file is UTF-8; blank records are skipped on reading, and an unreadable
-file raises DataError. Numbers are written with repr, which round-trips
-doubles exactly, so a reloaded matrix equals the in-memory one bit for bit.
+file is UTF-8; blank records are skipped on reading, and a file that
+cannot be opened, decoded or parsed raises DataError. The parse_*
+functions take read_rows' output. Numbers are written with repr, which
+round-trips doubles exactly, so a reloaded matrix equals the in-memory one
+bit for bit.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ import numpy as np
 
 from .errors import DataError
 
+ECDF_HEADER = ["strategy", "x", "cdf"]
+
 
 def read_rows(path, what: str) -> tuple[list[str], list[list[str]], range | list[int]]:
     """(first non-blank record, the non-blank ones after it, their 1-based file record numbers); what names the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: not UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise DataError(f"cannot read {what} {path}, line {reader.line_num}: {exc}") from exc
     numbers = range(1, len(rows) + 1)
     if [] in rows:  # numbers stay a range, with nothing stored per record, unless a blank record is skipped
         numbers = [number for number, row in zip(numbers, rows) if row]
@@ -44,7 +53,11 @@ def write_matrix_csv(path: str, entries: np.ndarray, row_labels: list, col_label
 
 def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
     """Read a labeled matrix; returns (entries, row_labels, col_labels)."""
-    header, rows, lines = read_rows(path, "matrix file")
+    return parse_matrix(path, *read_rows(path, "matrix file"))
+
+
+def parse_matrix(path, header: list[str], rows: list[list[str]], lines) -> tuple[np.ndarray, list[str], list[str]]:
+    """A labeled matrix from read_rows' output for path; returns (entries, row_labels, col_labels)."""
     if not rows or len(header) < 2:
         raise DataError(f"{path}: expected a header row plus at least one labeled data row")
     col_labels = header[1:]
@@ -70,18 +83,22 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
 def write_ecdf_csv(path: str, steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
     """Long-format ECDF jump points: one (strategy, x, cdf) row per step."""
     body = ([name, repr(float(x)), repr(float(f))] for name, (xs, cdf) in steps.items() for x, f in zip(xs, cdf))
-    write_rows(path, [["strategy", "x", "cdf"], *body])
+    write_rows(path, [ECDF_HEADER, *body])
 
 
-def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
-    """Read ECDF step curves; returns None when the header is not strategy,x,cdf.
+def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Read ECDF step curves; returns {strategy: (jump points, levels)}."""
+    return parse_ecdf(path, *read_rows(path, "ECDF file"))
 
-    Every curve's jump points and levels must lie in [0, 1] and be
-    nondecreasing, and its last level must be 1.
+
+def parse_ecdf(path, header: list[str], rows: list[list[str]], lines) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """ECDF step curves from read_rows' output for path.
+
+    The header must be strategy,x,cdf. Every curve's jump points and levels
+    must lie in [0, 1] and be nondecreasing, and its last level must be 1.
     """
-    header, rows, lines = read_rows(path, "ECDF file")
-    if header != ["strategy", "x", "cdf"]:
-        return None
+    if header != ECDF_HEADER:
+        raise DataError(f"{path}: expected the ECDF header {','.join(ECDF_HEADER)}, found {','.join(header)!r}")
     collected: dict[str, list[tuple[float, float]]] = {}
     for line, row in zip(lines, rows):
         if len(row) != 3:

@@ -240,54 +240,46 @@ def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _check_parametric_size(n: int, p: int, family: str) -> None:
-    # one residual degree of freedom is required for the error-scale estimate
-    if n < p + 1:
-        raise FitError(f"{family}: need at least {p + 1} rows for {p} coefficients, got {n}")
-
-
-def _fit_ols(x: np.ndarray, y: np.ndarray, spec: ModelSpec, log_scale: bool) -> tuple[_GlmState, dict]:
-    state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=log_scale)
+def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
+    """The parametric families' one least-squares fit: on y for ols_normal, on log y for the log-link families."""
+    log_link = spec.family != OLS_NORMAL
+    state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=log_link)
     design = state.design(x)
-    _check_parametric_size(x.shape[0], design.shape[1], spec.family)
-    target = y
-    if log_scale:
-        if np.any(y <= 0):
-            raise FitError("lognormal: response must be strictly positive")
-        target = np.log(y)
+    n, p = design.shape
+    # one residual degree of freedom is required for the error-scale estimate; the row
+    # count goes before the sign check, since too few rows cannot be fitted for any y
+    if n < p + 1:
+        raise FitError(f"{spec.family}: need at least {p + 1} rows for {p} coefficients, got {n}")
+    if log_link and np.any(y <= 0):
+        raise FitError(f"{spec.family}: response must be strictly positive")
+    target = np.log(y) if log_link else y
     state.coef = _solve_ls(design, target)
-    rss = float(((target - design @ state.coef) ** 2).sum())
-    sigma2 = rss / (x.shape[0] - design.shape[1])
-    if log_scale:
-        # conditional-mean back-transform: E[Y|x] = exp(eta + sigma^2 / 2)
-        state.mean_shift = sigma2 / 2.0
-        summary = {"log_variance": sigma2}
-    else:
-        summary = {"residual_variance": sigma2}
-    return state, summary
+    if spec.family == GAMMA_GLM:
+        state.coef, state.deviance_path, mu = _gamma_irls(design, y, state.coef, spec)
+        pearson = float((((y - mu) / mu) ** 2).sum())
+        return state, {"dispersion": pearson / (n - p)}
+    sigma2 = float(((target - design @ state.coef) ** 2).sum()) / (n - p)
+    if spec.family == OLS_NORMAL:
+        return state, {"residual_variance": sigma2}
+    # conditional-mean back-transform: E[Y|x] = exp(eta + sigma^2 / 2)
+    state.mean_shift = sigma2 / 2.0
+    return state, {"log_variance": sigma2}
 
 
 def _gamma_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu))
 
 
-def _fit_gamma(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
-    if np.any(y <= 0):
-        raise FitError("gamma_glm_log_link: response must be strictly positive")
-    max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
-    state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=True)
-    design = state.design(x)
-    _check_parametric_size(x.shape[0], design.shape[1], spec.family)
+def _gamma_irls(design: np.ndarray, y: np.ndarray, coef: np.ndarray, spec: ModelSpec) -> tuple:
+    """(coef, deviance path, fitted means) of IRLS for the log link, started from coef.
 
-    # IRLS for the log link; the Gamma variance function makes the working
-    # weights constant, so each step is an OLS solve on the working response.
-    coef = _solve_ls(design, np.log(y))
+    The Gamma variance function makes the working weights constant, so each
+    step is an OLS solve on the working response.
+    """
+    max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
     eta = design @ coef
     mu = np.exp(eta)
-    deviance = _gamma_deviance(y, mu)
-    deviance_path = [deviance]
-    converged = False
-    iterations = 0
+    deviance_path = [_gamma_deviance(y, mu)]
     for iterations in range(1, max_iter + 1):
         z = eta + (y - mu) / mu
         coef = _solve_ls(design, z)
@@ -298,23 +290,12 @@ def _fit_gamma(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState
             raise ConvergenceError(
                 f"gamma_glm_log_link: fitted means diverged at iteration {iterations}", iterations
             )
-        new_deviance = _gamma_deviance(y, mu)
-        deviance_path.append(new_deviance)
-        if abs(deviance - new_deviance) < tol:
-            converged = True
-            deviance = new_deviance
-            break
-        deviance = new_deviance
-    if not converged:
-        raise ConvergenceError(
-            f"gamma_glm_log_link: IRLS did not converge in {max_iter} iterations", max_iter
-        )
-
-    state.coef = coef
-    state.deviance_path = deviance_path
-    pearson = float((((y - mu) / mu) ** 2).sum())
-    dispersion = pearson / (x.shape[0] - design.shape[1])
-    return state, {"dispersion": dispersion}
+        deviance_path.append(_gamma_deviance(y, mu))
+        if abs(deviance_path[-2] - deviance_path[-1]) < tol:
+            return coef, deviance_path, mu
+    raise ConvergenceError(
+        f"gamma_glm_log_link: IRLS did not converge in {max_iter} iterations", max_iter
+    )
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
@@ -403,10 +384,8 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
         raise FitError("training data contains non-finite values")
 
     summary = None
-    if spec.family in (OLS_NORMAL, LOGNORMAL):
-        state, summary = _fit_ols(x, y, spec, log_scale=spec.family == LOGNORMAL)
-    elif spec.family == GAMMA_GLM:
-        state, summary = _fit_gamma(x, y, spec)
+    if spec.is_parametric:
+        state, summary = _fit_glm(x, y, spec)
     elif spec.family == REGRESSION_TREE:
         state = _fit_tree(x, y, spec)
     else:

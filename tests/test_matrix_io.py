@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from predvote.cli import main
+from predvote import cli, matrix_io
+from predvote.cli import cmd_run, main
 from predvote.dataset import ColumnSchema, load_csv, synthesize_portfolio, write_csv, write_portfolio_csv
-from predvote.errors import DataError
+from predvote.errors import ConfigError, DataError
 from predvote.matrix_io import read_ecdf_csv, read_matrix_csv, write_ecdf_csv, write_matrix_csv
 
 # SHA-256 of each writer's file on the fixed inputs below, recorded before the writers shared write_rows
@@ -79,18 +80,27 @@ def test_blank_line_before_the_data_header_is_skipped(tmp_path):
     assert np.array_equal(frame.y_sample, [10.0, 12.5])
 
 
+@pytest.mark.parametrize("body", [None, b"voter,a,b\nr\xe9,0.1,0.2\n"], ids=["missing", "latin-1"])
 @pytest.mark.parametrize(
-    "read, kind",
+    "read, error, kind",
     [
-        (read_matrix_csv, "matrix file"),
-        (read_ecdf_csv, "ECDF file"),
-        (lambda path: load_csv(path, SCHEMA), "data file"),
+        (read_matrix_csv, DataError, "matrix file"),
+        (read_ecdf_csv, DataError, "ECDF file"),
+        (lambda path: load_csv(path, SCHEMA), DataError, "data file"),
+        (lambda path: cmd_run(path, "data.csv", "out"), ConfigError, "configuration"),
     ],
+    ids=["matrix", "ECDF", "data", "config"],
 )
-def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, kind):
-    path = str(tmp_path / "nope.csv")
-    with pytest.raises(DataError, match=f"^{re.escape(f'cannot read {kind} {path}: ')}"):
-        read(path)
+def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, error, kind, body):
+    # a file that is not UTF-8 is named like a missing one; a configuration's error is a ConfigError
+    path = tmp_path / "input"
+    if body is not None:
+        path.write_bytes(body)
+    reason = "" if body is None else "not UTF-8 (invalid continuation byte)"
+    with pytest.raises(error, match=f"^{re.escape(f'cannot read {kind} {path}: {reason}')}"):
+        read(str(path))
+    if error is ConfigError:
+        assert main(["run", "--config", str(path), "--data", "data.csv", "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize(
@@ -99,6 +109,7 @@ def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, kind):
         ("voter,a,b\nr1,0.1,0.2\n\nr2,0.3,oops\n", 4),
         ("\nvoter,a,b\n\n\nr1,0.1,0.2,9\n", 5),
         ("voter,a,b\n\nr1,0.1,0.2\n\nr2,0.3\n", 5),
+        pytest.param("voter,a,b\n\nr1,0.1,0.2\nr2,0.3," + "1" * 200_000 + "\n", 4, id="field-past-csv-limit"),
     ],
 )
 def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body, line):
@@ -113,3 +124,31 @@ def test_bad_step_after_blank_lines_reports_its_file_line(tmp_path):
     steps.write_text("strategy,x,cdf\n\na,0.5,1.0\n\n\na,zero,1.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=", line 6: "):
         read_ecdf_csv(str(steps))
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["voter,a,b\nr1,0.1,0.2\nr2,0.3,1.0\n", "strategy,x,cdf\na,0.1,0.5\na,0.3,1.0\nb,0.2,1.0\n"],
+    ids=["matrix", "steps"],
+)
+def test_plot_ecdf_reads_its_input_once(tmp_path, monkeypatch, body):
+    calls = []
+
+    def counted(path, what):
+        calls.append(what)
+        return read_rows(path, what)
+
+    read_rows = matrix_io.read_rows
+    monkeypatch.setattr(matrix_io, "read_rows", counted)
+    monkeypatch.setattr(cli, "read_rows", counted)
+    path = tmp_path / "input.csv"
+    path.write_text(body, encoding="utf-8")
+    assert main(["plot-ecdf", str(path), "--out", str(tmp_path / "plot.svg")]) == 0
+    assert calls == ["ECDF file"]
+
+
+def test_ecdf_reader_rejects_another_header(tmp_path):
+    matrix = tmp_path / "w3.csv"
+    matrix.write_text("voter,a,b\nr1,0.1,0.2\n", encoding="utf-8")
+    with pytest.raises(DataError, match="expected the ECDF header strategy,x,cdf, found 'voter,a,b'"):
+        read_ecdf_csv(str(matrix))
