@@ -28,20 +28,12 @@ from .matrix_io import (
     write_ecdf_csv,
     write_matrix_csv,
 )
-from .plots import render_ecdf_svg
-from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_area, ecdf_steps, elect, stochastic_dominance
+from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, SimulationError: 4}
 
 
-def _tie_break_choice(winners: tuple[str, ...], auc_by_name: dict[str, float]) -> str:
-    """Deterministic tie-break: lowest ECDF AUC, then lexicographic name."""
-    return min(winners, key=lambda name: (auc_by_name[name], name))
-
-
 def _selection_block(selections: dict[str, SelectionResult], col_labels: list[str], tie_break: bool) -> dict:
-    auc = selections[ECDF_AUC]
-    auc_by_name = dict(zip(col_labels, (float(v) for v in auc.criterion_values)))
     block = {
         "criteria": {
             system: {
@@ -53,9 +45,10 @@ def _selection_block(selections: dict[str, SelectionResult], col_labels: list[st
         "directions": {system: result.direction for system, result in selections.items()},
         "winners": {system: sorted(result.winners) for system, result in selections.items()},
     }
-    if tie_break:
+    if tie_break:  # deterministic: lowest ECDF AUC, then lexicographic name
+        auc_by_name = dict(zip(col_labels, (float(v) for v in selections[ECDF_AUC].criterion_values)))
         block["tie_break"] = {
-            system: _tie_break_choice(result.winners, auc_by_name)
+            system: min(result.winners, key=lambda name: (auc_by_name[name], name))
             for system, result in selections.items()
         }
     return block
@@ -76,40 +69,40 @@ def _dominance_block(w3: VotingMatrix) -> dict:
     return block
 
 
+def _output_dir(out_dir: str) -> Path:
+    """The --out directory, checked before any work: no existing part of its path may be a file."""
+    out = Path(out_dir)
+    blocker = next(part for part in (out, *out.parents) if part.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"cannot write --out {out_dir}: {blocker} exists and is not a directory")
+    return out
+
+
 def _write_report(
     out_dir: Path,
     fields: dict,
-    artifacts: dict[str, str],
     selections: dict[str, SelectionResult],
-    matrices: dict[str, VotingMatrix],
+    matrices: dict[str, AccuracyMatrix | VotingMatrix],
     tie_break: bool,
-    svg: bool,
 ) -> dict:
-    """Write w1-w3, the ECDF steps (and SVG) and report.json; return the report.
-
-    fields are the command's own report entries; artifacts names the files
-    the command wrote itself and is extended with the files written here.
-    """
-    artifacts = dict(artifacts)
-    for key, m in matrices.items():
-        write_matrix_csv(out_dir / f"{key}.csv", m.entries, m.row_labels, m.col_labels)
-        artifacts[key] = f"{key}.csv"
+    """Write each matrix as <key>.csv, w3's ECDF steps and report.json (fields: the command's own entries)."""
     w3 = matrices["w3"]
     steps = {name: ecdf_steps(w3.entries[:, j]) for j, name in enumerate(w3.col_labels)}
-    write_ecdf_csv(out_dir / "ecdf.csv", steps)
-    artifacts["ecdf"] = "ecdf.csv"
-    if svg:
-        aucs = dict(zip(w3.col_labels, (float(v) for v in selections[ECDF_AUC].criterion_values)))
-        (out_dir / "ecdf.svg").write_text(render_ecdf_svg(steps, aucs), encoding="utf-8")
-        artifacts["ecdf_svg"] = "ecdf.svg"
     report = {
         "version": __version__,
         **fields,
         **_selection_block(selections, w3.col_labels, tie_break),
         "dominance": _dominance_block(w3),
-        "artifacts": artifacts,
+        "artifacts": {key: f"{key}.csv" for key in (*matrices, "ecdf")},
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for key, m in matrices.items():
+            write_matrix_csv(out_dir / f"{key}.csv", m.entries, m.row_labels, m.col_labels)
+        write_ecdf_csv(out_dir / "ecdf.csv", steps)
+        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_dir}: {exc}") from exc
     return report
 
 
@@ -120,7 +113,6 @@ def cmd_run(
     seed: int | None = None,
     workers: int | None = None,
     tie_break: bool = False,
-    svg: bool = False,
 ) -> int:
     try:
         doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -138,13 +130,11 @@ def cmd_run(
     if workers is not None:
         config.parallelism = workers
     config.validate()
+    out = _output_dir(out_dir)
 
     output = run(config, load_csv(data_path, config.schema))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     matrix = output.accuracy_matrix
-    write_matrix_csv(out / "accuracy_matrix.csv", matrix.entries, matrix.row_labels, matrix.col_labels)
     fields = {
         "metadata": output.metadata,
         "final_predictions": {
@@ -156,10 +146,8 @@ def cmd_run(
         },
         "winner_accuracy": _winner_accuracy(matrix, set(output.final_predictions)),
     }
-    matrices = {"w1": output.w1, "w2": output.w2, "w3": output.w3}
-    report = _write_report(
-        out, fields, {"accuracy_matrix": "accuracy_matrix.csv"}, output.selections, matrices, tie_break, svg
-    )
+    matrices = {"accuracy_matrix": matrix, "w1": output.w1, "w2": output.w2, "w3": output.w3}
+    report = _write_report(out, fields, output.selections, matrices, tie_break)
     print(f"run complete: winners {report['winners']}; artifacts in {out}")
     return 0
 
@@ -176,14 +164,13 @@ def _winner_accuracy(matrix: AccuracyMatrix, winner_names: set[str]) -> dict:
     return out
 
 
-def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False, svg: bool = False) -> int:
+def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False) -> int:
     entries, row_labels, col_labels = read_matrix_csv(matrix_path)
     if entries.shape[1] < 2:
         raise DataError(f"{matrix_path}: need at least two strategy columns")
+    out = _output_dir(out_dir)
     selections, matrices = elect(AccuracyMatrix(entries=entries, row_labels=row_labels, col_labels=col_labels))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fields = {
         "metadata": {
             "source_matrix": str(matrix_path),
@@ -191,12 +178,15 @@ def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False, svg: bool 
             "columns": int(entries.shape[1]),
         },
     }
-    report = _write_report(out, fields, {}, selections, matrices, tie_break, svg)
+    report = _write_report(out, fields, selections, matrices, tie_break)
     print(f"vote complete: winners {report['winners']}; artifacts in {out}")
     return 0
 
 
 def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
+    # imported here so that run and vote, which draw nothing, never load the renderer
+    from .plots import render_ecdf_svg
+
     table = read_rows(input_path, "ECDF file")
     if table[0] == ECDF_HEADER:
         steps = parse_ecdf(input_path, *table)
@@ -205,9 +195,11 @@ def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
         if np.any(entries < 0) or np.any(entries > 1):
             raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
         steps = {name: ecdf_steps(entries[:, j]) for j, name in enumerate(col_labels)}
-    aucs = {name: ecdf_area(xs, cdf) for name, (xs, cdf) in steps.items()}
-    Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_svg).write_text(render_ecdf_svg(steps, aucs), encoding="utf-8")
+    try:
+        Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
+        Path(out_svg).write_text(render_ecdf_svg(steps), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_svg}: {exc}") from exc
     print(f"wrote {out_svg} ({len(steps)} curves)")
     return 0
 
@@ -227,13 +219,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the configured master seed")
     p_run.add_argument("--workers", type=int, default=None, help="override the configured worker count")
     p_run.add_argument("--tie-break", action="store_true", help="add a deterministic tie-break to the report")
-    p_run.add_argument("--svg", action="store_true", help="also write ecdf.svg")
 
     p_vote = sub.add_parser("vote", help="re-run the four voting systems on a saved accuracy matrix")
     p_vote.add_argument("matrix", help="labeled accuracy matrix CSV")
     p_vote.add_argument("--out", required=True, help="output directory")
     p_vote.add_argument("--tie-break", action="store_true", help="add a deterministic tie-break to the report")
-    p_vote.add_argument("--svg", action="store_true", help="also write ecdf.svg")
 
     p_plot = sub.add_parser("plot-ecdf", help="render ECDF step curves to a standalone SVG")
     p_plot.add_argument("input", help="scaled voting matrix CSV (w3) or ECDF step CSV")
@@ -245,12 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(
-                args.config, args.data, args.out,
-                seed=args.seed, workers=args.workers, tie_break=args.tie_break, svg=args.svg,
-            )
+            return cmd_run(args.config, args.data, args.out, args.seed, args.workers, args.tie_break)
         if args.command == "vote":
-            return cmd_vote(args.matrix, args.out, tie_break=args.tie_break, svg=args.svg)
+            return cmd_vote(args.matrix, args.out, tie_break=args.tie_break)
         return cmd_plot_ecdf(args.input, args.out)
     except PredvoteError as exc:
         code = next((c for t, c in _EXIT_CODES.items() if isinstance(exc, t)), 1)

@@ -19,23 +19,24 @@ from .errors import DataError
 ECDF_HEADER = ["strategy", "x", "cdf"]
 
 
-def read_rows(path, what: str) -> tuple[list[str], list[list[str]], range | list[int]]:
-    """(first non-blank record, the non-blank ones after it, their 1-based file record numbers); what names the file."""
+def read_rows(path, what: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """(first non-blank record, the non-blank ones after it, the file line each starts on); what names the file."""
+    rows, lines, start = [], [], 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1  # a quoted field may span lines
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {what} {path}: not UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:
         raise DataError(f"cannot read {what} {path}, line {reader.line_num}: {exc}") from exc
-    numbers = range(1, len(rows) + 1)
-    if [] in rows:  # numbers stay a range, with nothing stored per record, unless a blank record is skipped
-        numbers = [number for number, row in zip(numbers, rows) if row]
-        rows = [row for row in rows if row]
-    return (rows.pop(0) if rows else []), rows, numbers[1:]
+    return (rows.pop(0) if rows else []), rows, lines[1:]
 
 
 def write_rows(path, rows) -> None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .voting import ecdf_area
+
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
     "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
@@ -33,8 +35,8 @@ def _step_path(xs: np.ndarray, cdf: np.ndarray) -> str:
     return " ".join(parts)
 
 
-def render_ecdf_svg(steps: dict[str, tuple[np.ndarray, np.ndarray]], aucs: dict[str, float]) -> str:
-    """One SVG with a unit-square step curve per strategy, legend with AUC labels."""
+def render_ecdf_svg(steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
+    """One SVG with a unit-square step curve per strategy, legend with each curve's ecdf_area."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -73,7 +75,7 @@ def render_ecdf_svg(steps: dict[str, tuple[np.ndarray, np.ndarray]], aucs: dict[
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="3"/>'
         )
         lines.append(
-            f'<text x="{lx + 28}" y="{ly}">{name} (AUC={aucs[name]:.3f})</text>'
+            f'<text x="{lx + 28}" y="{ly}">{name} (AUC={ecdf_area(xs, cdf):.3f})</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines)

@@ -70,12 +70,32 @@ class TestCmdRun:
         assert report["final_predictions"]
         assert "tie_break" not in report
 
-    def test_svg_flag_adds_seventh_file(self, workspace):
+    def test_plot_ecdf_draws_the_run_curves_from_either_file(self, workspace, capsys):
+        # a run writes no SVG; plot-ecdf draws the same one from its step file and from its w3 matrix
         tmp, config, data = workspace
-        out = tmp / "out_svg"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out), "--svg"]) == 0
-        assert {p.name for p in out.iterdir()} == RUN_FILES | {"ecdf.svg"}
-        assert "<svg" in (out / "ecdf.svg").read_text()
+        out = tmp / "out"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == RUN_FILES
+        svgs = [tmp / "steps.svg", tmp / "w3.svg"]
+        for source, svg in zip(("ecdf.csv", "w3.csv"), svgs):
+            assert main(["plot-ecdf", str(out / source), "--out", str(svg)]) == 0
+        assert "<svg" in svgs[0].read_text()
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x"), "--svg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    def test_unusable_out_exits_2_before_the_data_is_read(self, workspace, capsys):
+        # the data path does not exist, so exit 2 shows that --out was checked first
+        tmp, config, _ = workspace
+        afile = tmp / "afile"
+        afile.write_text("kept", encoding="utf-8")
+        for out in (afile, afile / "sub"):
+            assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
+            assert f"cannot write --out {out}: {afile} exists and is not a directory" in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "kept"
 
     def test_single_strategy_config_exits_2(self, workspace, capsys):
         tmp, config, data = workspace
@@ -289,6 +309,20 @@ class TestCmdVote:
     def test_missing_matrix_exits_3(self, tmp_path):
         assert main(["vote", str(tmp_path / "none.csv"), "--out", str(tmp_path / "out")]) == 3
 
+    def test_unusable_out_exits_2(self, tmp_path, capsys):
+        matrix_path = tmp_path / "a.csv"
+        self.write_reference_matrix(str(matrix_path))
+        afile = tmp_path / "afile"
+        afile.write_text("kept", encoding="utf-8")
+        assert main(["vote", str(matrix_path), "--out", str(afile)]) == 2
+        assert f"cannot write --out {afile}: {afile} exists and is not a directory" in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "kept"
+        # an output that cannot be written once the directory exists is the same error
+        out = tmp_path / "out"
+        (out / "w1.csv").mkdir(parents=True)
+        assert main(["vote", str(matrix_path), "--out", str(out)]) == 2
+        assert f"cannot write --out {out}: " in capsys.readouterr().err
+
 
 class TestPipelineIdempotence:
     def test_vote_on_emitted_matrix_reproduces_run(self, workspace):
@@ -362,6 +396,16 @@ class TestPlotEcdf:
         assert "column label 'a' is repeated" in capsys.readouterr().err
         assert not svg.exists()
 
+    def test_unusable_out_exits_2(self, tmp_path, capsys):
+        w3 = tmp_path / "w3.csv"
+        write_matrix_csv(str(w3), np.array([[0.0, 1.0]]), ["r1"], ["a", "b"])
+        afile = tmp_path / "afile"
+        afile.write_text("kept", encoding="utf-8")
+        for svg in (afile / "x.svg", tmp_path):
+            assert main(["plot-ecdf", str(w3), "--out", str(svg)]) == 2
+            assert f"cannot write --out {svg}: " in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "kept"
+
     def test_accepts_ecdf_step_input(self, tmp_path):
         steps = {"a": (np.array([0.2, 0.8]), np.array([0.5, 1.0]))}
         path = tmp_path / "ecdf.csv"
@@ -394,14 +438,21 @@ class TestPlotEcdf:
         assert not svg.exists()
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # a serial run never uses the pool, so importing the CLI must not load multiprocessing
+def loaded_by_cli_import(modules):
+    """The given modules that a fresh `import predvote.cli` loads."""
     src = str(Path(predvote.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = (
-        "import sys, predvote.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
-    )
+    code = f"import sys, predvote.cli; print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a serial run never uses the pool, so importing the CLI must not load multiprocessing
+    assert loaded_by_cli_import(["multiprocessing", "concurrent.futures.process"]) == "[]"
+
+
+def test_cli_import_leaves_the_svg_renderer_unloaded():
+    # only plot-ecdf draws, so run and vote never load predvote.plots
+    assert loaded_by_cli_import(["predvote.plots"]) == "[]"

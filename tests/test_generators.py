@@ -333,7 +333,8 @@ class TestQuartiles:
             "from predvote.cli import main\n"
             "from predvote.dataset import write_portfolio_csv\n"
             "write_portfolio_csv('data.csv', 80, 30, 1)\n"
-            "code = main(['run', '--config', 'config.json', '--data', 'data.csv', '--out', 'out', '--svg', '--workers', '1'])\n"
+            "code = main(['run', '--config', 'config.json', '--data', 'data.csv', '--out', 'out', '--workers', '1'])\n"
+            "code += main(['plot-ecdf', 'out/ecdf.csv', '--out', 'out/ecdf.svg'])\n"
             "print(code, 'numpy.ma' in sys.modules)\n"
         )
         done = subprocess.run(

@@ -110,6 +110,7 @@ def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, error, k
         ("\nvoter,a,b\n\n\nr1,0.1,0.2,9\n", 5),
         ("voter,a,b\n\nr1,0.1,0.2\n\nr2,0.3\n", 5),
         pytest.param("voter,a,b\n\nr1,0.1,0.2\nr2,0.3," + "1" * 200_000 + "\n", 4, id="field-past-csv-limit"),
+        pytest.param('voter,a,b\n"r\n1",0.1,0.2\nr2,0.3,oops\n', 4, id="multi-line-label"),
     ],
 )
 def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body, line):
@@ -123,6 +124,14 @@ def test_bad_step_after_blank_lines_reports_its_file_line(tmp_path):
     steps = tmp_path / "ecdf.csv"
     steps.write_text("strategy,x,cdf\n\na,0.5,1.0\n\n\na,zero,1.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=", line 6: "):
+        read_ecdf_csv(str(steps))
+
+
+def test_bad_step_after_a_multi_line_label_reports_its_file_line(tmp_path):
+    # a quoted label spans two file lines, so the bad step sits on line 5, not on record 4
+    steps = tmp_path / "ecdf.csv"
+    steps.write_text('strategy,x,cdf\n"two\nlines",0.5,1.0\nb,0.2,0.5\nb,zero,1.0\n', encoding="utf-8")
+    with pytest.raises(DataError, match=", line 5: "):
         read_ecdf_csv(str(steps))
 
 
