@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
 failure (fit-failure ceiling breached, a winner refit failed, a Gamma
-generator mean not positive, or a non-finite simulated population).
+generator mean not positive, or a non-finite simulated population or
+characteristic of one).
 """
 
 from __future__ import annotations
@@ -19,22 +20,16 @@ from .accuracy import AccuracyMatrix
 from .dataset import load_csv
 from .engine import config_from_dict, run
 from .errors import ConfigError, DataError, PredvoteError, SimulationError
-from .matrix_io import (
-    ECDF_HEADER,
-    parse_ecdf,
-    parse_matrix,
-    read_matrix_csv,
-    read_rows,
-    write_ecdf_csv,
-    write_matrix_csv,
-)
+from .matrix_io import read_matrix_csv, write_ecdf_csv, write_matrix_csv
 from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, SimulationError: 4}
 
 
-def _selection_block(selections: dict[str, SelectionResult], col_labels: list[str], tie_break: bool) -> dict:
-    block = {
+def _selection_block(selections: dict[str, SelectionResult], col_labels: list[str]) -> dict:
+    """Each system's criteria and full winner set, and a deterministic tie-break: lowest ECDF AUC, then name."""
+    auc_by_name = dict(zip(col_labels, (float(v) for v in selections[ECDF_AUC].criterion_values)))
+    return {
         "criteria": {
             system: {
                 name: round(float(v), 3)
@@ -44,14 +39,11 @@ def _selection_block(selections: dict[str, SelectionResult], col_labels: list[st
         },
         "directions": {system: result.direction for system, result in selections.items()},
         "winners": {system: sorted(result.winners) for system, result in selections.items()},
-    }
-    if tie_break:  # deterministic: lowest ECDF AUC, then lexicographic name
-        auc_by_name = dict(zip(col_labels, (float(v) for v in selections[ECDF_AUC].criterion_values)))
-        block["tie_break"] = {
+        "tie_break": {
             system: min(result.winners, key=lambda name: (auc_by_name[name], name))
             for system, result in selections.items()
-        }
-    return block
+        },
+    }
 
 
 def _dominance_block(w3: VotingMatrix) -> dict:
@@ -83,7 +75,6 @@ def _write_report(
     fields: dict,
     selections: dict[str, SelectionResult],
     matrices: dict[str, AccuracyMatrix | VotingMatrix],
-    tie_break: bool,
 ) -> dict:
     """Write each matrix as <key>.csv, w3's ECDF steps and report.json (fields: the command's own entries)."""
     w3 = matrices["w3"]
@@ -91,7 +82,7 @@ def _write_report(
     report = {
         "version": __version__,
         **fields,
-        **_selection_block(selections, w3.col_labels, tie_break),
+        **_selection_block(selections, w3.col_labels),
         "dominance": _dominance_block(w3),
         "artifacts": {key: f"{key}.csv" for key in (*matrices, "ecdf")},
     }
@@ -112,7 +103,6 @@ def cmd_run(
     out_dir: str,
     seed: int | None = None,
     workers: int | None = None,
-    tie_break: bool = False,
 ) -> int:
     try:
         doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -147,7 +137,7 @@ def cmd_run(
         "winner_accuracy": _winner_accuracy(matrix, set(output.final_predictions)),
     }
     matrices = {"accuracy_matrix": matrix, "w1": output.w1, "w2": output.w2, "w3": output.w3}
-    report = _write_report(out, fields, output.selections, matrices, tie_break)
+    report = _write_report(out, fields, output.selections, matrices)
     print(f"run complete: winners {report['winners']}; artifacts in {out}")
     return 0
 
@@ -164,7 +154,7 @@ def _winner_accuracy(matrix: AccuracyMatrix, winner_names: set[str]) -> dict:
     return out
 
 
-def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False) -> int:
+def cmd_vote(matrix_path: str, out_dir: str) -> int:
     entries, row_labels, col_labels = read_matrix_csv(matrix_path)
     if entries.shape[1] < 2:
         raise DataError(f"{matrix_path}: need at least two strategy columns")
@@ -178,7 +168,7 @@ def cmd_vote(matrix_path: str, out_dir: str, tie_break: bool = False) -> int:
             "columns": int(entries.shape[1]),
         },
     }
-    report = _write_report(out, fields, selections, matrices, tie_break)
+    report = _write_report(out, fields, selections, matrices)
     print(f"vote complete: winners {report['winners']}; artifacts in {out}")
     return 0
 
@@ -187,14 +177,10 @@ def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
     # imported here so that run and vote, which draw nothing, never load the renderer
     from .plots import render_ecdf_svg
 
-    table = read_rows(input_path, "ECDF file")
-    if table[0] == ECDF_HEADER:
-        steps = parse_ecdf(input_path, *table)
-    else:
-        entries, _, col_labels = parse_matrix(input_path, *table)
-        if np.any(entries < 0) or np.any(entries > 1):
-            raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
-        steps = {name: ecdf_steps(entries[:, j]) for j, name in enumerate(col_labels)}
+    entries, _, col_labels = read_matrix_csv(input_path)
+    if np.any(entries < 0) or np.any(entries > 1):
+        raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
+    steps = {name: ecdf_steps(entries[:, j]) for j, name in enumerate(col_labels)}
     try:
         Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
         Path(out_svg).write_text(render_ecdf_svg(steps), encoding="utf-8")
@@ -218,15 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the configured master seed")
     p_run.add_argument("--workers", type=int, default=None, help="override the configured worker count")
-    p_run.add_argument("--tie-break", action="store_true", help="add a deterministic tie-break to the report")
 
     p_vote = sub.add_parser("vote", help="re-run the four voting systems on a saved accuracy matrix")
     p_vote.add_argument("matrix", help="labeled accuracy matrix CSV")
     p_vote.add_argument("--out", required=True, help="output directory")
-    p_vote.add_argument("--tie-break", action="store_true", help="add a deterministic tie-break to the report")
 
     p_plot = sub.add_parser("plot-ecdf", help="render ECDF step curves to a standalone SVG")
-    p_plot.add_argument("input", help="scaled voting matrix CSV (w3) or ECDF step CSV")
+    p_plot.add_argument("input", help="scaled voting matrix CSV (the w3.csv of run or vote)")
     p_plot.add_argument("--out", required=True, help="output SVG file")
     return parser
 
@@ -235,9 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.data, args.out, args.seed, args.workers, args.tie_break)
+            return cmd_run(args.config, args.data, args.out, args.seed, args.workers)
         if args.command == "vote":
-            return cmd_vote(args.matrix, args.out, tie_break=args.tie_break)
+            return cmd_vote(args.matrix, args.out)
         return cmd_plot_ecdf(args.input, args.out)
     except PredvoteError as exc:
         code = next((c for t, c in _EXIT_CODES.items() if isinstance(exc, t)), 1)

@@ -100,35 +100,35 @@ class StudyFrame:
         return np.vstack([self.x_sample, self.x_out])
 
 
-def _parse_flag(token: str, column: str, index: int) -> bool:
+def _parse_flag(token: str, column: str, line: int) -> bool:
     t = token.strip().lower()
     if t in _TRUE_TOKENS:
         return True
     if t in _FALSE_TOKENS:
         return False
-    raise DataError(f"column {column!r}, row {index}: sample flag must be binary (0/1/true/false), got {token!r}")
+    raise DataError(f"line {line}, column {column!r}: sample flag must be binary (0/1/true/false), got {token!r}")
 
 
-def _parse_number(token: str, column: str, index: int) -> float:
+def _parse_number(token: str, column: str, line: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise DataError(f"column {column!r}, row {index}: cannot parse {token!r} as a number") from None
+        raise DataError(f"line {line}, column {column!r}: cannot parse {token!r} as a number") from None
     if not math.isfinite(value):
-        raise DataError(f"column {column!r}, row {index}: non-finite value {token!r}")
+        raise DataError(f"line {line}, column {column!r}: non-finite value {token!r}")
     return value
 
 
-def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema) -> StudyFrame:
+def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema, lines: list[int]) -> StudyFrame:
     """Encode raw string columns, one equal-length list per schema column, into a StudyFrame.
 
     Sample/out rows are split by the schema's flag column. Categorical
     covariates are dummy-coded with the alphabetically first sample-observed
     level dropped; a level appearing only in the out-of-sample block is an
     error. Response cells on out-of-sample rows are ignored with a warning.
-    Row indices in error messages are 1-based data rows.
+    lines holds each row's file line, which error messages name.
     """
-    flags = [_parse_flag(token, schema.sample_flag, i + 1) for i, token in enumerate(columns[schema.sample_flag])]
+    flags = [_parse_flag(token, schema.sample_flag, line) for token, line in zip(columns[schema.sample_flag], lines)]
     if not flags:
         raise DataError("no data rows")
     sample_idx = [i for i, f in enumerate(flags) if f]
@@ -138,7 +138,7 @@ def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema) -> Study
     if not out_idx:
         raise DataError("no rows flagged as out-of-sample")
 
-    y = np.array([_parse_number(columns[schema.response][i], schema.response, i + 1) for i in sample_idx])
+    y = np.array([_parse_number(columns[schema.response][i], schema.response, lines[i]) for i in sample_idx])
     ignored = sum(1 for i in out_idx if columns[schema.response][i].strip())
     if ignored:
         warnings.warn(f"ignoring response values on {ignored} out-of-sample row(s)", stacklevel=2)
@@ -152,13 +152,14 @@ def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema) -> Study
         cells = columns[cov_name]
         if kind == NUMERIC:
             names.append(cov_name)
-            sample_cols.append(np.array([_parse_number(cells[i], cov_name, i + 1) for i in sample_idx]))
-            out_cols.append(np.array([_parse_number(cells[i], cov_name, i + 1) for i in out_idx]))
+            sample_cols.append(np.array([_parse_number(cells[i], cov_name, lines[i]) for i in sample_idx]))
+            out_cols.append(np.array([_parse_number(cells[i], cov_name, lines[i]) for i in out_idx]))
             continue
+        empty = next((line for cell, line in zip(cells, lines) if not cell.strip()), None)
+        if empty is not None:
+            raise DataError(f"line {empty}, column {cov_name!r}: empty categorical cell")
         sample_levels = [cells[i].strip() for i in sample_idx]
         out_levels = [cells[i].strip() for i in out_idx]
-        if "" in sample_levels or "" in out_levels:
-            raise DataError(f"column {cov_name!r}: empty categorical cell")
         levels = sorted(set(sample_levels))
         if len(levels) < 2:
             raise DataError(f"column {cov_name!r}: needs at least 2 levels in the sample block, found {levels}")
@@ -181,9 +182,12 @@ def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema) -> Study
 
 
 def load_csv(path: str, schema: ColumnSchema) -> StudyFrame:
-    """Load a headered CSV file and encode it according to the schema; blank lines are skipped."""
+    """Load a headered CSV file and encode it according to the schema; blank lines are skipped.
+
+    Every DataError message starts with the path.
+    """
     needed = [schema.response, schema.sample_flag, *(n for n, _ in schema.covariates)]
-    header, rows, _ = read_rows(path, "data file")
+    header, rows, lines = read_rows(path, "data file")
     missing = [c for c in needed if c not in header]
     if missing:
         raise DataError(f"{path}: missing column(s) {missing}")
@@ -192,29 +196,14 @@ def load_csv(path: str, schema: ColumnSchema) -> StudyFrame:
         raise DataError(f"{path}: column {repeated!r} is repeated in the header")
     position = {c: header.index(c) for c in needed}
     width = max(position.values()) + 1
-    for i, row in enumerate(rows):
+    for line, row in zip(lines, rows):
         if len(row) < width:
             short = next(c for c in needed if position[c] >= len(row))
-            raise DataError(f"column {short!r}, row {i + 1}: missing cell")
-    return encode_columns({c: [row[j] for row in rows] for c, j in position.items()}, schema)
-
-
-def write_csv(frame: StudyFrame, path: str) -> None:
-    """Serialize an encoded frame; floats use repr so reloading is exact."""
-    write_rows(path, [
-        ["response", *frame.column_names, "insample"],
-        *([*map(repr, row), "1"] for row in np.column_stack([frame.y_sample, frame.x_sample]).tolist()),
-        *(["", *map(repr, x), "0"] for x in frame.x_out.tolist()),
-    ])
-
-
-def encoded_schema(frame: StudyFrame) -> ColumnSchema:
-    """Schema describing a file produced by write_csv (all-numeric covariates)."""
-    return ColumnSchema(
-        response="response",
-        covariates=tuple((name, NUMERIC) for name in frame.column_names),
-        sample_flag="insample",
-    )
+            raise DataError(f"{path}: line {line}, column {short!r}: missing cell")
+    try:
+        return encode_columns({c: [row[j] for row in rows] for c, j in position.items()}, schema, lines)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # Synthetic motor-insurance portfolio. The category sets mirror a typical
@@ -281,7 +270,7 @@ def synthesize_portfolio(n: int, k: int, seed: int) -> StudyFrame:
     After reference coding the five categorical factors the frame has
     q = 1 + 2 + 1 + 1 + 2 = 7 columns.
     """
-    return encode_columns(_portfolio_columns(n, k, seed), portfolio_schema())
+    return encode_columns(_portfolio_columns(n, k, seed), portfolio_schema(), list(range(2, n + k + 2)))
 
 
 def write_portfolio_csv(path: str, n: int, k: int, seed: int) -> None:

@@ -122,7 +122,7 @@ class RunOutput:
     metadata: dict = field(default_factory=dict)
 
 
-def generator_label(index: int, spec: ModelSpec) -> str:
+def generator_label(index: int, spec: ModelSpec | Generator) -> str:
     return f"gen{index + 1}_{spec.family}"
 
 
@@ -152,10 +152,16 @@ class _Cells:
     characteristics: list[Characteristic]
     master_seed: int
 
+    @np.errstate(over="ignore")  # an overflow ends in a non-finite truth or prediction, checked below
     def block(
         self, generator: Generator, g: int, b_lo: int, b_hi: int
     ) -> tuple[int, int, np.ndarray, np.ndarray, dict[int, str]]:
-        """Error and mask slices of iterations b_lo..b_hi-1 (0-based) of generator g, and {p: p's first FitError}."""
+        """Error and mask slices of iterations b_lo..b_hi-1 (0-based) of generator g, and {p: p's first failure}.
+
+        A non-finite characteristic of the simulated population is a
+        SimulationError; a FitError or a non-finite plug-in prediction masks
+        its cell.
+        """
         n = self.frame.n
         count = b_hi - b_lo
         errors = np.zeros((count, len(self.characteristics), len(self.plans)))
@@ -164,10 +170,19 @@ class _Cells:
         for local_b in range(count):
             y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
             truth = np.array([eval_characteristic(c, y_gen) for c in self.characteristics])
+            bad = np.flatnonzero(~np.isfinite(truth))
+            if bad.size:
+                raise SimulationError(
+                    f"generator {generator_label(g, generator)!r}, iteration {b_lo + local_b + 1}: characteristic "
+                    f"{self.characteristics[bad[0]].name!r} of the simulated population is not finite"
+                )
             y_s_gen = y_gen[:n]
             for p, plan in enumerate(self.plans):
                 try:
                     predicted = plan.plug_in(self.frame, y_s_gen, self.characteristics)
+                    bad = np.flatnonzero(~np.isfinite(predicted))
+                    if bad.size:
+                        raise FitError(f"plug-in prediction of {self.characteristics[bad[0]].name!r} is not finite")
                 except FitError as exc:
                     mask[local_b, p] = True
                     reasons.setdefault(p, str(exc))

@@ -2,10 +2,9 @@
 
 read_rows and write_rows are the only places a CSV file is opened. Every
 file is UTF-8; blank records are skipped on reading, and a file that
-cannot be opened, decoded or parsed raises DataError. The parse_*
-functions take read_rows' output. Numbers are written with repr, which
-round-trips doubles exactly, so a reloaded matrix equals the in-memory one
-bit for bit.
+cannot be opened, decoded or parsed raises DataError. Numbers are written
+with repr, which round-trips doubles exactly, so a reloaded matrix equals
+the in-memory one bit for bit. ECDF step files are written, never read.
 """
 
 from __future__ import annotations
@@ -53,12 +52,10 @@ def write_matrix_csv(path: str, entries: np.ndarray, row_labels: list, col_label
 
 
 def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
-    """Read a labeled matrix; returns (entries, row_labels, col_labels)."""
-    return parse_matrix(path, *read_rows(path, "matrix file"))
-
-
-def parse_matrix(path, header: list[str], rows: list[list[str]], lines) -> tuple[np.ndarray, list[str], list[str]]:
-    """A labeled matrix from read_rows' output for path; returns (entries, row_labels, col_labels)."""
+    """Read a labeled matrix; returns (entries, row_labels, col_labels). An ECDF step file is refused."""
+    header, rows, lines = read_rows(path, "matrix file")
+    if header == ECDF_HEADER:
+        raise DataError(f"{path}: an ECDF step file ({','.join(ECDF_HEADER)}), not a labeled matrix")
     if not rows or len(header) < 2:
         raise DataError(f"{path}: expected a header row plus at least one labeled data row")
     col_labels = header[1:]
@@ -85,39 +82,3 @@ def write_ecdf_csv(path: str, steps: dict[str, tuple[np.ndarray, np.ndarray]]) -
     """Long-format ECDF jump points: one (strategy, x, cdf) row per step."""
     body = ([name, repr(float(x)), repr(float(f))] for name, (xs, cdf) in steps.items() for x, f in zip(xs, cdf))
     write_rows(path, [ECDF_HEADER, *body])
-
-
-def read_ecdf_csv(path: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read ECDF step curves; returns {strategy: (jump points, levels)}."""
-    return parse_ecdf(path, *read_rows(path, "ECDF file"))
-
-
-def parse_ecdf(path, header: list[str], rows: list[list[str]], lines) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """ECDF step curves from read_rows' output for path.
-
-    The header must be strategy,x,cdf. Every curve's jump points and levels
-    must lie in [0, 1] and be nondecreasing, and its last level must be 1.
-    """
-    if header != ECDF_HEADER:
-        raise DataError(f"{path}: expected the ECDF header {','.join(ECDF_HEADER)}, found {','.join(header)!r}")
-    collected: dict[str, list[tuple[float, float]]] = {}
-    for line, row in zip(lines, rows):
-        if len(row) != 3:
-            raise DataError(f"{path}, line {line}: expected 3 cells")
-        try:
-            collected.setdefault(row[0], []).append((float(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise DataError(f"{path}, line {line}: {exc}") from exc
-    if not collected:
-        raise DataError(f"{path}: ECDF step file has no steps")
-    steps = {}
-    for name, pairs in collected.items():
-        xs, cdf = np.array(pairs).T
-        if not np.all((xs >= 0) & (xs <= 1) & (cdf >= 0) & (cdf <= 1)):
-            raise DataError(f"{path}: ECDF steps of {name!r} must lie in [0, 1]")
-        if np.any(np.diff(xs) < 0) or np.any(np.diff(cdf) < 0):
-            raise DataError(f"{path}: ECDF steps of {name!r} must be nondecreasing")
-        if cdf[-1] != 1.0:
-            raise DataError(f"{path}: ECDF of {name!r} must end at level 1, not {cdf[-1]!r}")
-        steps[name] = (xs, cdf)
-    return steps

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from predvote.dataset import StudyFrame
+from predvote.dataset import NUMERIC, ColumnSchema, StudyFrame
+from predvote.matrix_io import write_rows
 
 
 @pytest.fixture
@@ -38,3 +39,17 @@ def make_positive_frame(n: int = 60, k: int = 12, seed: int = 0, noise: float = 
 @pytest.fixture
 def positive_frame() -> StudyFrame:
     return make_positive_frame()
+
+
+def write_frame_csv(frame: StudyFrame, path) -> ColumnSchema:
+    """Write an encoded frame as a data CSV with repr floats, so load_csv reloads it exactly; return its schema."""
+    write_rows(path, [
+        ["response", *frame.column_names, "insample"],
+        *([*map(repr, row), "1"] for row in np.column_stack([frame.y_sample, frame.x_sample]).tolist()),
+        *(["", *map(repr, x), "0"] for x in frame.x_out.tolist()),
+    ])
+    return ColumnSchema(
+        response="response",
+        covariates=tuple((name, NUMERIC) for name in frame.column_names),
+        sample_flag="insample",
+    )

@@ -10,10 +10,10 @@ import time
 import numpy as np
 
 import reference_fixture as ref
-from conftest import make_positive_frame
+from conftest import make_positive_frame, write_frame_csv
 from predvote.accuracy import Measure, qape
 from predvote.cli import main
-from predvote.dataset import StudyFrame, encoded_schema, write_csv
+from predvote.dataset import StudyFrame
 from predvote.engine import RunConfig, run
 from predvote.matrix_io import read_matrix_csv, write_matrix_csv
 from predvote.models import ModelSpec, fit
@@ -80,8 +80,7 @@ def test_criterion_1_row_transform_fidelity(tmp_path):
 def test_criterion_2_dimension_fidelity(tmp_path):
     frame = make_positive_frame(n=60, k=10, seed=17, noise=0.08)
     data_path = tmp_path / "data.csv"
-    write_csv(frame, str(data_path))
-    schema = encoded_schema(frame)
+    schema = write_frame_csv(frame, str(data_path))
     families = [
         {"family": "ols_normal"},
         {"family": "lognormal"},
@@ -195,8 +194,7 @@ def test_criterion_5_qape_normal_oracle():
 def test_criterion_6_worker_determinism(tmp_path):
     frame = make_positive_frame(n=50, k=10, seed=66, noise=0.2)
     data_path = tmp_path / "data.csv"
-    write_csv(frame, str(data_path))
-    schema = encoded_schema(frame)
+    schema = write_frame_csv(frame, str(data_path))
     config = {
         "schema": {
             "response": schema.response,
@@ -299,7 +297,7 @@ def test_criterion_9_report_format_fixture(tmp_path):
     matrix_path = tmp_path / "fixture.csv"
     write_matrix_csv(str(matrix_path), matrix, labels, names)
     out = tmp_path / "out"
-    code = main(["vote", str(matrix_path), "--out", str(out), "--tie-break"])
+    code = main(["vote", str(matrix_path), "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
 
     systems = ["fptp", "positional", "evaluative", "ecdf_auc"]
@@ -313,5 +311,5 @@ def test_criterion_9_report_format_fixture(tmp_path):
         9,
         ok,
         f"four-system criterion table complete; positional co-winners {cowinners} "
-        f"surfaced untied unless --tie-break ({report['tie_break']['positional']})",
+        f"surfaced in full next to the recorded tie-break ({report['tie_break']['positional']})",
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -12,14 +13,24 @@ import predvote
 import reference_fixture as ref
 from predvote.cli import main
 from predvote.dataset import write_portfolio_csv
-from predvote.matrix_io import (
-    read_ecdf_csv,
-    read_matrix_csv,
-    write_ecdf_csv,
-    write_matrix_csv,
-)
+from predvote.matrix_io import read_matrix_csv, write_matrix_csv
 
 RUN_FILES = {"accuracy_matrix.csv", "w1.csv", "w2.csv", "w3.csv", "ecdf.csv", "report.json"}
+SYSTEMS = {"fptp", "positional", "evaluative", "ecdf_auc"}
+# SHA-256 of the SVG that plot-ecdf drew from the workspace run's ecdf.csv step file, when it still read one
+WORKSPACE_PLOT_SHA256 = "0443c0f2ac00573d17661fbea910ed97cac5eaea7f8fe35a82cd43a6f610ffda"
+
+
+def assert_tie_break_block(report):
+    """The report names one tie-break choice per voting system, among that system's winners."""
+    assert set(report["tie_break"]) == SYSTEMS
+    for system, chosen in report["tie_break"].items():
+        assert chosen in report["winners"][system]
+
+
+def assert_step_file_refused(argv, capsys):
+    assert main(argv) == 3
+    assert "an ECDF step file (strategy,x,cdf), not a labeled matrix" in capsys.readouterr().err
 
 
 def minimal_config(**overrides):
@@ -65,26 +76,27 @@ class TestCmdRun:
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
         assert {p.name for p in out.iterdir()} == RUN_FILES
         report = json.loads((out / "report.json").read_text())
-        assert set(report["criteria"]) == {"fptp", "positional", "evaluative", "ecdf_auc"}
-        assert set(report["winners"]) == {"fptp", "positional", "evaluative", "ecdf_auc"}
+        assert set(report["criteria"]) == SYSTEMS
+        assert set(report["winners"]) == SYSTEMS
         assert report["final_predictions"]
-        assert "tie_break" not in report
 
-    def test_plot_ecdf_draws_the_run_curves_from_either_file(self, workspace, capsys):
-        # a run writes no SVG; plot-ecdf draws the same one from its step file and from its w3 matrix
+    def test_plot_ecdf_draws_the_run_curves_from_w3_only(self, workspace, capsys):
+        # a run writes no SVG; plot-ecdf draws, from the w3 matrix, the bytes it once drew from the step file
         tmp, config, data = workspace
         out = tmp / "out"
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
         assert {p.name for p in out.iterdir()} == RUN_FILES
-        svgs = [tmp / "steps.svg", tmp / "w3.svg"]
-        for source, svg in zip(("ecdf.csv", "w3.csv"), svgs):
-            assert main(["plot-ecdf", str(out / source), "--out", str(svg)]) == 0
-        assert "<svg" in svgs[0].read_text()
-        assert svgs[0].read_bytes() == svgs[1].read_bytes()
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x"), "--svg"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        svg = tmp / "w3.svg"
+        assert main(["plot-ecdf", str(out / "w3.csv"), "--out", str(svg)]) == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == WORKSPACE_PLOT_SHA256
+        capsys.readouterr()
+        assert_step_file_refused(["plot-ecdf", str(out / "ecdf.csv"), "--out", str(tmp / "steps.svg")], capsys)
+        assert not (tmp / "steps.svg").exists()
+        for option in ("--svg", "--tie-break"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x"), option])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not (tmp / "x").exists()
 
     def test_unusable_out_exits_2_before_the_data_is_read(self, workspace, capsys):
@@ -168,6 +180,38 @@ class TestCmdRun:
         named = re.findall(rf"gen\d+_\w+ × (?:{strategies}) \(\d+\.\d\d%: [^)]+\)", err)
         assert code == 4 and named and len(named) == err.count(" × "), err
 
+    def test_overflowing_characteristic_exits_4(self, tmp_path):
+        # the simulated population's total overflows to inf; every draw is finite
+        rng = np.random.default_rng(0)
+        y = np.exp(707 + 0.3 * rng.standard_normal(40))
+        sample = [f"{v!r},{i % 2},1" for i, v in enumerate(y.tolist())]
+        lines = ["y,x,insample", *sample, *(f",{i % 2},0" for i in range(10))]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = minimal_config(
+            schema={"response": "y", "sample_flag": "insample", "covariates": [{"name": "x", "kind": "numeric"}]},
+            generators=[{"family": "lognormal"}],
+            strategies=[{"family": "lognormal"}, {"family": "knn", "hyperparams": {"k_neighbors": 3}}],
+            iterations=4,
+        )
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        src = str(Path(predvote.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        errors = []
+        for workers in ("1", "2"):
+            done = subprocess.run(
+                [
+                    sys.executable, "-c", "import sys; from predvote.cli import main; sys.exit(main(sys.argv[1:]))",
+                    "run", "--config", "config.json", "--data", "data.csv", "--out", "out", "--workers", workers,
+                ],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 4, done.stderr
+            errors.append(done.stderr)
+        assert errors[0] == errors[1] == (
+            "error: generator 'gen1_lognormal', iteration 1: "
+            "characteristic 'total' of the simulated population is not finite\n"
+        )
+
     def test_missing_config_exits_2(self, workspace):
         tmp, _, data = workspace
         assert main(["run", "--config", str(tmp / "nope.json"), "--data", str(data), "--out", str(tmp / "x")]) == 2
@@ -217,16 +261,11 @@ class TestCmdRun:
             ]) == 0
         assert (tmp / "w1_" / "accuracy_matrix.csv").read_bytes() == (tmp / "w8_" / "accuracy_matrix.csv").read_bytes()
 
-    def test_tie_break_block_present_when_requested(self, workspace):
+    def test_tie_break_block_always_present(self, workspace):
         tmp, config, data = workspace
         out = tmp / "tb"
-        assert main([
-            "run", "--config", str(config), "--data", str(data), "--out", str(out), "--tie-break",
-        ]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert set(report["tie_break"]) == {"fptp", "positional", "evaluative", "ecdf_auc"}
-        for system, chosen in report["tie_break"].items():
-            assert chosen in report["winners"][system]
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
+        assert_tie_break_block(json.loads((out / "report.json").read_text()))
 
     def test_winner_accuracy_traceable_to_matrix(self, workspace):
         tmp, config, data = workspace
@@ -302,8 +341,30 @@ class TestCmdVote:
         matrix_path = tmp_path / "dup.csv"
         matrix_path.write_text("voter,a,a,b\nr1,0.1,0.2,0.3\nr2,0.3,0.2,0.1\nr3,0.2,0.1,0.3\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["vote", str(matrix_path), "--out", str(out), "--tie-break"]) == 3
+        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
         assert "column label 'a' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tie_break_block_always_present(self, tmp_path, capsys):
+        matrix_path = tmp_path / "a.csv"
+        self.write_reference_matrix(str(matrix_path))
+        out = tmp_path / "out"
+        assert main(["vote", str(matrix_path), "--out", str(out)]) == 0
+        assert_tie_break_block(json.loads((out / "report.json").read_text()))
+        with pytest.raises(SystemExit) as exc:
+            main(["vote", str(matrix_path), "--out", str(tmp_path / "x"), "--tie-break"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tie-break" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_ecdf_step_file_exits_3(self, workspace, capsys):
+        # read as a 2-column matrix, the run's step file would elect a strategy named 'cdf'
+        tmp, config, data = workspace
+        run_out = tmp / "run_out"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+        out = tmp / "vote_out"
+        assert_step_file_refused(["vote", str(run_out / "ecdf.csv"), "--out", str(out)], capsys)
         assert not out.exists()
 
     def test_missing_matrix_exits_3(self, tmp_path):
@@ -405,37 +466,6 @@ class TestPlotEcdf:
             assert main(["plot-ecdf", str(w3), "--out", str(svg)]) == 2
             assert f"cannot write --out {svg}: " in capsys.readouterr().err
         assert afile.read_text(encoding="utf-8") == "kept"
-
-    def test_accepts_ecdf_step_input(self, tmp_path):
-        steps = {"a": (np.array([0.2, 0.8]), np.array([0.5, 1.0]))}
-        path = tmp_path / "ecdf.csv"
-        write_ecdf_csv(str(path), steps)
-        reloaded = read_ecdf_csv(str(path))
-        assert np.array_equal(reloaded["a"][0], steps["a"][0])
-        svg = tmp_path / "p.svg"
-        assert main(["plot-ecdf", str(path), "--out", str(svg)]) == 0
-        # AUC = 0.5 * (0.8 - 0.2) + 1.0 * (1 - 0.8) = 0.5
-        assert "AUC=0.500" in svg.read_text()
-
-    @pytest.mark.parametrize(
-        "body,message",
-        [
-            ("", "no steps"),
-            ("a,0.2,0.6\na,0.8,0.5\na,0.9,1.0\n", "nondecreasing"),
-            ("a,0.2,0.5\na,1.2,1.0\n", r"\[0, 1\]"),
-            ("a,0.2,0.5\na,0.8,0.9\n", "level 1"),
-        ],
-        ids=["empty", "non_monotone", "out_of_range", "last_level_below_one"],
-    )
-    def test_bad_step_file_exits_3(self, tmp_path, capsys, body, message):
-        path = tmp_path / "ecdf.csv"
-        path.write_text("strategy,x,cdf\n" + body, encoding="utf-8")
-        svg = tmp_path / "p.svg"
-        assert main(["plot-ecdf", str(path), "--out", str(svg)]) == 3
-        err = capsys.readouterr().err
-        assert str(path) in err
-        assert re.search(message, err)
-        assert not svg.exists()
 
 
 def loaded_by_cli_import(modules):

@@ -1,9 +1,11 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import write_frame_csv
 from predvote.dataset import (
     ColumnSchema,
     StudyFrame,
@@ -11,11 +13,10 @@ from predvote.dataset import (
     _PORTFOLIO_FACTORS,
     _PORTFOLIO_INTERCEPT,
     _PORTFOLIO_SIGMA,
-    encoded_schema,
+    encode_columns,
     load_csv,
     portfolio_schema,
     synthesize_portfolio,
-    write_csv,
     write_portfolio_csv,
 )
 from predvote.errors import DataError
@@ -23,6 +24,11 @@ from predvote.errors import DataError
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def data_error(path, message):
+    """A match pattern for the whole DataError message that load_csv raises on path."""
+    return f"^{re.escape(f'{path}: {message}')}$"
 
 
 BASIC_SCHEMA = ColumnSchema(
@@ -64,10 +70,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="age"):
             load_csv(str(path), schema)
 
-    def test_non_numeric_response_reports_row(self, tmp_path):
+    def test_non_numeric_response_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_lines(path, ["claim,gender,insample", "1.0,f,1", "oops,m,1", ",f,0"])
-        with pytest.raises(DataError, match="row 2"):
+        message = "line 3, column 'claim': cannot parse 'oops' as a number"
+        with pytest.raises(DataError, match=data_error(path, message)):
             load_csv(str(path), BASIC_SCHEMA)
 
     def test_unseen_out_of_sample_level_named(self, tmp_path):
@@ -98,30 +105,61 @@ class TestLoadCsv:
     def test_short_row_names_the_missing_cell(self, tmp_path):
         path = tmp_path / "short.csv"
         write_lines(path, ["claim,gender,insample", "1.0,f,1", "2.0,m", ",f,0"])
-        with pytest.raises(DataError, match=r"^column 'insample', row 2: missing cell$"):
+        with pytest.raises(DataError, match=data_error(path, "line 3, column 'insample': missing cell")):
             load_csv(str(path), BASIC_SCHEMA)
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
         path = tmp_path / "header.csv"
         write_lines(path, ["claim,gender,insample"])
-        with pytest.raises(DataError, match=r"^no data rows$"):
+        with pytest.raises(DataError, match=data_error(path, "no data rows")):
             load_csv(str(path), BASIC_SCHEMA)
 
     def test_empty_categorical_cell_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_lines(path, ["claim,gender,insample", "1.0,f,1", "2.0, ,1", ",m,0"])
-        with pytest.raises(DataError, match=r"^column 'gender': empty categorical cell$"):
+        with pytest.raises(DataError, match=data_error(path, "line 3, column 'gender': empty categorical cell")):
             load_csv(str(path), BASIC_SCHEMA)
 
-    def test_blank_lines_skipped_and_rows_numbered_without_them(self, tmp_path):
+    def test_blank_lines_skipped_and_errors_name_the_file_line(self, tmp_path):
         path = tmp_path / "blank.csv"
         write_lines(path, ["claim,gender,insample", "", "1.0,f,1", "", "", "2.0,m,1", ",f,0", ""])
         frame = load_csv(str(path), BASIC_SCHEMA)
         assert (frame.n, frame.k) == (2, 1)
         assert np.array_equal(frame.y_sample, [1.0, 2.0])
         write_lines(path, ["claim,gender,insample", "", "1.0,f,1", "", "oops,m,1", ",f,0"])
-        with pytest.raises(DataError, match=r"^column 'claim', row 2: cannot parse 'oops' as a number$"):
+        message = "line 5, column 'claim': cannot parse 'oops' as a number"
+        with pytest.raises(DataError, match=data_error(path, message)):
             load_csv(str(path), BASIC_SCHEMA)
+        write_lines(path, ["claim,gender,insample", "", "10.0,f,1", "", "12.5", ",m,0"])
+        with pytest.raises(DataError, match=data_error(path, "line 5, column 'insample': missing cell")):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["claim,insample", "1.0,1", ",0"],
+            ["claim,gender,insample,gender", "1.0,f,1,m", ",m,0,f"],
+            ["claim,gender,insample", "1.0,f,1", "2.0,m", ",f,0"],
+            ["claim,gender,insample", "1.0,f,1", "inf,m,1", ",f,0"],
+            ["claim,gender,insample", "1.0,f,1", "2.0,m,yes", ",f,0"],
+            ["claim,gender,insample", "1.0,f,0", "2.0,m,0"],
+            ["claim,gender,insample", "1.0,f,1", "2.0,m,1", ",x,0"],
+            ["claim,gender,insample", "1.0,f,1", "2.0,f,1", ",f,0"],
+        ],
+        ids=[
+            "missing-column", "repeated-column", "short-row", "non-finite", "flag", "no-out", "unseen-level", "one-level",
+        ],
+    )
+    def test_every_data_error_starts_with_the_path(self, tmp_path, lines):
+        path = tmp_path / "bad.csv"
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            load_csv(str(path), BASIC_SCHEMA)
+
+    def test_encode_columns_names_the_given_line(self):
+        columns = {"claim": ["1.0", "2.0", ""], "gender": ["f", "m", "f"], "insample": ["1", "yes", "0"]}
+        with pytest.raises(DataError, match=r"^line 7, column 'insample': sample flag must be binary"):
+            encode_columns(columns, BASIC_SCHEMA, [2, 7, 9])
 
     def test_repeated_schema_column_in_header_named(self, tmp_path):
         # a dict reader would silently keep the last of the two gender columns
@@ -169,8 +207,7 @@ class TestRoundTrip:
     def test_write_then_reload_is_exact(self, tmp_path):
         frame = synthesize_portfolio(25, 6, 42)
         path = tmp_path / "roundtrip.csv"
-        write_csv(frame, str(path))
-        reloaded = load_csv(str(path), encoded_schema(frame))
+        reloaded = load_csv(str(path), write_frame_csv(frame, str(path)))
         assert np.array_equal(reloaded.x_sample, frame.x_sample)
         assert np.array_equal(reloaded.y_sample, frame.y_sample)
         assert np.array_equal(reloaded.x_out, frame.x_out)
@@ -184,8 +221,7 @@ class TestRoundTrip:
             column_names=["x"],
         )
         path = tmp_path / "floats.csv"
-        write_csv(frame, str(path))
-        reloaded = load_csv(str(path), encoded_schema(frame))
+        reloaded = load_csv(str(path), write_frame_csv(frame, str(path)))
         assert np.array_equal(reloaded.x_sample, frame.x_sample)
         assert np.array_equal(reloaded.y_sample, frame.y_sample)
 

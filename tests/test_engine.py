@@ -339,6 +339,32 @@ class TestSimulateErrors:
                 simulate_errors(config, frame, workers=workers)
             assert str(raised.value).endswith(f"gen1_ols_normal × gamma1 (100.00%: {reasons[0]})"), raised.value
 
+    def test_non_finite_prediction_masks_its_cell_naming_the_characteristic(self):
+        # the lognormal refit extrapolates exp(1 + x) to x = 1000, which overflows, while
+        # the gaussian generator's population stays finite
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, 30)
+        frame = StudyFrame(
+            x_sample=x[:, None],
+            y_sample=np.exp(1.0 + x + 0.1 * rng.standard_normal(30)),
+            x_out=np.array([[0.5], [1000.0]]),
+            column_names=["x"],
+        )
+        config = small_config(
+            strategies=[small_config().strategies[0], PredictionStrategy("lognormal", ModelSpec("lognormal"))],
+            characteristics=[Characteristic("median"), Characteristic("mean")],
+            iterations=6,
+        )
+        tensor = simulate_errors(dataclasses.replace(config, failure_ceiling=0.6), frame, workers=1)
+        assert tensor.failure_mask[0, :, 1].all() and not tensor.failure_mask[0, :, 0].any()
+        assert np.all(np.isfinite(tensor.values[0, :, :, 0]))
+        for workers in (1, 2):
+            with pytest.raises(SimulationError) as raised:
+                simulate_errors(config, frame, workers=workers)
+            assert str(raised.value).endswith(
+                "gen1_ols_normal × lognormal (100.00%: plug-in prediction of 'mean' is not finite)"
+            ), raised.value
+
     def test_generator_unfit_on_real_data_is_config_error(self):
         rng = np.random.default_rng(8)
         frame = StudyFrame(

@@ -334,7 +334,7 @@ class TestQuartiles:
             "from predvote.dataset import write_portfolio_csv\n"
             "write_portfolio_csv('data.csv', 80, 30, 1)\n"
             "code = main(['run', '--config', 'config.json', '--data', 'data.csv', '--out', 'out', '--workers', '1'])\n"
-            "code += main(['plot-ecdf', 'out/ecdf.csv', '--out', 'out/ecdf.svg'])\n"
+            "code += main(['plot-ecdf', 'out/w3.csv', '--out', 'out/ecdf.svg'])\n"
             "print(code, 'numpy.ma' in sys.modules)\n"
         )
         done = subprocess.run(

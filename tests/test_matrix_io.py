@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from predvote import cli, matrix_io
+from conftest import write_frame_csv
+from predvote import matrix_io
 from predvote.cli import cmd_run, main
-from predvote.dataset import ColumnSchema, load_csv, synthesize_portfolio, write_csv, write_portfolio_csv
+from predvote.dataset import ColumnSchema, load_csv, synthesize_portfolio, write_portfolio_csv
 from predvote.errors import ConfigError, DataError
-from predvote.matrix_io import read_ecdf_csv, read_matrix_csv, write_ecdf_csv, write_matrix_csv
+from predvote.matrix_io import read_matrix_csv, write_ecdf_csv, write_matrix_csv
 
 # SHA-256 of each writer's file on the fixed inputs below, recorded before the writers shared write_rows
 WRITTEN = {
@@ -19,7 +20,7 @@ WRITTEN = {
         "bb1c78521cb9d3320081492a202d7e59561e60db06e39d71da1602ae4e52de48",
     ),
     "frame.csv": (
-        lambda path: write_csv(synthesize_portfolio(30, 8, 2), path),
+        lambda path: write_frame_csv(synthesize_portfolio(30, 8, 2), path),
         "1142a570779abddd3c0ffe4cab3feb6979dc2b100b0e001b3ce775ff6e4891c6",
     ),
     "matrix.csv": (
@@ -63,15 +64,6 @@ def test_vote_reads_a_matrix_with_blank_lines(tmp_path):
     assert main(["vote", str(matrix), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_plot_ecdf_reads_a_step_file_with_blank_lines(tmp_path):
-    steps = tmp_path / "ecdf.csv"
-    steps.write_text("\nstrategy,x,cdf\na,0.0,0.5\n\na,1.0,1.0\n\nb,0.5,1.0\n", encoding="utf-8")
-    curves = read_ecdf_csv(str(steps))
-    assert list(curves) == ["a", "b"]
-    assert np.array_equal(curves["a"][0], [0.0, 1.0]) and np.array_equal(curves["a"][1], [0.5, 1.0])
-    assert main(["plot-ecdf", str(steps), "--out", str(tmp_path / "plot.svg")]) == 0
-
-
 def test_blank_line_before_the_data_header_is_skipped(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("\n\nclaim,gender,insample\n10.0,f,1\n12.5,m,1\n,m,0\n", encoding="utf-8")
@@ -85,11 +77,10 @@ def test_blank_line_before_the_data_header_is_skipped(tmp_path):
     "read, error, kind",
     [
         (read_matrix_csv, DataError, "matrix file"),
-        (read_ecdf_csv, DataError, "ECDF file"),
         (lambda path: load_csv(path, SCHEMA), DataError, "data file"),
         (lambda path: cmd_run(path, "data.csv", "out"), ConfigError, "configuration"),
     ],
-    ids=["matrix", "ECDF", "data", "config"],
+    ids=["matrix", "data", "config"],
 )
 def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, error, kind, body):
     # a file that is not UTF-8 is named like a missing one; a configuration's error is a ConfigError
@@ -120,27 +111,7 @@ def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body,
         read_matrix_csv(str(matrix))
 
 
-def test_bad_step_after_blank_lines_reports_its_file_line(tmp_path):
-    steps = tmp_path / "ecdf.csv"
-    steps.write_text("strategy,x,cdf\n\na,0.5,1.0\n\n\na,zero,1.0\n", encoding="utf-8")
-    with pytest.raises(DataError, match=", line 6: "):
-        read_ecdf_csv(str(steps))
-
-
-def test_bad_step_after_a_multi_line_label_reports_its_file_line(tmp_path):
-    # a quoted label spans two file lines, so the bad step sits on line 5, not on record 4
-    steps = tmp_path / "ecdf.csv"
-    steps.write_text('strategy,x,cdf\n"two\nlines",0.5,1.0\nb,0.2,0.5\nb,zero,1.0\n', encoding="utf-8")
-    with pytest.raises(DataError, match=", line 5: "):
-        read_ecdf_csv(str(steps))
-
-
-@pytest.mark.parametrize(
-    "body",
-    ["voter,a,b\nr1,0.1,0.2\nr2,0.3,1.0\n", "strategy,x,cdf\na,0.1,0.5\na,0.3,1.0\nb,0.2,1.0\n"],
-    ids=["matrix", "steps"],
-)
-def test_plot_ecdf_reads_its_input_once(tmp_path, monkeypatch, body):
+def test_plot_ecdf_reads_its_input_once(tmp_path, monkeypatch):
     calls = []
 
     def counted(path, what):
@@ -149,15 +120,15 @@ def test_plot_ecdf_reads_its_input_once(tmp_path, monkeypatch, body):
 
     read_rows = matrix_io.read_rows
     monkeypatch.setattr(matrix_io, "read_rows", counted)
-    monkeypatch.setattr(cli, "read_rows", counted)
     path = tmp_path / "input.csv"
-    path.write_text(body, encoding="utf-8")
+    path.write_text("voter,a,b\nr1,0.1,0.2\nr2,0.3,1.0\n", encoding="utf-8")
     assert main(["plot-ecdf", str(path), "--out", str(tmp_path / "plot.svg")]) == 0
-    assert calls == ["ECDF file"]
+    assert calls == ["matrix file"]
 
 
-def test_ecdf_reader_rejects_another_header(tmp_path):
-    matrix = tmp_path / "w3.csv"
-    matrix.write_text("voter,a,b\nr1,0.1,0.2\n", encoding="utf-8")
-    with pytest.raises(DataError, match="expected the ECDF header strategy,x,cdf, found 'voter,a,b'"):
-        read_ecdf_csv(str(matrix))
+def test_matrix_reader_refuses_an_ecdf_step_file(tmp_path):
+    # a step file parses as a 2-column matrix whose strategies would be 'x' and 'cdf'
+    steps = tmp_path / "ecdf.csv"
+    write_ecdf_csv(str(steps), {"a": (np.array([0.5, 1.0]), np.array([0.5, 1.0]))})
+    with pytest.raises(DataError, match=f"^{re.escape(f'{steps}: an ECDF step file (strategy,x,cdf)')}"):
+        read_matrix_csv(str(steps))
