@@ -44,13 +44,18 @@ class Measure:
 
 
 def rmse(errors: np.ndarray) -> float:
-    """Root mean square of the error vector."""
+    """Root mean square of the error vector; finite for finite errors."""
     e = np.asarray(errors, dtype=np.float64).ravel()
     if e.size == 0:
         raise ValueError("rmse of an empty error vector")
     if not np.all(np.isfinite(e)):
         raise ValueError("rmse: errors contain non-finite values")
-    return float(np.sqrt(np.mean(e**2)))
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean(e**2)))
+    if math.isinf(value):  # e**2 or its sum overflowed: scale by the largest error before squaring
+        scale = np.max(np.abs(e))
+        value = float(scale * np.sqrt(np.mean((e / scale) ** 2)))
+    return value
 
 
 def sorted_median(ordered: np.ndarray):

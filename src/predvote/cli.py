@@ -9,6 +9,7 @@ characteristic of one).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .accuracy import AccuracyMatrix
 from .dataset import load_csv
-from .engine import config_from_dict, run
+from .engine import _worker_count, config_from_dict, run
 from .errors import ConfigError, DataError, PredvoteError, SimulationError
 from .matrix_io import read_matrix_csv, write_ecdf_csv, write_matrix_csv
 from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
@@ -105,7 +106,7 @@ def cmd_run(
     workers: int | None = None,
 ) -> int:
     try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(config_path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {config_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -116,13 +117,11 @@ def cmd_run(
     if config.schema is None:
         raise ConfigError("schema: required to load the data CSV")
     if seed is not None:
-        config.master_seed = seed
-    if workers is not None:
-        config.parallelism = workers
-    config.validate()
+        config = dataclasses.replace(config, master_seed=seed)
+    workers = _worker_count(workers)
     out = _output_dir(out_dir)
 
-    output = run(config, load_csv(data_path, config.schema))
+    output = run(config, load_csv(data_path, config.schema), workers)
 
     matrix = output.accuracy_matrix
     fields = {
@@ -203,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--data", required=True, help="input data CSV")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the configured master seed")
-    p_run.add_argument("--workers", type=int, default=None, help="override the configured worker count")
+    p_run.add_argument("--workers", type=int, default=None, help="worker processes (default: one per CPU)")
 
     p_vote = sub.add_parser("vote", help="re-run the four voting systems on a saved accuracy matrix")
     p_vote.add_argument("matrix", help="labeled accuracy matrix CSV")

@@ -56,59 +56,60 @@ def derive_stream(master_seed: int, g: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mixed))
 
 
-def _worker_setting(key: str, value) -> int | None:
-    """The one worker-count rule, for RunConfig.parallelism and simulate_errors(workers=...)."""
-    if value is not None and not (is_integer(value) and value >= 1):
-        raise ConfigError(f"{key}: must be a positive integer or unset, got {value!r}")
-    return None if value is None else int(value)
+def _worker_count(workers: int | None) -> int:
+    """The one worker-count rule: a positive integer, or one worker per CPU when it is None."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if not (is_integer(workers) and workers >= 1):
+        raise ConfigError(f"workers: must be a positive integer or unset, got {workers!r}")
+    return int(workers)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs besides the data itself."""
+    """The study, checked when it is built: everything a run needs besides the data and the worker count."""
 
-    generators: list[ModelSpec]
-    strategies: list[PredictionStrategy]
-    characteristics: list[Characteristic]
-    measures: list[Measure]
+    generators: tuple[ModelSpec, ...]
+    strategies: tuple[PredictionStrategy, ...]
+    characteristics: tuple[Characteristic, ...]
+    measures: tuple[Measure, ...]
     iterations: int = 5000
     master_seed: int = 0
-    parallelism: int | None = None  # None = one worker per available CPU
     failure_ceiling: float = 0.01
     kde_bandwidth: "str | float" = "silverman"
     schema: ColumnSchema | None = None
 
-    def validate(self) -> None:
-        """Check every field, types included; store the numbers as Python int and float."""
-        if len(self.generators) < 1:
-            raise ConfigError("generators: at least one data-generation model required")
-        if len(self.strategies) < 2:
-            raise ConfigError("strategies: at least two strategies required")
-        if len(self.characteristics) < 1:
-            raise ConfigError("characteristics: at least one characteristic required")
-        if len(self.measures) < 1:
-            raise ConfigError("measures: at least one accuracy measure required")
+    def __post_init__(self):
+        """Check every field, types included; store the lists as tuples and the numbers as Python int and float."""
+        for key, least, what in (
+            ("generators", 1, "one data-generation model"),
+            ("strategies", 2, "two strategies"),
+            ("characteristics", 1, "one characteristic"),
+            ("measures", 1, "one accuracy measure"),
+        ):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+            if len(getattr(self, key)) < least:
+                raise ConfigError(f"{key}: at least {what} required")
         if not (is_integer(self.iterations) and 2 <= self.iterations <= _B_MAX):
             raise ConfigError(
                 f"iterations: need an integer, at least 2 and at most {_B_MAX}, got {self.iterations!r}"
             )
         if not is_integer(self.master_seed):
             raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
-        for key, items in (("strategies", self.strategies), ("characteristics", self.characteristics)):
-            names = [item.name for item in items]
-            repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+        for key, attr in (("strategies", "name"), ("characteristics", "name"), ("measures", "label")):
+            labels = [getattr(item, attr) for item in getattr(self, key)]
+            repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
             if repeated is not None:
-                raise ConfigError(f"{key}: names must be unique, {repeated!r} is repeated")
+                raise ConfigError(f"{key}: {attr}s must be unique, {repeated!r} is repeated")
         if not (is_real(self.failure_ceiling) and 0.0 <= self.failure_ceiling < 1.0):
             raise ConfigError(f"failure_ceiling: must be a number in [0, 1), got {self.failure_ceiling!r}")
-        self.parallelism = _worker_setting("parallelism", self.parallelism)
         bandwidth = self.kde_bandwidth
         if bandwidth != "silverman" and not (is_real(bandwidth) and math.isfinite(bandwidth) and bandwidth > 0):
             raise ConfigError(
                 f"kde_bandwidth: must be 'silverman' or a finite positive number, got {bandwidth!r}"
             )
-        self.iterations, self.master_seed = int(self.iterations), int(self.master_seed)
-        self.failure_ceiling = float(self.failure_ceiling)
+        for key, cast in (("iterations", int), ("master_seed", int), ("failure_ceiling", float)):
+            object.__setattr__(self, key, cast(getattr(self, key)))
 
 
 @dataclass
@@ -149,7 +150,7 @@ class _Cells:
 
     frame: StudyFrame
     plans: list[RefitPlan]
-    characteristics: list[Characteristic]
+    characteristics: tuple[Characteristic, ...]
     master_seed: int
 
     @np.errstate(over="ignore")  # an overflow ends in a non-finite truth or prediction, checked below
@@ -191,26 +192,19 @@ class _Cells:
         return g, b_lo, errors, mask, reasons
 
 
-def _worker_count(config: RunConfig, workers: int | None = None) -> int:
-    """The explicit worker count, else the configured parallelism, else one per CPU."""
-    return _worker_setting("workers", workers) or config.parallelism or os.cpu_count() or 1
-
-
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
     """Run the Monte Carlo loop and return the raw error tensor.
 
-    The result is independent of the worker count: every (g, b) cell is a
-    pure function of (config, frame). What depends on the design alone (each
-    Generator, with its location on x_full, and each strategy's refit plan)
-    is built once here, not in every cell.
+    The result is independent of workers (None: one process per CPU): every
+    (g, b) cell is a pure function of (config, frame). What depends on the
+    design alone (each Generator, with its location on x_full, and each
+    strategy's refit plan) is built once here, not in every cell.
     """
-    return _simulate(config, frame, workers)[0]
+    return _simulate(config, frame, _worker_count(workers))[0]
 
 
-def _simulate(config: RunConfig, frame: StudyFrame, workers: int | None) -> tuple[ErrorTensor, list[RefitPlan]]:
-    """simulate_errors plus the refit plans its cells ran, for the winners' final predictions."""
-    config.validate()
-    workers = _worker_count(config, workers)
+def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[ErrorTensor, list[RefitPlan]]:
+    """simulate_errors at a checked worker count, plus the refit plans its cells ran, for the winners."""
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
     generators = _fit_generators(config, frame)
@@ -263,14 +257,15 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int | None) -> tupl
     return ErrorTensor(values=values, failure_mask=mask), cells.plans
 
 
-def run(config: RunConfig, frame: StudyFrame) -> RunOutput:
-    """Full pipeline: simulate, build the accuracy matrix, vote, predict.
+def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> RunOutput:
+    """Full pipeline (workers as in simulate_errors): simulate, build the accuracy matrix, vote, predict.
 
     Final plug-in predictions on the real sample are computed for the union
     of the four winner sets, with the refit plans the cells ran.
     """
     started = time.perf_counter()
-    tensor, plans = _simulate(config, frame, None)
+    workers = _worker_count(workers)
+    tensor, plans = _simulate(config, frame, workers)
     gen_labels = [generator_label(i, s) for i, s in enumerate(config.generators)]
     char_labels = [c.name for c in config.characteristics]
     strategy_names = [s.name for s in config.strategies]
@@ -299,7 +294,7 @@ def run(config: RunConfig, frame: StudyFrame) -> RunOutput:
         "version": __version__,
         "master_seed": config.master_seed,
         "iterations": config.iterations,
-        "workers": _worker_count(config),
+        "workers": workers,
         "wall_time_seconds": time.perf_counter() - started,
         "n": frame.n,
         "k": frame.k,
@@ -356,7 +351,7 @@ def _parse_items(doc: dict, key: str, build) -> list:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Build a validated RunConfig from a parsed document; a field it leaves out keeps RunConfig's default."""
+    """Build a RunConfig from a parsed document; a field it leaves out keeps RunConfig's default."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a mapping")
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
@@ -376,8 +371,4 @@ def config_from_dict(doc: dict) -> RunConfig:
     values["measures"] = _parse_items(doc, "measures", lambda node: Measure(kind=node["kind"], p=node.get("p")))
     if "schema" in doc:
         values["schema"] = _parse_schema(doc["schema"])
-    if values.get("parallelism") == "auto":
-        values["parallelism"] = None
-    config = RunConfig(**values)
-    config.validate()
-    return config
+    return RunConfig(**values)

@@ -22,7 +22,7 @@ def read_rows(path, what: str) -> tuple[list[str], list[list[str]], list[int]]:
     """(first non-blank record, the non-blank ones after it, the file line each starts on); what names the file."""
     rows, lines, start = [], [], 1
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if row:

@@ -41,6 +41,8 @@ class Characteristic:
         if self.kind not in CHARACTERISTIC_KINDS:
             raise ValueError(f"unknown characteristic kind {self.kind!r}")
         object.__setattr__(self, "p", order_p(f"{self.kind} characteristic", self.p, self.kind == QUANTILE))
+        if not isinstance(self.name, str):
+            raise ValueError(f"characteristic name must be a string, got {self.name!r}")
         if not self.name:
             default = f"q{self.p:g}" if self.kind == QUANTILE else self.kind
             object.__setattr__(self, "name", default)
@@ -54,8 +56,8 @@ class PredictionStrategy:
     model: ModelSpec
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("strategy needs a non-empty name")
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"strategy needs a non-empty name string, got {self.name!r}")
 
 
 def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:

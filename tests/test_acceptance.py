@@ -149,10 +149,9 @@ def test_criterion_4_closed_form_rmse_oracle():
         measures=[Measure("rmse")],
         iterations=20000,
         master_seed=99,
-        parallelism=2,
     )
     started = time.perf_counter()
-    output = run(config, frame)
+    output = run(config, frame, workers=2)
     elapsed = time.perf_counter() - started
     mc_rmse = float(output.accuracy_matrix.entries[0, 0])
 
@@ -273,9 +272,8 @@ def test_criterion_8_end_to_end_selection_sanity():
         measures=[Measure("rmse")],
         iterations=50,
         master_seed=8,
-        parallelism=1,
     )
-    output = run(config, frame)
+    output = run(config, frame, workers=1)
     winners = {system: result.winners for system, result in output.selections.items()}
     ok = all(w == ("ols",) for w in winners.values()) and len(winners) == 4
     report_line(8, ok, f"noiseless linear data: all four systems elect 'ols' ({winners})")

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,21 @@ class TestRmse:
         for _ in range(100):
             e = rng.standard_normal(rng.integers(1, 50))
             assert rmse(e) >= np.mean(np.abs(e)) - 1e-12
+
+    def test_direct_formula_whenever_it_is_finite(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-300, 1.0, 1e150):
+            e = scale * rng.standard_normal(200)
+            assert rmse(e) == float(np.sqrt(np.mean(e**2))), scale
+
+    @pytest.mark.parametrize("errors", [[1e155, -1e155], [1e300, 3.0, -2e299]])
+    def test_finite_when_the_squares_overflow(self, errors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = rmse(errors)
+        exact = math.sqrt(math.fsum((e / errors[0]) ** 2 for e in errors) / len(errors)) * errors[0]
+        assert math.isfinite(value)
+        assert value == pytest.approx(exact, rel=1e-15)
 
 
 class TestQape:

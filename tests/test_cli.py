@@ -147,13 +147,59 @@ class TestCmdRun:
         assert not out.exists()
 
     def test_zero_workers_exits_2(self, workspace, capsys):
-        # --workers overrides parallelism and passes the document's check before any data is read
+        # --workers is checked before any data is read
         tmp, config, _ = workspace
         assert main([
             "run", "--config", str(config), "--data", str(tmp / "nope.csv"),
             "--out", str(tmp / "x"), "--workers", "0",
         ]) == 2
-        assert "parallelism" in capsys.readouterr().err
+        assert "workers: must be a positive integer or unset, got 0" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    def test_parallelism_field_exits_2(self, workspace, capsys):
+        # the worker count is --workers alone; the document holds the study
+        tmp, config, data = workspace
+        config.write_text(json.dumps(minimal_config(parallelism=2)), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
+        assert "unknown configuration field(s): ['parallelism']" in capsys.readouterr().err
+        assert not (tmp / "x").exists()
+
+    @pytest.mark.parametrize(
+        "key,entry,message",
+        [
+            ("strategies", {"name": 5, "family": "ols_normal"}, "strategies[0]: strategy needs a non-empty name string"),
+            ("characteristics", {"kind": "total", "name": 7}, "characteristics[0]: characteristic name must be a string"),
+        ],
+    )
+    def test_non_string_name_exits_2(self, workspace, capsys, key, entry, message):
+        # a non-string name would reach json.dumps(sort_keys=True) only after the whole simulation
+        tmp, config, _ = workspace
+        doc = minimal_config(characteristics=[{"kind": "median"}])
+        doc[key] = [entry, *doc[key]]
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_measure_label_exits_2(self, workspace, capsys):
+        tmp, config, data = workspace
+        config.write_text(json.dumps(minimal_config(measures=[{"kind": "rmse"}, {"kind": "rmse"}])), encoding="utf-8")
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
+        assert "measures: labels must be unique, 'rmse' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_marks_are_read(self, workspace):
+        # Excel's "CSV UTF-8" export starts the file with a BOM
+        tmp, config, data = workspace
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "plain")]) == 0
+        bom_config, bom_data = tmp / "bom_config.json", tmp / "bom_data.csv"
+        bom_config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        bom_data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+        assert main(["run", "--config", str(bom_config), "--data", str(bom_data), "--out", str(tmp / "bom")]) == 0
+        for name in ("accuracy_matrix.csv", "w3.csv"):
+            assert (tmp / "bom" / name).read_bytes() == (tmp / "plain" / name).read_bytes()
 
     def test_readme_example_runs_or_names_failing_pairs(self, tmp_path, capsys):
         # the documented configuration runs on the bundled data, or fails naming each listed

@@ -182,6 +182,17 @@ class TestLoadCsv:
             for name in ("x_sample", "y_sample", "x_out"):
                 assert np.array_equal(getattr(loaded, name), getattr(direct, name)), name
 
+    def test_byte_order_mark_loads_the_same_frame(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a BOM, which must not join the first header cell
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_portfolio_csv(str(plain), 40, 8, 3)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert plain.read_text(encoding="utf-8").startswith("claim_amount,")
+        loaded, direct = load_csv(str(bom), portfolio_schema()), load_csv(str(plain), portfolio_schema())
+        assert loaded.column_names == direct.column_names
+        for name in ("x_sample", "y_sample", "x_out"):
+            assert np.array_equal(getattr(loaded, name), getattr(direct, name)), name
+
     def test_portfolio_csv_encodes_to_seven_columns(self, tmp_path):
         # non-reference dummy levels: 1 + 2 + 1 + 1 + 2
         path = tmp_path / "portfolio.csv"

@@ -188,7 +188,7 @@ class TestSimulateErrors:
 
     @pytest.mark.parametrize("workers", [0, True, -1, 2.5])
     def test_bad_worker_count_is_config_error(self, workers):
-        # the rule RunConfig.validate applies to parallelism; 0 would fall back to the default,
+        # the rule run applies to its workers too; 0 would fall back to the default,
         # true would run one worker, and the pool would reject -1 and 2.5 with bare errors
         frame = make_positive_frame(n=20, k=4, seed=1)
         message = f"workers: must be a positive integer or unset, got {workers!r}"
@@ -267,10 +267,9 @@ class TestSimulateErrors:
     def test_adding_a_strategy_never_changes_existing_errors(self):
         frame = make_positive_frame(n=30, k=6, seed=6)
         base = small_config(iterations=25)
-        extended = small_config(iterations=25)
-        extended.strategies = base.strategies + [
-            PredictionStrategy("tree", ModelSpec("regression_tree", {"max_depth": 2, "min_leaf": 3}))
-        ]
+        extended = dataclasses.replace(base, strategies=[
+            *base.strategies, PredictionStrategy("tree", ModelSpec("regression_tree", {"max_depth": 2, "min_leaf": 3}))
+        ])
         t_base = simulate_errors(base, frame, workers=1)
         t_ext = simulate_errors(extended, frame, workers=1)
         assert np.array_equal(t_base.values, t_ext.values[:, :, :, :2])
@@ -402,8 +401,8 @@ class TestSimulateErrors:
 
 class TestRun:
     def test_zero_error_strategy_elected_unanimously(self, linear_frame):
-        config = small_config(iterations=60, master_seed=21, parallelism=1)
-        output = run(config, linear_frame)
+        config = small_config(iterations=60, master_seed=21)
+        output = run(config, linear_frame, workers=1)
         for result in output.selections.values():
             assert result.winners == ("ols",)
         # the exact-fit generator leaves the matching strategy with zero error
@@ -430,17 +429,16 @@ class TestRun:
             measures=[Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95)],
             iterations=8,
             master_seed=31,
-            parallelism=2,
         )
-        output = run(config, frame)
+        output = run(config, frame, workers=2)
         assert output.accuracy_matrix.shape == (36, 6)
         assert len(output.accuracy_matrix.row_labels) == 36
         assert output.w1.entries.shape == (36, 6)
         assert output.metadata["effective_iterations"] == (np.full((6, 6), 8)).tolist()
 
     def test_metadata_contents(self, linear_frame):
-        config = small_config(iterations=20, parallelism=1)
-        output = run(config, linear_frame)
+        config = small_config(iterations=20)
+        output = run(config, linear_frame, workers=1)
         md = output.metadata
         assert md["iterations"] == 20
         assert md["master_seed"] == 123
@@ -459,9 +457,9 @@ class TestRun:
         y = np.exp(0.4 * x[:, 0] + 0.05 * rng.standard_normal(25))
         frame = StudyFrame(x_sample=x[:20], y_sample=y[:20] - 1.0, x_out=x[20:], column_names=["x"])
         # y - 1 straddles zero: lognormal generator unusable -> config error
-        config = small_config(generators=[ModelSpec("gamma_glm_log_link")], parallelism=1)
+        config = small_config(generators=[ModelSpec("gamma_glm_log_link")])
         with pytest.raises(ConfigError):
-            run(config, frame)
+            run(config, frame, workers=1)
 
     def test_each_refit_plan_is_built_once_for_cells_and_winners(self, monkeypatch):
         import predvote.engine
@@ -473,7 +471,7 @@ class TestRun:
             PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 3})),
             PredictionStrategy("knn_wide", ModelSpec("knn", {"k_neighbors": 12})),
         ]
-        config = small_config(strategies=strategies, iterations=12, parallelism=1)
+        config = small_config(strategies=strategies, iterations=12)
         real_plan_refit = predvote.engine.plan_refit
         planned = []
 
@@ -483,7 +481,7 @@ class TestRun:
 
         for module in (predvote.engine, predvote.prediction):
             monkeypatch.setattr(module, "plan_refit", counting_plan_refit)
-        output = run(config, frame)
+        output = run(config, frame, workers=1)
         assert sorted(planned) == ["knn", "knn_wide", "ols"]
         assert output.final_predictions
         for name, predicted in output.final_predictions.items():
@@ -495,8 +493,8 @@ class TestRun:
         import predvote.prediction
 
         frame = make_positive_frame(n=30, k=6, seed=6)
-        config = small_config(iterations=20, parallelism=1)
-        (winner,) = run(config, frame).final_predictions
+        config = small_config(iterations=20)
+        (winner,) = run(config, frame, workers=1).final_predictions
         real_fit = predvote.prediction.fit
 
         def fit_failing_on_the_real_sample(spec, x, y):
@@ -506,7 +504,7 @@ class TestRun:
 
         monkeypatch.setattr(predvote.prediction, "fit", fit_failing_on_the_real_sample)
         with pytest.raises(SimulationError) as raised:
-            run(config, frame)
+            run(config, frame, workers=1)
         assert str(raised.value) == (
             f"a winning strategy cannot be fitted on the real sample: "
             f"strategy {winner!r}: lognormal: response must be strictly positive"
@@ -516,53 +514,87 @@ class TestRun:
 
 class TestConfigValidation:
     def test_single_strategy_rejected(self):
-        config = small_config()
-        config.strategies = config.strategies[:1]
+        strategies = small_config().strategies
         with pytest.raises(ConfigError, match="at least two strategies"):
-            config.validate()
+            small_config(strategies=strategies[:1])
 
     def test_duplicate_strategy_names_rejected(self):
-        config = small_config()
-        config.strategies = [config.strategies[0], config.strategies[0]]
+        strategies = small_config().strategies
         with pytest.raises(ConfigError, match="unique"):
-            config.validate()
+            small_config(strategies=[strategies[0], strategies[0]])
 
     def test_duplicate_strategy_name_is_named(self):
-        config = small_config()
-        config.strategies = [config.strategies[0], config.strategies[1], config.strategies[0]]
+        strategies = small_config().strategies
         with pytest.raises(ConfigError, match="strategies: names must be unique, 'ols' is repeated"):
-            config.validate()
+            small_config(strategies=[strategies[0], strategies[1], strategies[0]])
 
     def test_duplicate_characteristic_names_rejected(self):
-        config = small_config(characteristics=[Characteristic("total"), Characteristic("mean", name="total")])
         with pytest.raises(ConfigError, match="characteristics: names must be unique, 'total' is repeated"):
-            config.validate()
+            small_config(characteristics=[Characteristic("total"), Characteristic("mean", name="total")])
 
     def test_equal_default_characteristic_names_rejected(self):
-        config = small_config(characteristics=[Characteristic("quantile", 0.95), Characteristic("quantile", 0.95)])
         with pytest.raises(ConfigError, match="'q0.95' is repeated"):
-            config.validate()
+            small_config(characteristics=[Characteristic("quantile", 0.95), Characteristic("quantile", 0.95)])
+
+    @pytest.mark.parametrize(
+        "measures,label",
+        [([Measure("rmse"), Measure("rmse")], "rmse"), ([Measure("qape", 0.95), Measure("qape", 0.9500001)], "qape0.95")],
+    )
+    def test_repeated_measure_label_rejected(self, measures, label):
+        # each label is one accuracy-matrix row per (generator, characteristic): a repeat would vote twice
+        with pytest.raises(ConfigError, match=re.escape(f"measures: labels must be unique, {label!r} is repeated")):
+            small_config(measures=measures)
 
     def test_iteration_floor(self):
         with pytest.raises(ConfigError, match="at least 2"):
-            small_config(iterations=1).validate()
+            small_config(iterations=1)
+
+    def test_non_integer_iterations_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="^iterations: "):
+            RunConfig(
+                generators=[ModelSpec("ols_normal")],
+                strategies=small_config().strategies,
+                characteristics=[Characteristic("total")],
+                measures=[Measure("rmse")],
+                iterations=3.9,
+            )
 
     def test_failure_ceiling_range(self):
         with pytest.raises(ConfigError, match="failure_ceiling"):
-            small_config(failure_ceiling=1.0).validate()
+            small_config(failure_ceiling=1.0)
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ConfigError, match="generation model"):
-            small_config(generators=[]).validate()
+            small_config(generators=[])
 
     def test_numpy_numbers_stored_as_python_values(self):
-        config = small_config(
-            iterations=np.int64(20), master_seed=np.uint64(7), parallelism=np.int32(2), failure_ceiling=np.float32(0.5)
-        )
-        config.validate()
-        values = (config.iterations, config.master_seed, config.parallelism, config.failure_ceiling)
-        assert values == (20, 7, 2, 0.5)
-        assert [type(v) for v in values] == [int, int, int, float]
+        config = small_config(iterations=np.int64(20), master_seed=np.uint64(7), failure_ceiling=np.float32(0.5))
+        values = (config.iterations, config.master_seed, config.failure_ceiling)
+        assert values == (20, 7, 0.5)
+        assert [type(v) for v in values] == [int, int, float]
+        output = run(config, make_positive_frame(n=20, k=4, seed=1), workers=np.int32(1))
+        assert type(output.metadata["workers"]) is int
+
+    def test_frozen_with_tuple_list_fields(self):
+        config = small_config()
+        for key in ("generators", "strategies", "characteristics", "measures"):
+            assert type(getattr(config, key)) is tuple, key
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.iterations = 10
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.master_seed = 5
+        assert config.iterations == 50
+
+    def test_replace_checks_again(self):
+        config = small_config()
+        assert dataclasses.replace(config, master_seed=9).master_seed == 9
+        with pytest.raises(ConfigError, match="^iterations: "):
+            dataclasses.replace(config, iterations=1)
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5])
+    def test_bad_run_worker_count_is_config_error(self, workers):
+        with pytest.raises(ConfigError, match=re.escape(f"workers: must be a positive integer or unset, got {workers!r}")):
+            run(small_config(), make_positive_frame(n=20, k=4, seed=1), workers=workers)
 
 
 class TestConfigFromDict:
@@ -585,14 +617,14 @@ class TestConfigFromDict:
         assert [s.name for s in config.strategies] == ["ols", "knn"]
         assert config.characteristics[1].name == "q0.9"
         assert config.measures[1].label == "qape0.5"
-        assert config.parallelism is None
+        assert type(config.strategies) is tuple
 
     def test_minimal_document_takes_runconfig_defaults(self):
         doc = {key: self.good_doc()[key] for key in ("generators", "strategies", "characteristics", "measures")}
         config = config_from_dict(doc)
         defaults = [f for f in dataclasses.fields(RunConfig) if f.default is not dataclasses.MISSING]
         assert {f.name for f in defaults} == {
-            "iterations", "master_seed", "parallelism", "failure_ceiling", "kde_bandwidth", "schema"
+            "iterations", "master_seed", "failure_ceiling", "kde_bandwidth", "schema"
         }
         for f in defaults:
             assert getattr(config, f.name) == f.default, f.name
@@ -641,12 +673,12 @@ class TestConfigFromDict:
         config = config_from_dict(doc)
         assert config.strategies[0].name == "ols_normal"
 
-    def test_parallelism_auto(self):
+    @pytest.mark.parametrize("value", ["auto", 2, None])
+    def test_parallelism_is_an_unknown_field(self, value):
+        # the worker count is a machine setting, passed to run and simulate_errors, not part of the study
         doc = self.good_doc()
-        doc["parallelism"] = "auto"
-        assert config_from_dict(doc).parallelism is None
-        doc["parallelism"] = 0
-        with pytest.raises(ConfigError, match="parallelism"):
+        doc["parallelism"] = value
+        with pytest.raises(ConfigError, match=re.escape("unknown configuration field(s): ['parallelism']")):
             config_from_dict(doc)
 
     def assert_rejected_on_both_paths(self, key, value):
@@ -655,14 +687,13 @@ class TestConfigFromDict:
         doc[key] = value
         with pytest.raises(ConfigError, match=key) as from_doc:
             config_from_dict(doc)
-        frame = make_positive_frame(n=20, k=4, seed=1)
         with pytest.raises(ConfigError, match=key) as from_library:
-            simulate_errors(small_config(**{key: value}), frame, workers=1)
+            small_config(**{key: value})
         assert str(from_doc.value) == str(from_library.value)
 
     @pytest.mark.parametrize(
         "key,value",
-        [("iterations", 3.9), ("master_seed", 1.7), ("master_seed", "1"), ("parallelism", True), ("parallelism", 1.5)],
+        [("iterations", 3.9), ("master_seed", 1.7), ("master_seed", "1")],
     )
     def test_non_integer_counts_rejected(self, key, value):
         # int() would truncate 3.9 to 3 and read true as 1

@@ -64,6 +64,15 @@ def test_vote_reads_a_matrix_with_blank_lines(tmp_path):
     assert main(["vote", str(matrix), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_byte_order_mark_stays_out_of_the_first_cell(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.write_bytes(b"\xef\xbb\xbfvoter,a,b\r\nr1,0.1,0.2\r\nr2,0.3,0.1\r\n")
+    assert matrix_io.read_rows(str(matrix), "matrix file")[0] == ["voter", "a", "b"]
+    entries, row_labels, col_labels = read_matrix_csv(str(matrix))
+    assert np.array_equal(entries, [[0.1, 0.2], [0.3, 0.1]])
+    assert (row_labels, col_labels) == (["r1", "r2"], ["a", "b"])
+
+
 def test_blank_line_before_the_data_header_is_skipped(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("\n\nclaim,gender,insample\n10.0,f,1\n12.5,m,1\n,m,0\n", encoding="utf-8")

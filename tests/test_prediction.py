@@ -87,6 +87,15 @@ class TestCharacteristic:
         with pytest.raises(ValueError):
             PredictionStrategy("", ModelSpec("ols_normal"))
 
+    @pytest.mark.parametrize("name", [5, None, ("a",)])
+    def test_non_string_names_are_value_errors(self, name):
+        # report.json sorts its keys, so a non-string name next to a string one cannot be written
+        with pytest.raises(ValueError, match="strategy needs a non-empty name string"):
+            PredictionStrategy(name, ModelSpec("ols_normal"))
+        with pytest.raises(ValueError, match="characteristic name must be a string"):
+            Characteristic("median", name=name)
+        assert Characteristic("median", name="").name == "median"
+
 
 FAMILY_SPECS = [
     ModelSpec("ols_normal"),
