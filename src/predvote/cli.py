@@ -98,6 +98,16 @@ def _write_report(
     return report
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook: a key that appears twice in one object is a ConfigError, not a silent overwrite."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"configuration key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def cmd_run(
     config_path: str,
     data_path: str,
@@ -106,7 +116,7 @@ def cmd_run(
     workers: int | None = None,
 ) -> int:
     try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8-sig"))
+        doc = json.loads(Path(config_path).read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {config_path}: {exc}") from exc
     except UnicodeDecodeError as exc:

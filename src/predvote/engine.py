@@ -33,7 +33,6 @@ _NAMED_PAIRS = 5  # (generator, strategy) pairs a failure-ceiling error lists
 
 def _avalanche(z: int) -> int:
     """64-bit splitmix64 finalizer; bijective, so distinct inputs never collide."""
-    z &= _M64
     z = (z + 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
@@ -45,14 +44,16 @@ def derive_stream(master_seed: int, g: int, b: int) -> np.random.Generator:
 
     Counter-based: the cell id g * 2^32 + b is mixed with the master seed
     through a 64-bit avalanche, so any single cell can be reproduced in
-    isolation.
+    isolation. The master seed lies in [0, 2^64), so no two seeds share streams.
     """
     if g < 1 or b < 1:
         raise ValueError("stream indices are 1-based")
     if b > _B_MAX:
         raise ValueError(f"iteration index exceeds {_B_MAX}")
+    if not 0 <= master_seed <= _M64:
+        raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
     stream_id = g * _B_MAX + b
-    mixed = _avalanche(_avalanche(int(master_seed) & _M64) ^ stream_id)
+    mixed = _avalanche(_avalanche(int(master_seed)) ^ stream_id)
     return np.random.Generator(np.random.PCG64(mixed))
 
 
@@ -94,8 +95,8 @@ class RunConfig:
             raise ConfigError(
                 f"iterations: need an integer, at least 2 and at most {_B_MAX}, got {self.iterations!r}"
             )
-        if not is_integer(self.master_seed):
-            raise ConfigError(f"master_seed: must be an integer, got {self.master_seed!r}")
+        if not (is_integer(self.master_seed) and 0 <= self.master_seed <= _M64):
+            raise ConfigError(f"master_seed: must be an integer in [0, 2^64), got {self.master_seed!r}")
         for key, attr in (("strategies", "name"), ("characteristics", "name"), ("measures", "label")):
             labels = [getattr(item, attr) for item in getattr(self, key)]
             repeated = next((label for i, label in enumerate(labels) if label in labels[:i]), None)
@@ -318,36 +319,28 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
 # --- configuration document parsing (JSON-compatible tree) ---
 
 
-def _parse_schema(node: dict) -> ColumnSchema:
+def _build(where: str, make, node):
+    """make(**node), with a TypeError, ValueError or DataError reported as a ConfigError naming where."""
     try:
-        covariates = tuple((c["name"], c["kind"]) for c in node["covariates"])
-        return ColumnSchema(
-            response=node["response"], covariates=covariates, sample_flag=node["sample_flag"]
-        )
-    except (KeyError, TypeError, DataError) as exc:
-        raise ConfigError(f"schema: {exc}") from exc
+        return make(**node)
+    except (TypeError, ValueError, DataError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _model_spec(node: dict) -> ModelSpec:
-    return ModelSpec(family=node["family"], hyperparams=dict(node.get("hyperparams", {})))
+def _strategy(name="", **model) -> PredictionStrategy:
+    spec = ModelSpec(**model)
+    return PredictionStrategy(name or spec.family, spec)
 
 
-def _strategy(node: dict) -> PredictionStrategy:
-    spec = _model_spec(node)
-    return PredictionStrategy(name=node.get("name") or spec.family, model=spec)
+def _covariate(name, kind) -> tuple:
+    return name, kind
 
 
-def _parse_items(doc: dict, key: str, build) -> list:
-    """build(entry) for each entry of the list doc[key]; an entry's error is reported as key[i]."""
-    if not isinstance(doc[key], list):
-        raise ConfigError(f"{key}: must be a list of entries, got {doc[key]!r}")
-    items = []
-    for i, node in enumerate(doc[key]):
-        try:
-            items.append(build(node))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}[{i}]: {exc}") from exc
-    return items
+def _schema(covariates, **rest) -> ColumnSchema:
+    return ColumnSchema(covariates=[_covariate(**c) for c in covariates], **rest)
+
+
+_ENTRIES = {"generators": ModelSpec, "strategies": _strategy, "characteristics": Characteristic, "measures": Measure}
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -362,13 +355,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"{required}: missing required field")
 
     values = dict(doc)
-    values["generators"] = _parse_items(doc, "generators", _model_spec)
-    values["strategies"] = _parse_items(doc, "strategies", _strategy)
-    values["characteristics"] = _parse_items(
-        doc, "characteristics",
-        lambda node: Characteristic(kind=node["kind"], p=node.get("p"), name=node.get("name", "")),
-    )
-    values["measures"] = _parse_items(doc, "measures", lambda node: Measure(kind=node["kind"], p=node.get("p")))
+    for key, make in _ENTRIES.items():
+        if not isinstance(doc[key], list):
+            raise ConfigError(f"{key}: must be a list of entries, got {doc[key]!r}")
+        values[key] = [_build(f"{key}[{i}]", make, node) for i, node in enumerate(doc[key])]
     if "schema" in doc:
-        values["schema"] = _parse_schema(doc["schema"])
+        values["schema"] = _build("schema", _schema, doc["schema"])
     return RunConfig(**values)

@@ -98,9 +98,7 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
             spread = sd
         bandwidth = 0.9 * spread * r.size ** (-1.0 / 5.0)
     else:
-        bandwidth = float(rule)
-        if not bandwidth > 0:
-            raise ValueError("explicit bandwidth must be positive")
+        bandwidth = float(rule)  # KdeModel refuses one that is not positive
     return KdeModel(support_points=centred, bandwidth=bandwidth)
 
 

@@ -75,6 +75,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}; choose one of {ALL_FAMILIES}")
+        if not isinstance(self.hyperparams, dict):
+            raise ValueError(f"{self.family}: hyperparams must be a mapping, got {self.hyperparams!r}")
         defaults = _DEFAULTS[self.family]
         unknown = set(self.hyperparams) - set(defaults)
         if unknown:

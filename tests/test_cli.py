@@ -182,6 +182,55 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,entry,misspelled",
+        [
+            ("strategies", {"name": "b", "family": "knn", "hyperparms": {"k_neighbors": 50}}, "hyperparms"),
+            ("generators", {"family": "regression_tree", "hyperparam": {"max_depth": 3}}, "hyperparam"),
+            ("characteristics", {"kind": "quantile", "p": 0.9, "nmae": "x"}, "nmae"),
+            ("measures", {"kind": "rmse", "foo": 1}, "foo"),
+        ],
+    )
+    def test_misspelled_entry_key_exits_2_before_the_data_is_read(self, workspace, capsys, key, entry, misspelled):
+        tmp, config, _ = workspace
+        doc = minimal_config()
+        doc[key] = [entry, *doc[key]]
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}[0]: ")
+        assert f"unexpected keyword argument '{misspelled}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "once,twice,key",
+        [
+            ('"iterations": 10', '"iterations": 10, "iterations": 5000', "iterations"),
+            ('"hyperparams": {"k_neighbors": 5}', '"hyperparams": {"k_neighbors": 5}, "hyperparams": {}', "hyperparams"),
+            ('"kind": "categorical"}', '"kind": "categorical", "kind": "numeric"}', "kind"),
+        ],
+        ids=["top-level", "entry", "covariate"],
+    )
+    def test_repeated_key_exits_2(self, workspace, capsys, once, twice, key):
+        # json.loads keeps the last copy of a repeated key without a word
+        tmp, config, data = workspace
+        text = json.dumps(minimal_config())
+        assert once in text
+        config.write_text(text.replace(once, twice, 1), encoding="utf-8")
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: configuration key {key!r} is repeated\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, workspace, capsys, seed):
+        tmp, config, data = workspace
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out), "--seed", seed]) == 2
+        assert f"master_seed: must be an integer in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_measure_label_exits_2(self, workspace, capsys):
         tmp, config, data = workspace
         config.write_text(json.dumps(minimal_config(measures=[{"kind": "rmse"}, {"kind": "rmse"}])), encoding="utf-8")

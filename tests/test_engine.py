@@ -67,6 +67,13 @@ class TestDeriveStream:
         with pytest.raises(ValueError):
             derive_stream(1, 1, 0)
 
+    @pytest.mark.parametrize("seed,nearest", [(-1, 0), (2**64, 2**64 - 1)])
+    def test_seed_outside_64_bits_rejected(self, seed, nearest):
+        # reducing mod 2^64 would give -1 the streams of 2^64 - 1, and 2^64 those of 0
+        with pytest.raises(ValueError, match=re.escape(f"master seed must lie in [0, 2^64), got {seed}")):
+            derive_stream(seed, 1, 1)
+        derive_stream(nearest, 1, 1)
+
     def test_first_draw_uniformity_chi_square(self):
         # 10^6 derived streams; bucketed first draws must not reject
         # uniformity at alpha = 0.001
@@ -567,6 +574,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="generation model"):
             small_config(generators=[])
 
+    @pytest.mark.parametrize("seed,nearest", [(-1, 0), (2**64, 2**64 - 1), (np.int64(-5), 0)])
+    def test_seed_outside_64_bits_rejected(self, seed, nearest):
+        with pytest.raises(ConfigError, match=re.escape(f"master_seed: must be an integer in [0, 2^64), got {seed!r}")):
+            small_config(master_seed=seed)
+        assert small_config(master_seed=nearest).master_seed == nearest
+
     def test_numpy_numbers_stored_as_python_values(self):
         config = small_config(iterations=np.int64(20), master_seed=np.uint64(7), failure_ceiling=np.float32(0.5))
         values = (config.iterations, config.master_seed, config.failure_ceiling)
@@ -665,6 +678,36 @@ class TestConfigFromDict:
         doc = self.good_doc()
         doc[key] = value
         with pytest.raises(ConfigError, match=f"^{key}: must be a list of entries"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "where,misspell,key",
+        [
+            ("generators[0]", lambda doc: doc["generators"][0].update(hyperparam={"max_depth": 3}), "hyperparam"),
+            ("strategies[1]", lambda doc: doc["strategies"][1].update(hyperparms={"k_neighbors": 50}), "hyperparms"),
+            ("characteristics[1]", lambda doc: doc["characteristics"][1].update(nmae="x"), "nmae"),
+            ("measures[0]", lambda doc: doc["measures"][0].update(foo=1), "foo"),
+            ("measures[1]", lambda doc: doc["measures"][1].update(label="q"), "label"),
+            ("schema", lambda doc: doc["schema"].update(sample_flg="s"), "sample_flg"),
+            ("schema", lambda doc: doc["schema"]["covariates"][1].update(knd="numeric"), "knd"),
+        ],
+    )
+    def test_misspelled_key_is_named_with_its_entry(self, where, misspell, key):
+        # a key that no constructor takes was once dropped, and the entry ran with its defaults
+        doc = self.good_doc()
+        doc["schema"] = {
+            "response": "y", "sample_flag": "s",
+            "covariates": [{"name": "a", "kind": "numeric"}, {"name": "b", "kind": "categorical"}],
+        }
+        assert config_from_dict(doc).schema.covariates == (("a", "numeric"), ("b", "categorical"))
+        misspell(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: .*unexpected keyword argument '{key}'$"):
+            config_from_dict(doc)
+
+    def test_list_hyperparams_rejected(self):
+        doc = self.good_doc()
+        doc["strategies"][1]["hyperparams"] = [["k_neighbors", 7]]
+        with pytest.raises(ConfigError, match=re.escape("strategies[1]: knn: hyperparams must be a mapping")):
             config_from_dict(doc)
 
     def test_default_strategy_name_is_family(self):

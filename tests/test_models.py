@@ -74,6 +74,12 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(family, params)
 
+    @pytest.mark.parametrize("params", [[["k_neighbors", 7]], "k_neighbors", None], ids=["pairs", "str", "null"])
+    def test_hyperparams_must_be_a_mapping(self, params):
+        # dict() would read a list of pairs, and the letters of a string as keys
+        with pytest.raises(ValueError, match=re.escape(f"knn: hyperparams must be a mapping, got {params!r}")):
+            ModelSpec(KNN, params)
+
     def test_numpy_numbers_stored_as_python_values(self):
         spec = ModelSpec(GAMMA_GLM, {"max_iter": np.int64(50), "tol": np.float32(0.5), "intercept_only": True})
         assert spec.hyperparams == {"max_iter": 50, "tol": 0.5, "intercept_only": True}
