@@ -9,7 +9,6 @@ characteristic of one).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -112,7 +111,6 @@ def cmd_run(
     config_path: str,
     data_path: str,
     out_dir: str,
-    seed: int | None = None,
     workers: int | None = None,
 ) -> int:
     try:
@@ -126,14 +124,11 @@ def cmd_run(
     config = config_from_dict(doc)
     if config.schema is None:
         raise ConfigError("schema: required to load the data CSV")
-    if seed is not None:
-        config = dataclasses.replace(config, master_seed=seed)
     workers = _worker_count(workers)
     out = _output_dir(out_dir)
 
     output = run(config, load_csv(data_path, config.schema), workers)
 
-    matrix = output.accuracy_matrix
     fields = {
         "metadata": output.metadata,
         "final_predictions": {
@@ -143,24 +138,11 @@ def cmd_run(
             }
             for name, values in output.final_predictions.items()
         },
-        "winner_accuracy": _winner_accuracy(matrix, set(output.final_predictions)),
     }
-    matrices = {"accuracy_matrix": matrix, "w1": output.w1, "w2": output.w2, "w3": output.w3}
+    matrices = {"accuracy_matrix": output.accuracy_matrix, "w1": output.w1, "w2": output.w2, "w3": output.w3}
     report = _write_report(out, fields, output.selections, matrices)
     print(f"run complete: winners {report['winners']}; artifacts in {out}")
     return 0
-
-
-def _winner_accuracy(matrix: AccuracyMatrix, winner_names: set[str]) -> dict:
-    """Echo each winner's accuracy rows under every generator, characteristic and measure."""
-    out: dict[str, list] = {}
-    for name in sorted(winner_names):
-        j = matrix.col_labels.index(name)
-        out[name] = [
-            {"generator": generator, "characteristic": characteristic, "measure": measure, "value": float(row[j])}
-            for (generator, characteristic, measure), row in zip(matrix.row_labels, matrix.entries)
-        ]
-    return out
 
 
 def cmd_vote(matrix_path: str, out_dir: str) -> int:
@@ -168,7 +150,11 @@ def cmd_vote(matrix_path: str, out_dir: str) -> int:
     if entries.shape[1] < 2:
         raise DataError(f"{matrix_path}: need at least two strategy columns")
     out = _output_dir(out_dir)
-    selections, matrices = elect(AccuracyMatrix(entries=entries, row_labels=row_labels, col_labels=col_labels))
+    try:
+        matrix = AccuracyMatrix(entries=entries, row_labels=row_labels, col_labels=col_labels)
+    except DataError as exc:
+        raise DataError(f"{matrix_path}: {exc}") from exc
+    selections, matrices = elect(matrix)
 
     fields = {
         "metadata": {
@@ -211,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON run configuration")
     p_run.add_argument("--data", required=True, help="input data CSV")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override the configured master seed")
     p_run.add_argument("--workers", type=int, default=None, help="worker processes (default: one per CPU)")
 
     p_vote = sub.add_parser("vote", help="re-run the four voting systems on a saved accuracy matrix")
@@ -228,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.data, args.out, args.seed, args.workers)
+            return cmd_run(args.config, args.data, args.out, args.workers)
         if args.command == "vote":
             return cmd_vote(args.matrix, args.out)
         return cmd_plot_ecdf(args.input, args.out)

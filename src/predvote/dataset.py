@@ -37,7 +37,10 @@ class ColumnSchema:
     sample_flag: str
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple((str(n), str(k)) for n, k in self.covariates))
+        object.__setattr__(self, "covariates", tuple((n, k) for n, k in self.covariates))
+        for value in (self.response, self.sample_flag, *(v for pair in self.covariates for v in pair)):
+            if not isinstance(value, str):
+                raise DataError(f"schema names and kinds must be strings, got {value!r}")
         names = [n for n, _ in self.covariates]
         if len(set(names)) != len(names):
             raise DataError("duplicate covariate names in schema")

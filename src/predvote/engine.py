@@ -17,7 +17,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
 from .accuracy import AccuracyMatrix, ErrorTensor, Measure, build_accuracy_matrix
 from .dataset import ColumnSchema, StudyFrame
 from .errors import ConfigError, DataError, FitError, SimulationError
@@ -292,7 +291,6 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
                     ) from exc
 
     metadata = {
-        "version": __version__,
         "master_seed": config.master_seed,
         "iterations": config.iterations,
         "workers": workers,
@@ -329,7 +327,7 @@ def _build(where: str, make, node):
 
 def _strategy(name="", **model) -> PredictionStrategy:
     spec = ModelSpec(**model)
-    return PredictionStrategy(name or spec.family, spec)
+    return PredictionStrategy(spec.family if name == "" else name, spec)
 
 
 def _covariate(name, kind) -> tuple:

@@ -169,6 +169,15 @@ class TestCmdRun:
         [
             ("strategies", {"name": 5, "family": "ols_normal"}, "strategies[0]: strategy needs a non-empty name string"),
             ("characteristics", {"kind": "total", "name": 7}, "characteristics[0]: characteristic name must be a string"),
+            # only a missing or empty name takes the family's; these once ran as 'ols_normal'
+            *(
+                (
+                    "strategies",
+                    {"name": name, "family": "ols_normal"},
+                    f"strategies[0]: strategy needs a non-empty name string, got {name!r}",
+                )
+                for name in (None, False, 0, [])
+            ),
         ],
     )
     def test_non_string_name_exits_2(self, workspace, capsys, key, entry, message):
@@ -223,12 +232,44 @@ class TestCmdRun:
         assert capsys.readouterr().err == f"error: configuration key {key!r} is repeated\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_2(self, workspace, capsys, seed):
         tmp, config, data = workspace
+        config.write_text(json.dumps(minimal_config(master_seed=seed)), encoding="utf-8")
         out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out), "--seed", seed]) == 2
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
         assert f"master_seed: must be an integer in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_option_is_unrecognized(self, workspace, capsys):
+        # the configuration's master_seed is the one source of the seed
+        tmp, config, data = workspace
+        out = tmp / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), "--data", str(data), "--out", str(out), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda schema: schema.update(response=5),
+            lambda schema: schema.update(sample_flag=5),
+            lambda schema: schema["covariates"][0].update(name=5),
+            lambda schema: schema["covariates"][0].update(kind=5),
+        ],
+        ids=["response", "sample_flag", "covariate-name", "covariate-kind"],
+    )
+    def test_non_string_schema_name_exits_2_before_the_data_is_read(self, workspace, capsys, edit):
+        # a numeric covariate name once read a CSV column called '5', and a numeric response exited 3 after the read
+        tmp, config, _ = workspace
+        doc = minimal_config()
+        edit(doc["schema"])
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
+        assert "error: schema: schema names and kinds must be strings, got 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_measure_label_exits_2(self, workspace, capsys):
@@ -335,14 +376,15 @@ class TestCmdRun:
         assert main(["run", "--config", str(config), "--data", str(doubled), "--out", str(tmp / "x")]) == 3
         assert "column 'gender' is repeated in the header" in capsys.readouterr().err
 
-    def test_seed_override_changes_results_and_reproduces(self, workspace):
-        tmp, config, data = workspace
+    def test_configured_seed_changes_results_and_reproduces(self, workspace):
+        tmp, _, data = workspace
+        configs = {}
+        for seed in (11, 12):
+            configs[seed] = tmp / f"seed{seed}.json"
+            configs[seed].write_text(json.dumps(minimal_config(master_seed=seed)), encoding="utf-8")
         outs = [tmp / f"o{i}" for i in range(3)]
-        for out, seed in zip(outs, ["11", "11", "12"]):
-            assert main([
-                "run", "--config", str(config), "--data", str(data),
-                "--out", str(out), "--seed", seed,
-            ]) == 0
+        for out, seed in zip(outs, [11, 11, 12]):
+            assert main(["run", "--config", str(configs[seed]), "--data", str(data), "--out", str(out)]) == 0
         a, b, c = [(o / "accuracy_matrix.csv").read_bytes() for o in outs]
         assert a == b
         assert a != c
@@ -362,17 +404,15 @@ class TestCmdRun:
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
         assert_tie_break_block(json.loads((out / "report.json").read_text()))
 
-    def test_winner_accuracy_traceable_to_matrix(self, workspace):
+    def test_report_holds_each_value_once(self, workspace):
+        # the winners' accuracy rows live in accuracy_matrix.csv, and the version once at the top
         tmp, config, data = workspace
-        out = tmp / "trace"
+        out = tmp / "once"
         assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        entries, row_labels, col_labels = read_matrix_csv(str(out / "accuracy_matrix.csv"))
-        for name, rows in report["winner_accuracy"].items():
-            j = col_labels.index(name)
-            for i, row in enumerate(rows):
-                assert row["value"] == entries[i, j]
-                assert "|".join([row["generator"], row["characteristic"], row["measure"]]) == row_labels[i]
+        assert "winner_accuracy" not in report
+        assert "version" not in report["metadata"]
+        assert report["version"] == predvote.__version__
 
 
 class TestCmdVote:
@@ -423,6 +463,14 @@ class TestCmdVote:
         write_matrix_csv(str(matrix_path), np.array([[1.0, -2.0]]), ["r1"], ["a", "b"])
         assert main(["vote", str(matrix_path), "--out", str(tmp_path / "out")]) == 3
         assert "nonnegative" in capsys.readouterr().err
+
+    def test_negative_entry_error_names_the_file(self, tmp_path, capsys):
+        matrix_path = tmp_path / "neg.csv"
+        matrix_path.write_text("voter,a,b\nr1,-0.1,0.2\nr2,0.3,0.1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {matrix_path}: accuracy matrix entries must be nonnegative\n"
+        assert not out.exists()
 
     def test_malformed_matrix_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

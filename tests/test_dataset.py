@@ -312,3 +312,19 @@ class TestStudyFrame:
             ColumnSchema(response="y", covariates=(("x", "weird"),), sample_flag="s")
         with pytest.raises(DataError):
             ColumnSchema(response="y", covariates=(("x", "numeric"), ("x", "numeric")), sample_flag="s")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"response": 5},
+            {"sample_flag": None},
+            {"covariates": ((5, "categorical"),)},
+            {"covariates": (("x", 5),)},
+        ],
+        ids=["response", "sample_flag", "covariate-name", "covariate-kind"],
+    )
+    def test_schema_names_must_be_strings(self, fields):
+        # str() once turned a covariate named 5 into the CSV column '5'
+        schema = {"response": "y", "covariates": (("x", "numeric"),), "sample_flag": "s", **fields}
+        with pytest.raises(DataError, match="schema names and kinds must be strings"):
+            ColumnSchema(**schema)

@@ -716,6 +716,17 @@ class TestConfigFromDict:
         config = config_from_dict(doc)
         assert config.strategies[0].name == "ols_normal"
 
+    @pytest.mark.parametrize("name", [None, False, 0, []], ids=["null", "false", "zero", "empty-list"])
+    def test_non_string_strategy_name_rejected(self, name):
+        # only a missing or empty string takes the family as the name
+        doc = self.good_doc()
+        doc["strategies"][0]["name"] = name
+        message = f"strategies[0]: strategy needs a non-empty name string, got {name!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(doc)
+        doc["strategies"][0]["name"] = ""
+        assert config_from_dict(doc).strategies[0].name == "ols_normal"
+
     @pytest.mark.parametrize("value", ["auto", 2, None])
     def test_parallelism_is_an_unknown_field(self, value):
         # the worker count is a machine setting, passed to run and simulate_errors, not part of the study
