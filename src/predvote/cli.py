@@ -1,9 +1,9 @@
 """Command-line interface: run simulations, re-vote saved matrices, plot ECDFs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
-failure (fit-failure ceiling breached, a winner refit failed, a Gamma
-generator mean not positive, or a non-finite simulated population or
-characteristic of one).
+failure (fit-failure ceiling breached, a winner refit failed or predicted
+a non-finite value, a Gamma generator mean not positive, or a non-finite
+simulated population or characteristic of one).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .dataset import load_csv
 from .engine import _worker_count, config_from_dict, run
 from .errors import ConfigError, DataError, PredvoteError, SimulationError
 from .matrix_io import read_matrix_csv, write_ecdf_csv, write_matrix_csv
-from .voting import ECDF_AUC, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
+from .voting import ECDF_AUC, TRANSFORM_SCALED, SelectionResult, VotingMatrix, ecdf_steps, elect, stochastic_dominance
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, SimulationError: 4}
 
@@ -172,16 +172,16 @@ def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
     # imported here so that run and vote, which draw nothing, never load the renderer
     from .plots import render_ecdf_svg
 
-    entries, _, col_labels = read_matrix_csv(input_path)
+    entries, row_labels, col_labels = read_matrix_csv(input_path)
     if np.any(entries < 0) or np.any(entries > 1):
         raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
-    steps = {name: ecdf_steps(entries[:, j]) for j, name in enumerate(col_labels)}
+    svg = render_ecdf_svg(VotingMatrix(entries, TRANSFORM_SCALED, row_labels, col_labels))
     try:
         Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_svg).write_text(render_ecdf_svg(steps), encoding="utf-8")
+        Path(out_svg).write_text(svg, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out_svg}: {exc}") from exc
-    print(f"wrote {out_svg} ({len(steps)} curves)")
+    print(f"wrote {out_svg} ({len(col_labels)} curves)")
     return 0
 
 
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON run configuration")
     p_run.add_argument("--data", required=True, help="input data CSV")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--workers", type=int, default=None, help="worker processes (default: one per CPU)")
+    p_run.add_argument("--workers", type=int, default=None, help="worker processes (default: one per usable CPU)")
 
     p_vote = sub.add_parser("vote", help="re-run the four voting systems on a saved accuracy matrix")
     p_vote.add_argument("matrix", help="labeled accuracy matrix CSV")

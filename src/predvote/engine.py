@@ -57,9 +57,9 @@ def derive_stream(master_seed: int, g: int, b: int) -> np.random.Generator:
 
 
 def _worker_count(workers: int | None) -> int:
-    """The one worker-count rule: a positive integer, or one worker per CPU when it is None."""
+    """The one worker-count rule: a positive integer, or one worker per CPU this process may use when None."""
     if workers is None:
-        return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not (is_integer(workers) and workers >= 1):
         raise ConfigError(f"workers: must be a positive integer or unset, got {workers!r}")
     return int(workers)
@@ -153,17 +153,15 @@ class _Cells:
     characteristics: tuple[Characteristic, ...]
     master_seed: int
 
-    @np.errstate(over="ignore")  # an overflow ends in a non-finite truth or prediction, checked below
+    @np.errstate(over="ignore")  # an overflow ends in a non-finite truth, checked below
     def block(
         self, generator: Generator, g: int, b_lo: int, b_hi: int
-    ) -> tuple[int, int, np.ndarray, np.ndarray, dict[int, str]]:
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
         """Error and mask slices of iterations b_lo..b_hi-1 (0-based) of generator g, and {p: p's first failure}.
 
         A non-finite characteristic of the simulated population is a
-        SimulationError; a FitError or a non-finite plug-in prediction masks
-        its cell.
+        SimulationError; a FitError of a refit plan masks its cell.
         """
-        n = self.frame.n
         count = b_hi - b_lo
         errors = np.zeros((count, len(self.characteristics), len(self.plans)))
         mask = np.zeros((count, len(self.plans)), dtype=bool)
@@ -177,25 +175,20 @@ class _Cells:
                     f"generator {generator_label(g, generator)!r}, iteration {b_lo + local_b + 1}: characteristic "
                     f"{self.characteristics[bad[0]].name!r} of the simulated population is not finite"
                 )
-            y_s_gen = y_gen[:n]
+            y_s_gen = y_gen[: self.frame.n]
             for p, plan in enumerate(self.plans):
                 try:
-                    predicted = plan.plug_in(self.frame, y_s_gen, self.characteristics)
-                    bad = np.flatnonzero(~np.isfinite(predicted))
-                    if bad.size:
-                        raise FitError(f"plug-in prediction of {self.characteristics[bad[0]].name!r} is not finite")
+                    errors[local_b, :, p] = plan.plug_in(self.frame, y_s_gen, self.characteristics) - truth
                 except FitError as exc:
                     mask[local_b, p] = True
                     reasons.setdefault(p, str(exc))
-                    continue
-                errors[local_b, :, p] = predicted - truth
-        return g, b_lo, errors, mask, reasons
+        return errors, mask, reasons
 
 
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
     """Run the Monte Carlo loop and return the raw error tensor.
 
-    The result is independent of workers (None: one process per CPU): every
+    The result is independent of workers (None: one process per usable CPU): every
     (g, b) cell is a pure function of (config, frame). What depends on the
     design alone (each Generator, with its location on x_full, and each
     strategy's refit plan) is built once here, not in every cell.
@@ -230,14 +223,14 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
     with pool:
-        # map and pool.map both take one iterable per argument of cells.block
+        # map and pool.map both take one iterable per argument of cells.block, and keep the task order
         blocks = (map if serial else pool.map)(cells.block, *zip(*tasks))
         first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
-        for g, b_lo, err_block, mask_block, reasons in blocks:
-            values[g, b_lo : b_lo + err_block.shape[0]] = err_block
-            mask[g, b_lo : b_lo + mask_block.shape[0]] = mask_block
+        for (_, g, b_lo, b_hi), (err_block, mask_block, reasons) in zip(tasks, blocks):
+            values[g, b_lo:b_hi] = err_block
+            mask[g, b_lo:b_hi] = mask_block
             for p, reason in reasons.items():
                 first_reason.setdefault((g, p), reason)
 
@@ -283,7 +276,7 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     for result in selections.values():
         for name in result.winners:
             if name not in final_predictions:
-                try:  # y_sample is finite (StudyFrame checks it), so plug_in_predict's checks would pass
+                try:  # y_sample is finite (StudyFrame checks it), as plug_in_predict requires
                     final_predictions[name] = plan_by_name[name].plug_in(frame, frame.y_sample, config.characteristics)
                 except FitError as exc:
                     raise SimulationError(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .voting import ecdf_area
+from .voting import VotingMatrix, ecdf_auc_vote, ecdf_steps
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -35,8 +35,8 @@ def _step_path(xs: np.ndarray, cdf: np.ndarray) -> str:
     return " ".join(parts)
 
 
-def render_ecdf_svg(steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
-    """One SVG with a unit-square step curve per strategy, legend with each curve's ecdf_area."""
+def render_ecdf_svg(w3: VotingMatrix) -> str:
+    """One SVG with a unit-square ECDF step curve per column of w3, legend with each column's ECDF-AUC criterion."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -64,7 +64,9 @@ def render_ecdf_svg(steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
         f'<text x="{(_sx(0) + _sx(1)) / 2:.2f}" y="{_HEIGHT - 8}" text-anchor="middle">scaled accuracy score</text>'
     )
 
-    for i, (name, (xs, cdf)) in enumerate(steps.items()):
+    aucs = ecdf_auc_vote(w3).criterion_values
+    for i, name in enumerate(w3.col_labels):
+        xs, cdf = ecdf_steps(w3.entries[:, i])
         color = _PALETTE[i % len(_PALETTE)]
         lines.append(
             f'<path d="{_step_path(xs, cdf)}" fill="none" stroke="{color}" stroke-width="1.8"/>'
@@ -75,7 +77,7 @@ def render_ecdf_svg(steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> str:
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="3"/>'
         )
         lines.append(
-            f'<text x="{lx + 28}" y="{ly}">{name} (AUC={ecdf_area(xs, cdf):.3f})</text>'
+            f'<text x="{lx + 28}" y="{ly}">{name} (AUC={aucs[i]:.3f})</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines)

@@ -88,14 +88,22 @@ class RefitPlan:
     strategy: PredictionStrategy
     neighbours: np.ndarray | None = None
 
+    @np.errstate(over="ignore")  # an overflow ends in a non-finite prediction, checked below
     def plug_in(self, frame: StudyFrame, y_s: np.ndarray, characteristics: list[Characteristic]) -> np.ndarray:
-        """Each characteristic's plug-in prediction from a finite float64 y_s of length frame.n; FitError propagates."""
+        """Each characteristic's plug-in prediction from a finite float64 y_s of length frame.n.
+
+        A failed refit, or a non-finite prediction (named by characteristic), raises FitError.
+        """
         if self.neighbours is not None:
             y_out = y_s[self.neighbours].mean(axis=1)
         else:
             y_out = fit(self.strategy.model, frame.x_sample, y_s).predict(frame.x_out)
         composite = np.concatenate([y_s, y_out])
-        return np.array([eval_characteristic(c, composite) for c in characteristics])
+        predicted = np.array([eval_characteristic(c, composite) for c in characteristics])
+        bad = np.flatnonzero(~np.isfinite(predicted))
+        if bad.size:
+            raise FitError(f"plug-in prediction of {characteristics[bad[0]].name!r} is not finite")
+        return predicted
 
 
 def plan_refit(strategy: PredictionStrategy, frame: StudyFrame) -> RefitPlan:
@@ -119,9 +127,10 @@ def plug_in_predict(
 
     Refits the strategy on (x_sample, y_s) through plan_refit, the path the
     Monte Carlo cells take, and evaluates each characteristic on
-    [y_s ; predictions for x_out]. A non-finite y_s or a failed refit raises
-    FitError with the strategy name attached once; a ConvergenceError keeps
-    its type and iteration count. y_s is never mutated.
+    [y_s ; predictions for x_out]. A non-finite y_s, a failed refit or a
+    non-finite prediction raises FitError with the strategy name attached
+    once; a ConvergenceError keeps its type and iteration count. y_s is
+    never mutated.
     """
     y_s = np.asarray(y_s, dtype=np.float64).ravel()
     if y_s.size != frame.n:

@@ -201,16 +201,6 @@ def ecdf_steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs, np.cumsum(counts) / v.size
 
 
-def ecdf_area(xs: np.ndarray, cdf: np.ndarray) -> float:
-    """Area under an ECDF step curve from its first jump xs[0] up to 1.
-
-    Level cdf[i] holds on [xs[i], xs[i + 1]) and the last level on
-    [xs[-1], 1]; for the steps of a column in [0, 1] the area equals
-    1 - column mean.
-    """
-    return float(np.sum(np.asarray(cdf) * np.diff(xs, append=1.0)))
-
-
 def stochastic_dominance(w3: VotingMatrix, order: int = 1) -> np.ndarray:
     """P x P boolean relation: entry [i, j] marks column i dominating column j.
 

@@ -36,6 +36,22 @@ def make_positive_frame(n: int = 60, k: int = 12, seed: int = 0, noise: float = 
     )
 
 
+def overflow_refits_on(monkeypatch, y_real: np.ndarray) -> None:
+    """Make every refit on y_real predict inf; refits on any other sample run as usual."""
+    import predvote.prediction
+
+    real_fit = predvote.prediction.fit
+
+    class Overflowing:
+        def predict(self, x):
+            return np.full(len(x), np.inf)
+
+    def fit(spec, x, y):
+        return Overflowing() if np.array_equal(y, y_real) else real_fit(spec, x, y)
+
+    monkeypatch.setattr(predvote.prediction, "fit", fit)
+
+
 @pytest.fixture
 def positive_frame() -> StudyFrame:
     return make_positive_frame()

@@ -11,8 +11,10 @@ import pytest
 
 import predvote
 import reference_fixture as ref
+from conftest import overflow_refits_on
 from predvote.cli import main
-from predvote.dataset import write_portfolio_csv
+from predvote.dataset import load_csv, write_portfolio_csv
+from predvote.engine import config_from_dict
 from predvote.matrix_io import read_matrix_csv, write_matrix_csv
 
 RUN_FILES = {"accuracy_matrix.csv", "w1.csv", "w2.csv", "w3.csv", "ecdf.csv", "report.json"}
@@ -347,6 +349,25 @@ class TestCmdRun:
             "error: generator 'gen1_lognormal', iteration 1: "
             "characteristic 'total' of the simulated population is not finite\n"
         )
+
+    def test_non_finite_winner_prediction_exits_4_without_a_report(self, workspace, capsys, monkeypatch):
+        # every refit on the real sample predicts inf; the simulated samples refit as usual
+        # (neither strategy is knn, whose plan averages y_s without a refit)
+        tmp, config, data = workspace
+        doc = minimal_config(strategies=[
+            {"name": "ols", "family": "ols_normal"},
+            {"name": "null", "family": "ols_normal", "hyperparams": {"intercept_only": True}},
+        ])
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        overflow_refits_on(monkeypatch, load_csv(str(data), config_from_dict(doc).schema).y_sample)
+        out = tmp / "out"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out), "--workers", "1"]) == 4
+        assert re.fullmatch(
+            r"error: a winning strategy cannot be fitted on the real sample: "
+            r"strategy '(ols|null)': plug-in prediction of 'total' is not finite\n",
+            capsys.readouterr().err,
+        )
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, workspace):
         tmp, _, data = workspace

@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_positive_frame
+from conftest import make_positive_frame, overflow_refits_on
 from predvote.accuracy import Measure
 from predvote.dataset import StudyFrame
 from predvote.engine import (
     RunConfig,
+    _worker_count,
     config_from_dict,
     derive_stream,
     generator_label,
@@ -201,6 +202,38 @@ class TestSimulateErrors:
         message = f"workers: must be a positive integer or unset, got {workers!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             simulate_errors(small_config(), frame, workers=workers)
+
+    def test_pool_never_starts_more_workers_than_tasks(self, monkeypatch):
+        # G = 1 and B = 2 make two tasks, so six workers would leave four idle processes
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        frame = make_positive_frame(n=20, k=4, seed=1)
+        config = small_config(iterations=2)
+        pooled = simulate_errors(config, frame, workers=6)
+        serial = simulate_errors(config, frame, workers=1)
+        assert started == [2]
+        assert np.array_equal(pooled.values, serial.values)
+        assert np.array_equal(pooled.failure_mask, serial.failure_mask)
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        # a process pinned to one CPU runs one worker, however many the machine has
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _worker_count(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _worker_count(None) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(None) == 1
 
     def test_pool_tasks_carry_one_generator_and_no_fitted_model(self, monkeypatch):
         # a stand-in pool that ships every task through pickle, as the process pool does,
@@ -517,6 +550,19 @@ class TestRun:
             f"strategy {winner!r}: lognormal: response must be strictly positive"
         )
         assert str(raised.value).count(repr(winner)) == 1
+
+    def test_non_finite_winner_prediction_names_the_strategy_and_characteristic(self, monkeypatch):
+        # the refit predicts inf on the real sample only, not on any simulated one
+        frame = make_positive_frame(n=30, k=6, seed=6)
+        config = small_config(iterations=20)
+        (winner,) = run(config, frame, workers=1).final_predictions
+        overflow_refits_on(monkeypatch, frame.y_sample)
+        with pytest.raises(SimulationError) as raised:
+            run(config, frame, workers=1)
+        assert str(raised.value) == (
+            f"a winning strategy cannot be fitted on the real sample: "
+            f"strategy {winner!r}: plug-in prediction of 'total' is not finite"
+        )
 
 
 class TestConfigValidation:

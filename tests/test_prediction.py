@@ -193,6 +193,21 @@ class TestPlugIn:
         with pytest.raises(FitError, match="^strategy 'my_strategy': training data contains non-finite values$"):
             plug_in_predict(PredictionStrategy("my_strategy", spec), positive_frame, y, self.chars())
 
+    def test_non_finite_prediction_is_fit_error_naming_strategy_and_characteristic(self):
+        # the lognormal refit extrapolates exp(1 + x) to x = 1000, which overflows
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, 30)
+        frame = StudyFrame(
+            x_sample=x[:, None],
+            y_sample=np.exp(1.0 + x + 0.1 * rng.standard_normal(30)),
+            x_out=np.array([[0.5], [1000.0]]),
+            column_names=["x"],
+        )
+        chars = [Characteristic("median"), Characteristic("mean")]
+        strategy = PredictionStrategy("lognormal", ModelSpec("lognormal"))
+        with pytest.raises(FitError, match="^strategy 'lognormal': plug-in prediction of 'mean' is not finite$"):
+            plug_in_predict(strategy, frame, frame.y_sample, chars)
+
     def test_wrong_sample_length_rejected(self, positive_frame):
         with pytest.raises(ValueError, match="length"):
             plug_in_predict(
