@@ -64,11 +64,10 @@ def sorted_median(ordered: np.ndarray):
     return ordered[mid] if ordered.shape[0] % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def order_statistic_quantile(values: np.ndarray, p: float) -> float:
-    """Inf-type p-quantile: sorted ascending, the value at 1-based index ceil(p * N)."""
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    index = min(max(math.ceil(p * ordered.size), 1), ordered.size)
-    return float(ordered[index - 1])
+def sorted_quantile(ordered: np.ndarray, p: float):
+    """Inf-type p-quantile along axis 0 of values sorted along it: the value at 1-based index ceil(p * N)."""
+    n = ordered.shape[0]
+    return ordered[min(max(math.ceil(p * n), 1), n) - 1]
 
 
 def qape(errors: np.ndarray, p: float) -> float:
@@ -79,7 +78,7 @@ def qape(errors: np.ndarray, p: float) -> float:
     if not np.all(np.isfinite(e)):
         raise ValueError("qape: errors contain non-finite values")
     order_p("qape", p, True)
-    return order_statistic_quantile(np.abs(e), p)
+    return float(sorted_quantile(np.sort(np.abs(e)), p))
 
 
 @dataclass
@@ -104,10 +103,6 @@ class ErrorTensor:
         unmasked = self.values[~np.broadcast_to(self.failure_mask[:, :, None, :], self.values.shape)]
         if unmasked.size and not np.all(np.isfinite(unmasked)):
             raise ValueError("unmasked error entries must be finite")
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.values.shape
 
     def effective_iterations(self) -> np.ndarray:
         """Surviving iteration count per (generator, strategy)."""
@@ -157,7 +152,7 @@ def build_accuracy_matrix(
     """
     if not measures:
         raise ValueError("need at least one measure")
-    g_count, b_count, c_count, p_count = tensor.dims
+    g_count, b_count, c_count, p_count = tensor.values.shape
     gens = generator_labels or [f"g{i + 1}" for i in range(g_count)]
     chars = characteristic_labels or [f"c{i + 1}" for i in range(c_count)]
     strategies = strategy_names or [f"p{i + 1}" for i in range(p_count)]

@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .accuracy import AccuracyMatrix
 from .dataset import load_csv
@@ -173,9 +171,10 @@ def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
     from .plots import render_ecdf_svg
 
     entries, row_labels, col_labels = read_matrix_csv(input_path)
-    if np.any(entries < 0) or np.any(entries > 1):
-        raise DataError(f"{input_path}: scaled matrix entries must lie in [0, 1]")
-    svg = render_ecdf_svg(VotingMatrix(entries, TRANSFORM_SCALED, row_labels, col_labels))
+    try:
+        svg = render_ecdf_svg(VotingMatrix(entries, TRANSFORM_SCALED, row_labels, col_labels))
+    except ValueError as exc:  # the scaled scores do not lie in [0, 1]
+        raise DataError(f"{input_path}: {exc}") from exc
     try:
         Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
         Path(out_svg).write_text(svg, encoding="utf-8")

@@ -22,7 +22,7 @@ from .dataset import ColumnSchema, StudyFrame
 from .errors import ConfigError, DataError, FitError, SimulationError
 from .generators import Generator, fit_kde
 from .models import ModelSpec, fit, is_integer, is_real
-from .prediction import Characteristic, PredictionStrategy, RefitPlan, eval_characteristic, plan_refit
+from .prediction import Characteristic, PredictionStrategy, RefitPlan, eval_characteristics, plan_refit
 from .voting import SelectionResult, VotingMatrix, elect
 
 _M64 = (1 << 64) - 1
@@ -168,7 +168,7 @@ class _Cells:
         reasons: dict[int, str] = {}
         for local_b in range(count):
             y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
-            truth = np.array([eval_characteristic(c, y_gen) for c in self.characteristics])
+            truth = eval_characteristics(self.characteristics, y_gen)
             bad = np.flatnonzero(~np.isfinite(truth))
             if bad.size:
                 raise SimulationError(
@@ -196,8 +196,8 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     return _simulate(config, frame, _worker_count(workers))[0]
 
 
-def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[ErrorTensor, list[RefitPlan]]:
-    """simulate_errors at a checked worker count, plus the refit plans its cells ran, for the winners."""
+def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[ErrorTensor, list[RefitPlan], int]:
+    """simulate_errors at a checked worker count, plus the refit plans its cells ran and the processes that ran them."""
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
     generators = _fit_generators(config, frame)
@@ -216,14 +216,15 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
         for g, generator in enumerate(generators)
         for lo in range(0, b_count, chunk)
     ]
-    serial = workers == 1  # iterations >= 2, so two or more workers always get two or more tasks
+    workers = min(workers, len(tasks))
+    serial = workers == 1
     if serial:
         pool = nullcontext()
     else:
         # imported here so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         # map and pool.map both take one iterable per argument of cells.block, and keep the task order
         blocks = (map if serial else pool.map)(cells.block, *zip(*tasks))
@@ -247,7 +248,7 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
             f"strategy fit failures hit {failure_rate:.2%} of cells, "
             f"above the ceiling of {config.failure_ceiling:.2%}; worst pairs: {pairs}"
         )
-    return ErrorTensor(values=values, failure_mask=mask), cells.plans
+    return ErrorTensor(values=values, failure_mask=mask), cells.plans, workers
 
 
 def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> RunOutput:
@@ -257,8 +258,7 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     of the four winner sets, with the refit plans the cells ran.
     """
     started = time.perf_counter()
-    workers = _worker_count(workers)
-    tensor, plans = _simulate(config, frame, workers)
+    tensor, plans, workers = _simulate(config, frame, _worker_count(workers))
     gen_labels = [generator_label(i, s) for i, s in enumerate(config.generators)]
     char_labels = [c.name for c in config.characteristics]
     strategy_names = [s.name for s in config.strategies]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accuracy import order_statistic_quantile, sorted_median
+from .accuracy import sorted_median, sorted_quantile
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
 from .models import KNN, ModelSpec, fit, order_p
@@ -60,18 +60,27 @@ class PredictionStrategy:
             raise ValueError(f"strategy needs a non-empty name string, got {self.name!r}")
 
 
-def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:
+def eval_characteristics(characteristics: list[Characteristic], y: np.ndarray) -> np.ndarray:
+    """Each characteristic of the population vector y, sorting y once and only if an order statistic is asked for."""
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size == 0:
         raise ValueError("cannot evaluate a characteristic on an empty vector")
-    if char.kind == TOTAL:
-        return float(y.sum())
-    if char.kind == MEAN:
-        return float(y.mean())
-    if char.kind == MEDIAN:
+    if any(c.kind in (MEDIAN, QUANTILE) for c in characteristics):
         ordered = np.sort(y)  # NaN sorts last and, as in np.median, is the median
-        return float(ordered[-1] if np.isnan(ordered[-1]) else sorted_median(ordered))
-    return order_statistic_quantile(y, char.p)
+    values = np.empty(len(characteristics))
+    for i, c in enumerate(characteristics):
+        if c.kind == MEDIAN:
+            values[i] = ordered[-1] if np.isnan(ordered[-1]) else sorted_median(ordered)
+        elif c.kind == QUANTILE:
+            values[i] = sorted_quantile(ordered, c.p)
+        else:
+            values[i] = y.sum() if c.kind == TOTAL else y.mean()
+    return values
+
+
+def eval_characteristic(char: Characteristic, y: np.ndarray) -> float:
+    """One characteristic of y: the one-element view of eval_characteristics."""
+    return float(eval_characteristics([char], y)[0])
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class RefitPlan:
         else:
             y_out = fit(self.strategy.model, frame.x_sample, y_s).predict(frame.x_out)
         composite = np.concatenate([y_s, y_out])
-        predicted = np.array([eval_characteristic(c, composite) for c in characteristics])
+        predicted = eval_characteristics(characteristics, composite)
         bad = np.flatnonzero(~np.isfinite(predicted))
         if bad.size:
             raise FitError(f"plug-in prediction of {characteristics[bad[0]].name!r} is not finite")

@@ -105,16 +105,11 @@ def _selection(system: str, exact: np.ndarray, names: list[str], direction: str)
 def fptp_vote(matrix: AccuracyMatrix) -> tuple[VotingMatrix, SelectionResult]:
     """First-past-the-post: each row gives its full single vote to the minimum."""
     a = matrix.entries
-    w = np.zeros_like(a)
-    row_min = a.min(axis=1, keepdims=True)
-    ties = a == row_min
-    w[ties] = 1.0
-    counts = ties.sum(axis=1)
-    w /= counts[:, None]
-    shares = np.array([Fraction(1, int(t)) for t in counts], dtype=object)
-    sums = (ties * shares[:, None]).sum(axis=0)
-    result = _selection(FPTP, sums, matrix.col_labels, HIGHER_BETTER)
-    voting = VotingMatrix(w, TRANSFORM_FPTP, list(matrix.row_labels), list(matrix.col_labels))
+    ties = a == a.min(axis=1, keepdims=True)
+    shares = np.array([Fraction(1, int(t)) for t in ties.sum(axis=1)], dtype=object)
+    exact = ties * shares[:, None]  # 1/t on each of a row's t minima, 0 elsewhere
+    result = _selection(FPTP, exact.sum(axis=0), matrix.col_labels, HIGHER_BETTER)
+    voting = VotingMatrix(exact.astype(np.float64), TRANSFORM_FPTP, list(matrix.row_labels), list(matrix.col_labels))
     return voting, result
 
 

@@ -223,6 +223,13 @@ class TestSimulateErrors:
         assert np.array_equal(pooled.values, serial.values)
         assert np.array_equal(pooled.failure_mask, serial.failure_mask)
 
+    def test_metadata_records_the_workers_that_ran(self):
+        # G = 1 and B = 2 make two tasks, so a request for four runs two processes
+        frame = make_positive_frame(n=20, k=4, seed=1)
+        config = small_config(iterations=2)
+        assert run(config, frame, workers=4).metadata["workers"] == 2
+        assert run(config, frame, workers=1).metadata["workers"] == 1
+
     def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
         # a process pinned to one CPU runs one worker, however many the machine has
         import os

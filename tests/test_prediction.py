@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from predvote.accuracy import Measure, qape
+from predvote.accuracy import Measure, qape, sorted_quantile
 from predvote.dataset import StudyFrame
 from predvote.errors import ConvergenceError, FitError
 from predvote.models import ModelSpec, fit
@@ -12,7 +12,7 @@ from predvote.prediction import (
     Characteristic,
     PredictionStrategy,
     eval_characteristic,
-    order_statistic_quantile,
+    eval_characteristics,
     plug_in_predict,
 )
 
@@ -55,13 +55,46 @@ class TestCharacteristic:
             p = rng.uniform(0.01, 0.99)
             candidates = np.sort(v)
             oracle = next(x for x in candidates if np.mean(v <= x) >= p)
-            assert order_statistic_quantile(v, p) == oracle
+            assert sorted_quantile(np.sort(v), p) == oracle
 
     def test_quantile_monotone_in_p(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal(37)
-        qs = [order_statistic_quantile(v, p) for p in np.linspace(0.01, 0.99, 25)]
+        qs = [sorted_quantile(np.sort(v), p) for p in np.linspace(0.01, 0.99, 25)]
         assert np.all(np.diff(qs) >= 0)
+
+    def test_one_sort_serves_every_order_statistic(self, monkeypatch):
+        sorts = []
+        sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(args)
+            return sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        y = np.random.default_rng(5).standard_normal(101)
+        order_statistics = [Characteristic("median"), Characteristic("quantile", 0.95), Characteristic("quantile", 0.5)]
+        eval_characteristics(order_statistics, y)
+        assert len(sorts) == 1
+        sorts.clear()
+        eval_characteristics([Characteristic("total"), Characteristic("mean")], y)
+        assert sorts == []
+
+    def test_vector_matches_each_characteristic_bit_for_bit(self):
+        chars = [
+            Characteristic("total"), Characteristic("mean"), Characteristic("median"),
+            Characteristic("quantile", 0.05), Characteristic("quantile", 0.5), Characteristic("quantile", 0.95),
+        ]
+        specials = ([], [np.inf], [-np.inf], [np.nan], [np.inf, -np.inf, np.nan])
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            y = np.round(rng.standard_normal(int(rng.integers(3, 60))), 1)  # ties
+            extra = specials[i % len(specials)]
+            y[rng.choice(y.size, size=len(extra), replace=False)] = extra
+            with np.errstate(invalid="ignore"):  # inf - inf in the total and mean is NaN
+                got = eval_characteristics(chars, y)
+                want = np.array([eval_characteristic(c, y) for c in chars])
+            assert got.tobytes() == want.tobytes(), i
 
     def test_validation(self):
         with pytest.raises(ValueError):
