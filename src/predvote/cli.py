@@ -45,18 +45,12 @@ def _selection_block(selections: dict[str, SelectionResult], col_labels: list[st
 
 
 def _dominance_block(w3: VotingMatrix) -> dict:
-    """Stochastic-dominance diagnostics: (better, worse) strategy pairs."""
+    """Stochastic-dominance diagnostics: (better, worse) strategy pairs, row-major."""
     names = w3.col_labels
-    block = {}
-    for order, key in ((1, "first_order"), (2, "second_order")):
-        relation = stochastic_dominance(w3, order=order)
-        block[key] = [
-            [names[i], names[j]]
-            for i in range(len(names))
-            for j in range(len(names))
-            if relation[i, j]
-        ]
-    return block
+    return {
+        key: [[names[i], names[j]] for i, j in zip(*stochastic_dominance(w3, order=order).nonzero())]
+        for order, key in ((1, "first_order"), (2, "second_order"))
+    }
 
 
 def _output_dir(out_dir: str) -> Path:

@@ -125,63 +125,56 @@ def _parse_number(token: str, column: str, line: int) -> float:
 def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema, lines: list[int]) -> StudyFrame:
     """Encode raw string columns, one equal-length list per schema column, into a StudyFrame.
 
-    Sample/out rows are split by the schema's flag column. Categorical
-    covariates are dummy-coded with the alphabetically first sample-observed
-    level dropped; a level appearing only in the out-of-sample block is an
-    error. Response cells on out-of-sample rows are ignored with a warning.
+    Each covariate is encoded over all rows in file order, so a column's bad
+    cell named is its first in the file; the schema's flag column then splits
+    the design into its sample and out-of-sample blocks. Categorical covariates
+    are dummy-coded with the alphabetically first sample-observed level
+    dropped; a level appearing only in the out-of-sample block is an error.
+    Response cells on out-of-sample rows are ignored with a warning.
     lines holds each row's file line, which error messages name.
     """
     flags = [_parse_flag(token, schema.sample_flag, line) for token, line in zip(columns[schema.sample_flag], lines)]
     if not flags:
         raise DataError("no data rows")
-    sample_idx = [i for i, f in enumerate(flags) if f]
-    out_idx = [i for i, f in enumerate(flags) if not f]
-    if not sample_idx:
+    if not any(flags):
         raise DataError("no rows flagged as in-sample")
-    if not out_idx:
+    if all(flags):
         raise DataError("no rows flagged as out-of-sample")
 
-    y = np.array([_parse_number(columns[schema.response][i], schema.response, lines[i]) for i in sample_idx])
-    ignored = sum(1 for i in out_idx if columns[schema.response][i].strip())
+    responses = columns[schema.response]
+    y = np.array([_parse_number(cell, schema.response, line) for cell, line, f in zip(responses, lines, flags) if f])
+    ignored = sum(1 for cell, f in zip(responses, flags) if not f and cell.strip())
     if ignored:
         warnings.warn(f"ignoring response values on {ignored} out-of-sample row(s)", stacklevel=2)
 
-    # Per-covariate encoded blocks, schema order; categorical levels are
-    # fixed by the sample block only.
+    # One encoded column over all rows per numeric covariate and per
+    # non-reference level, schema order; the sample block fixes the levels.
     names: list[str] = []
-    sample_cols: list[np.ndarray] = []
-    out_cols: list[np.ndarray] = []
+    encoded: list[np.ndarray] = []
     for cov_name, kind in schema.covariates:
         cells = columns[cov_name]
         if kind == NUMERIC:
             names.append(cov_name)
-            sample_cols.append(np.array([_parse_number(cells[i], cov_name, lines[i]) for i in sample_idx]))
-            out_cols.append(np.array([_parse_number(cells[i], cov_name, lines[i]) for i in out_idx]))
+            encoded.append(np.array([_parse_number(cell, cov_name, line) for cell, line in zip(cells, lines)]))
             continue
         empty = next((line for cell, line in zip(cells, lines) if not cell.strip()), None)
         if empty is not None:
             raise DataError(f"line {empty}, column {cov_name!r}: empty categorical cell")
-        sample_levels = [cells[i].strip() for i in sample_idx]
-        out_levels = [cells[i].strip() for i in out_idx]
-        levels = sorted(set(sample_levels))
+        values = [cell.strip() for cell in cells]
+        levels = sorted({v for v, f in zip(values, flags) if f})
         if len(levels) < 2:
             raise DataError(f"column {cov_name!r}: needs at least 2 levels in the sample block, found {levels}")
-        unseen = sorted(set(out_levels) - set(levels))
+        unseen = sorted(set(values).difference(levels))
         if unseen:
             raise DataError(f"column {cov_name!r}: level {unseen[0]!r} appears out-of-sample but never in the sample")
         for level in levels[1:]:  # reference level = levels[0]
             names.append(f"{cov_name}={level}")
-            sample_cols.append(np.array([1.0 if v == level else 0.0 for v in sample_levels]))
-            out_cols.append(np.array([1.0 if v == level else 0.0 for v in out_levels]))
+            encoded.append(np.array([v == level for v in values], dtype=np.float64))
 
     if not names:
         raise DataError("schema declares no covariates")
-    return StudyFrame(
-        x_sample=np.column_stack(sample_cols),
-        y_sample=y,
-        x_out=np.column_stack(out_cols),
-        column_names=names,
-    )
+    x, sample = np.column_stack(encoded), np.array(flags)
+    return StudyFrame(x_sample=x[sample], y_sample=y, x_out=x[~sample], column_names=names)
 
 
 def load_csv(path: str, schema: ColumnSchema) -> StudyFrame:

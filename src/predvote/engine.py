@@ -43,15 +43,18 @@ def derive_stream(master_seed: int, g: int, b: int) -> np.random.Generator:
 
     Counter-based: the cell id g * 2^32 + b is mixed with the master seed
     through a 64-bit avalanche, so any single cell can be reproduced in
-    isolation. The master seed lies in [0, 2^64), so no two seeds share streams.
+    isolation. The master seed lies in [0, 2^64), so no two seeds share streams;
+    the seed and both indices must be integers (bool is not one).
     """
+    if not (is_integer(master_seed) and is_integer(g) and is_integer(b)):
+        raise TypeError(f"master seed and stream indices must be integers, got {(master_seed, g, b)!r}")
     if g < 1 or b < 1:
         raise ValueError("stream indices are 1-based")
     if b > _B_MAX:
         raise ValueError(f"iteration index exceeds {_B_MAX}")
     if not 0 <= master_seed <= _M64:
         raise ValueError(f"master seed must lie in [0, 2^64), got {master_seed}")
-    stream_id = g * _B_MAX + b
+    stream_id = int(g) * _B_MAX + int(b)
     mixed = _avalanche(_avalanche(int(master_seed)) ^ stream_id)
     return np.random.Generator(np.random.PCG64(mixed))
 
@@ -137,11 +140,17 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
             raise ConfigError(f"generator {label!r} cannot be fitted on the sample data: {exc}") from exc
         try:
             kde = None if spec.is_parametric else fit_kde(model.sample_residuals, config.kde_bandwidth)
-        except DataError as exc:
+        except (DataError, ValueError) as exc:  # ValueError: a Silverman bandwidth that is not finite and positive
             raise ConfigError(f"generator {label!r}: residual KDE failed: {exc}") from exc
-        fitted.append((model, kde))
+        fitted.append((label, model, kde))
     # every fit and KDE is checked (ConfigError) before any location is built (SimulationError)
-    return [Generator.from_model(model, frame.x_full, kde) for model, kde in fitted]
+    generators = []
+    for label, model, kde in fitted:
+        try:
+            generators.append(Generator.from_model(model, frame.x_full, kde))
+        except SimulationError as exc:
+            raise SimulationError(f"generator {label!r}: {exc}") from exc
+    return generators
 
 
 @dataclass(frozen=True)
@@ -167,14 +176,16 @@ class _Cells:
         mask = np.zeros((count, len(self.plans)), dtype=bool)
         reasons: dict[int, str] = {}
         for local_b in range(count):
-            y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
+            cell = f"generator {generator_label(g, generator)!r}, iteration {b_lo + local_b + 1}"
+            try:
+                y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
+            except SimulationError as exc:
+                raise SimulationError(f"{cell}: {exc}") from exc
             truth = eval_characteristics(self.characteristics, y_gen)
             bad = np.flatnonzero(~np.isfinite(truth))
             if bad.size:
-                raise SimulationError(
-                    f"generator {generator_label(g, generator)!r}, iteration {b_lo + local_b + 1}: characteristic "
-                    f"{self.characteristics[bad[0]].name!r} of the simulated population is not finite"
-                )
+                name = self.characteristics[bad[0]].name
+                raise SimulationError(f"{cell}: characteristic {name!r} of the simulated population is not finite")
             y_s_gen = y_gen[: self.frame.n]
             for p, plan in enumerate(self.plans):
                 try:

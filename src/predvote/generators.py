@@ -13,12 +13,13 @@ drawing many populations builds it once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, SimulationError
-from .models import GAMMA_GLM, LOGNORMAL, OLS_NORMAL, FittedModel
+from .models import GAMMA_GLM, LOGNORMAL, OLS_NORMAL, FittedModel, is_real
 
 
 @dataclass
@@ -49,8 +50,9 @@ class KdeModel:
 
     def __post_init__(self):
         self.support_points = np.asarray(self.support_points, dtype=np.float64).ravel()
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not (is_real(self.bandwidth) and math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be a finite positive number, got {self.bandwidth!r}")
+        self.bandwidth = float(self.bandwidth)
         center = abs(float(self.support_points.mean()))
         if center > 1e-10 * max(1.0, float(np.abs(self.support_points).max())):
             raise ValueError("support_points must be centred to mean zero")
@@ -79,8 +81,8 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
     """Fit the residual KDE used by the nonparametric generator.
 
     rule is either "silverman" (0.9 * min(sd, IQR/1.34) * m^(-1/5), with sd
-    as fallback when the IQR collapses to zero) or an explicit positive
-    bandwidth. Residuals are centred before storage.
+    as fallback when the IQR collapses to zero) or an explicit bandwidth, which
+    KdeModel checks as RunConfig does. Residuals are centred before storage.
     """
     r = np.asarray(residuals, dtype=np.float64).ravel()
     if r.size < 2:
@@ -98,7 +100,7 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
             spread = sd
         bandwidth = 0.9 * spread * r.size ** (-1.0 / 5.0)
     else:
-        bandwidth = float(rule)  # KdeModel refuses one that is not positive
+        bandwidth = rule
     return KdeModel(support_points=centred, bandwidth=bandwidth)
 
 

@@ -350,6 +350,43 @@ class TestCmdRun:
             "characteristic 'total' of the simulated population is not finite\n"
         )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_draw_exits_4_naming_its_generator_and_iteration(self, tmp_path, capsys):
+        # the response spans 600 decades, so the ols_normal noise sd overflows and its first draw is not finite
+        y = np.geomspace(1e-300, 1e300, 40)
+        sample = [f"{v!r},{'ab'[i % 2]},1" for i, v in enumerate(y.tolist())]
+        (tmp_path / "data.csv").write_text("\n".join(["y,c,insample", *sample, ",a,0", ",b,0"]) + "\n", encoding="utf-8")
+        doc = minimal_config(
+            schema={"response": "y", "sample_flag": "insample", "covariates": [{"name": "c", "kind": "categorical"}]},
+            generators=[{"family": "ols_normal"}, {"family": "lognormal"}],
+            iterations=3,
+        )
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--data", str(tmp_path / "data.csv")]
+        assert main([*argv, "--out", str(tmp_path / "out"), "--workers", "1"]) == 4
+        assert capsys.readouterr().err == (
+            "error: generator 'gen1_ols_normal', iteration 1: generated population contains non-finite values\n"
+        )
+
+    def test_non_positive_gamma_mean_exits_4_naming_its_generator(self, tmp_path, capsys):
+        # the fitted Gamma mean falls with x and underflows to zero at the out-of-sample row x = 1e4
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, 40)
+        y = rng.gamma(5.0, np.exp(2.0 - 3.0 * x) / 5.0)
+        sample = [f"{a!r},{b!r},1" for a, b in zip(y.tolist(), x.tolist())]
+        (tmp_path / "data.csv").write_text("\n".join(["y,x,insample", *sample, ",10000.0,0"]) + "\n", encoding="utf-8")
+        doc = minimal_config(
+            schema={"response": "y", "sample_flag": "insample", "covariates": [{"name": "x", "kind": "numeric"}]},
+            generators=[{"family": "ols_normal"}, {"family": "gamma_glm_log_link"}],
+            iterations=3,
+        )
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--data", str(tmp_path / "data.csv")]
+        assert main([*argv, "--out", str(tmp_path / "out"), "--workers", "1"]) == 4
+        assert capsys.readouterr().err == (
+            "error: generator 'gen2_gamma_glm_log_link': gamma generation: non-positive fitted mean at row 40\n"
+        )
+
     def test_non_finite_winner_prediction_exits_4_without_a_report(self, workspace, capsys, monkeypatch):
         # every refit on the real sample predicts inf; the simulated samples refit as usual
         # (neither strategy is knn, whose plan averages y_s without a refit)

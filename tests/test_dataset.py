@@ -156,6 +156,47 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
             load_csv(str(path), BASIC_SCHEMA)
 
+    @pytest.mark.parametrize(
+        "out_cell,sample_cell,message",
+        [
+            ("oops", "bad", "cannot parse 'oops' as a number"),
+            ("inf", "nan", "non-finite value 'inf'"),
+        ],
+    )
+    def test_first_bad_numeric_cell_named_in_file_order(self, tmp_path, out_cell, sample_cell, message):
+        # the out-of-sample row's bad cell comes first in the file, above the sample row's
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["claim,age,insample", "1.0,30,1", f",{out_cell},0", f"2.0,{sample_cell},1", ",40,0"])
+        schema = ColumnSchema(response="claim", covariates=(("age", "numeric"),), sample_flag="insample")
+        with pytest.raises(DataError, match=data_error(path, f"line 3, column 'age': {message}")):
+            load_csv(str(path), schema)
+
+    def test_interleaved_rows_encode_to_hand_computed_blocks(self, tmp_path):
+        path = tmp_path / "interleaved.csv"
+        write_lines(
+            path,
+            [
+                "claim,age,region,insample",
+                "10.0,30,north,1",
+                ",45,south,0",
+                "12.5,52.5,south,true",
+                ",61,north,0",
+                "9.0,28,east,1",
+                ",33,east,false",
+            ],
+        )
+        schema = ColumnSchema(
+            response="claim",
+            covariates=(("age", "numeric"), ("region", "categorical")),
+            sample_flag="insample",
+        )
+        frame = load_csv(str(path), schema)
+        assert frame.column_names == ["age", "region=north", "region=south"]  # "east" is the reference level
+        assert np.array_equal(frame.x_sample, [[30.0, 1.0, 0.0], [52.5, 0.0, 1.0], [28.0, 0.0, 0.0]])
+        assert np.array_equal(frame.x_out, [[45.0, 0.0, 1.0], [61.0, 1.0, 0.0], [33.0, 0.0, 0.0]])
+        assert np.array_equal(frame.y_sample, [10.0, 12.5, 9.0])
+        assert frame.x_sample.flags.c_contiguous and frame.x_out.flags.c_contiguous
+
     def test_encode_columns_names_the_given_line(self):
         columns = {"claim": ["1.0", "2.0", ""], "gender": ["f", "m", "f"], "insample": ["1", "yes", "0"]}
         with pytest.raises(DataError, match=r"^line 7, column 'insample': sample flag must be binary"):

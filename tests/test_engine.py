@@ -75,6 +75,18 @@ class TestDeriveStream:
             derive_stream(seed, 1, 1)
         derive_stream(nearest, 1, 1)
 
+    @pytest.mark.parametrize(
+        "args", [(1.5, 1, 1), (np.float64(1.9), 1, 1), (True, 1, 1), (1, 1.0, 1), (1, 1, 2.5), (1, 1, False)]
+    )
+    def test_non_integer_seed_or_index_rejected(self, args):
+        # truncation would give 1.5, 1.9 and True the streams of seed 1
+        with pytest.raises(TypeError, match="master seed and stream indices must be integers"):
+            derive_stream(*args)
+
+    def test_numpy_integers_give_the_python_integer_streams(self):
+        expected = derive_stream(2**64 - 1, 3, 5).random(4)
+        assert np.array_equal(derive_stream(np.uint64(2**64 - 1), np.int64(3), np.int32(5)).random(4), expected)
+
     def test_first_draw_uniformity_chi_square(self):
         # 10^6 derived streams; bucketed first draws must not reject
         # uniformity at alpha = 0.001
@@ -421,6 +433,19 @@ class TestSimulateErrors:
         )
         config = small_config(generators=[ModelSpec("lognormal")])
         with pytest.raises(ConfigError, match="generator"):
+            simulate_errors(config, frame, workers=1)
+
+    def test_collapsed_silverman_bandwidth_is_config_error(self):
+        # residuals near 1e-300 square to zero, so the Silverman bandwidth is 0; it once escaped as a bare ValueError
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, size=(41, 1))
+        frame = StudyFrame(
+            x_sample=x[:40], y_sample=1e-300 * (1.0 + x[:40, 0] + 0.1 * rng.random(40)),
+            x_out=x[40:], column_names=["x"],
+        )
+        config = small_config(generators=[ModelSpec("knn", {"k_neighbors": 3})])
+        message = "generator 'gen1_knn': residual KDE failed: bandwidth must be a finite positive number, got 0.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             simulate_errors(config, frame, workers=1)
 
     def test_gamma_generator_with_zero_mean_is_simulation_error(self):

@@ -161,6 +161,16 @@ class TestKde:
         with pytest.raises(ValueError, match="positive"):
             KdeModel(support_points=np.array([-1.0, 1.0]), bandwidth=0.0)
 
+    @pytest.mark.parametrize("bandwidth", [float("inf"), float("nan"), True, -0.5, None])
+    def test_explicit_bandwidth_refused_as_run_config_refuses_it(self, bandwidth):
+        # fit_kde once returned bandwidth inf for inf, and 1.0 for True
+        with pytest.raises(ValueError, match="bandwidth must be a finite positive number"):
+            fit_kde(np.array([-1.0, 0.0, 1.0]), bandwidth)
+
+    def test_bandwidth_stored_as_float(self):
+        kde = KdeModel(support_points=np.array([-1.0, 1.0]), bandwidth=np.float32(0.5))
+        assert type(kde.bandwidth) is float and kde.bandwidth == 0.5
+
 
 class TestNonparametricGeneration:
     def fit_tree(self, seed=0, n=40):
