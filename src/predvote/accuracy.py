@@ -37,25 +37,31 @@ class Measure:
     def label(self) -> str:
         return f"qape{self.p:g}" if self.kind == QAPE else self.kind
 
-    def apply(self, errors: np.ndarray) -> float:
-        if self.kind == RMSE:
-            return rmse(errors)
-        return qape(errors, self.p)
+
+def eval_measures(measures: list[Measure], errors: np.ndarray) -> np.ndarray:
+    """Each measure of one error vector, checked once; one sort of |errors| serves every qape, if any."""
+    e = np.asarray(errors, dtype=np.float64).ravel()
+    what = " and ".join(dict.fromkeys(m.kind for m in measures))
+    if e.size == 0:
+        raise ValueError(f"{what} of an empty error vector")
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"{what}: errors contain non-finite values")
+    ordered = np.sort(np.abs(e)) if any(m.kind == QAPE for m in measures) else None
+    if any(m.kind == RMSE for m in measures):
+        with np.errstate(over="ignore"):
+            root = float(np.sqrt(np.mean(e**2)))
+        if math.isinf(root):  # e**2 or its sum overflowed: scale by the largest error before squaring
+            scale = np.max(np.abs(e))
+            root = float(scale * np.sqrt(np.mean((e / scale) ** 2)))
+    values = np.empty(len(measures))
+    for i, m in enumerate(measures):
+        values[i] = sorted_quantile(ordered, m.p) if m.kind == QAPE else root
+    return values
 
 
 def rmse(errors: np.ndarray) -> float:
     """Root mean square of the error vector; finite for finite errors."""
-    e = np.asarray(errors, dtype=np.float64).ravel()
-    if e.size == 0:
-        raise ValueError("rmse of an empty error vector")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("rmse: errors contain non-finite values")
-    with np.errstate(over="ignore"):
-        value = float(np.sqrt(np.mean(e**2)))
-    if math.isinf(value):  # e**2 or its sum overflowed: scale by the largest error before squaring
-        scale = np.max(np.abs(e))
-        value = float(scale * np.sqrt(np.mean((e / scale) ** 2)))
-    return value
+    return float(eval_measures([Measure(RMSE)], errors)[0])
 
 
 def sorted_median(ordered: np.ndarray):
@@ -72,13 +78,8 @@ def sorted_quantile(ordered: np.ndarray, p: float):
 
 def qape(errors: np.ndarray, p: float) -> float:
     """Inf-type p-quantile of |errors|: the smallest x with at least a fraction p of |errors| <= x."""
-    e = np.asarray(errors, dtype=np.float64).ravel()
-    if e.size == 0:
-        raise ValueError("qape of an empty error vector")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("qape: errors contain non-finite values")
     order_p("qape", p, True)
-    return float(sorted_quantile(np.sort(np.abs(e)), p))
+    return float(eval_measures([Measure(QAPE, p)], errors)[0])
 
 
 @dataclass
@@ -141,11 +142,11 @@ class AccuracyMatrix:
 def build_accuracy_matrix(
     tensor: ErrorTensor,
     measures: list[Measure],
-    generator_labels: list[str] | None = None,
-    characteristic_labels: list[str] | None = None,
-    strategy_names: list[str] | None = None,
+    generator_labels: list[str],
+    characteristic_labels: list[str],
+    strategy_names: list[str],
 ) -> AccuracyMatrix:
-    """Reduce an error tensor into the S x P accuracy matrix, S = G*C*M.
+    """Reduce an error tensor into the S x P accuracy matrix, S = G*C*M, with one eval_measures per error vector.
 
     Masked iterations are dropped per (generator, strategy); fewer than two
     surviving iterations for any such pair is an assembly error.
@@ -153,30 +154,17 @@ def build_accuracy_matrix(
     if not measures:
         raise ValueError("need at least one measure")
     g_count, b_count, c_count, p_count = tensor.values.shape
-    gens = generator_labels or [f"g{i + 1}" for i in range(g_count)]
-    chars = characteristic_labels or [f"c{i + 1}" for i in range(c_count)]
-    strategies = strategy_names or [f"p{i + 1}" for i in range(p_count)]
-    if len(gens) != g_count or len(chars) != c_count or len(strategies) != p_count:
+    if (len(generator_labels), len(characteristic_labels), len(strategy_names)) != (g_count, c_count, p_count):
         raise ValueError("label lists do not match tensor dimensions")
 
-    effective = tensor.effective_iterations()
-    for g in range(g_count):
-        for p in range(p_count):
-            if effective[g, p] < 2:
-                raise DataError(
-                    f"generator {gens[g]!r}, strategy {strategies[p]!r}: "
-                    f"only {int(effective[g, p])} of {b_count} iterations survived fit failures"
-                )
-
-    rows = np.empty((len(measures) * c_count * g_count, p_count))
-    labels = []
-    r = 0
-    for m in measures:
-        for c in range(c_count):
-            for g in range(g_count):
-                for p in range(p_count):
-                    keep = ~tensor.failure_mask[g, :, p]
-                    rows[r, p] = m.apply(tensor.values[g, keep, c, p])
-                labels.append((gens[g], chars[c], m.label))
-                r += 1
-    return AccuracyMatrix(entries=rows, row_labels=labels, col_labels=list(strategies))
+    entries = np.empty((len(measures), c_count, g_count, p_count))
+    for g, p in np.ndindex(g_count, p_count):
+        kept = tensor.values[g, ~tensor.failure_mask[g, :, p], :, p]  # (surviving iterations, C)
+        if kept.shape[0] < 2:
+            raise DataError(
+                f"generator {generator_labels[g]!r}, strategy {strategy_names[p]!r}: "
+                f"only {kept.shape[0]} of {b_count} iterations survived fit failures"
+            )
+        entries[:, :, g, p] = np.transpose([eval_measures(measures, errors) for errors in kept.T])
+    labels = [(gen, char, m.label) for m in measures for char in characteristic_labels for gen in generator_labels]
+    return AccuracyMatrix(entries=entries.reshape(-1, p_count), row_labels=labels, col_labels=list(strategy_names))

@@ -138,6 +138,9 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
             model = fit(spec, frame.x_sample, frame.y_sample)
         except FitError as exc:
             raise ConfigError(f"generator {label!r} cannot be fitted on the sample data: {exc}") from exc
+        for name, value in (model.error_summary or {}).items():  # the noise scale of a parametric generator
+            if not math.isfinite(value):
+                raise ConfigError(f"generator {label!r}: the {name.replace('_', ' ')} of its sample fit is not finite")
         try:
             kde = None if spec.is_parametric else fit_kde(model.sample_residuals, config.kde_bandwidth)
         except (DataError, ValueError) as exc:  # ValueError: a Silverman bandwidth that is not finite and positive
@@ -147,7 +150,7 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
     generators = []
     for label, model, kde in fitted:
         try:
-            generators.append(Generator.from_model(model, frame.x_full, kde))
+            generators.append(Generator.from_model(model, frame.x_full, kde, frame.n))
         except SimulationError as exc:
             raise SimulationError(f"generator {label!r}: {exc}") from exc
     return generators
@@ -274,9 +277,7 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     char_labels = [c.name for c in config.characteristics]
     strategy_names = [s.name for s in config.strategies]
     try:
-        matrix = build_accuracy_matrix(
-            tensor, config.measures, gen_labels, char_labels, strategy_names
-        )
+        matrix = build_accuracy_matrix(tensor, config.measures, gen_labels, char_labels, strategy_names)
     except DataError as exc:
         raise SimulationError(str(exc)) from exc
 

@@ -119,10 +119,13 @@ class Generator:
     kde: KdeModel | None = None
 
     @classmethod
-    def from_model(cls, model: FittedModel, x_full: np.ndarray, kde: KdeModel | None = None) -> "Generator":
+    def from_model(
+        cls, model: FittedModel, x_full: np.ndarray, kde: KdeModel | None = None, n_sample: int | None = None
+    ) -> "Generator":
         """The generator of model on x_full; kde is the residual KDE of a nonparametric model, else None.
 
-        A Gamma mean must be finite and positive everywhere (SimulationError).
+        A Gamma mean must be finite and positive everywhere (SimulationError), whose message names the first
+        bad row by its index in x_full or, given n_sample, by its block and 1-based position in that block.
         """
         family = model.spec.family
         if model.spec.is_parametric != (kde is None):
@@ -135,7 +138,11 @@ class Generator:
         if family == GAMMA_GLM:
             bad = np.flatnonzero(~(np.isfinite(mean) & (mean > 0)))
             if bad.size:
-                raise SimulationError(f"gamma generation: non-positive fitted mean at row {bad[0]}")
+                i = int(bad[0])
+                where = f"at x_full[{i}]" if n_sample is None else (
+                    f"on sample row {i + 1}" if i < n_sample else f"on out-of-sample row {i - n_sample + 1}"
+                )
+                raise SimulationError(f"gamma generation: non-positive fitted mean {where}")
             return cls(family, mean, float(model.error_summary["dispersion"]))
         return cls(family, mean, kde=kde)
 

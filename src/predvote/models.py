@@ -258,9 +258,11 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
     state.coef = _solve_ls(design, target)
     if spec.family == GAMMA_GLM:
         state.coef, state.deviance_path, mu = _gamma_irls(design, y, state.coef, spec)
-        pearson = float((((y - mu) / mu) ** 2).sum())
-        return state, {"dispersion": pearson / (n - p)}
-    sigma2 = float(((target - design @ state.coef) ** 2).sum()) / (n - p)
+    # an ols_normal or Gamma scale may overflow: a generator refuses it, and those families' predictions never read it
+    with np.errstate(over="ignore"):
+        if spec.family == GAMMA_GLM:
+            return state, {"dispersion": float((((y - mu) / mu) ** 2).sum()) / (n - p)}
+        sigma2 = float(((target - design @ state.coef) ** 2).sum()) / (n - p)
     if spec.family == OLS_NORMAL:
         return state, {"residual_variance": sigma2}
     # conditional-mean back-transform: E[Y|x] = exp(eta + sigma^2 / 2)

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import accuracy_oracle as oracle
 from predvote.accuracy import (
     AccuracyMatrix,
     ErrorTensor,
     Measure,
     build_accuracy_matrix,
+    eval_measures,
     qape,
     rmse,
     sorted_median,
@@ -147,20 +149,81 @@ def tensor_from(values, mask=None):
     return ErrorTensor(values=values, failure_mask=np.asarray(mask, dtype=bool))
 
 
+def labels_for(values):
+    """Generator, characteristic and strategy labels g1.., c1.., p1.. for an error tensor's shape."""
+    g, _, c, p = np.shape(values)
+    return [f"g{i + 1}" for i in range(g)], [f"c{i + 1}" for i in range(c)], [f"p{i + 1}" for i in range(p)]
+
+
+class TestEvalMeasures:
+    MEASURES = [Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95), Measure("qape", 0.05)]
+
+    def test_matches_the_per_entry_oracle(self):
+        rng = np.random.default_rng(24)
+        for i in range(60):
+            g, b, c, p = (int(v) for v in rng.integers([1, 2, 1, 2], [4, 9, 4, 5]))
+            values = rng.standard_normal((g, b, c, p)) * 10.0 ** rng.uniform(-3, 3)
+            if i % 3 == 1:
+                values = np.round(values, 0)  # many ties, zeros among them
+            elif i % 3 == 2:
+                values[0, :, 0, 0] = 1e155 * (-1.0) ** np.arange(b)  # the squares overflow
+            mask = rng.random((g, b, p)) < 0.3
+            mask[:, :2, :] = False  # at least two survivors per (generator, strategy)
+            mask[:, :, 0] = False  # keeps the overflow vector whole
+            values[np.broadcast_to(mask[:, :, None, :], values.shape)] = np.nan
+            tensor, labels = tensor_from(values, mask), labels_for(values)
+            measures = [self.MEASURES[j] for j in rng.permutation(4)[: rng.integers(1, 5)]]
+            matrix = build_accuracy_matrix(tensor, measures, *labels)
+            entries, row_labels = oracle.accuracy_matrix(tensor, measures, *labels)
+            assert np.array_equal(matrix.entries, entries), i
+            assert matrix.row_labels == row_labels and matrix.col_labels == labels[2]
+
+    def test_one_sort_per_error_vector_and_none_without_a_qape(self, monkeypatch):
+        sorts = []
+        sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(args)
+            return sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        values = np.random.default_rng(6).standard_normal((2, 7, 3, 4))
+        build_accuracy_matrix(tensor_from(values), self.MEASURES, *labels_for(values))
+        assert len(sorts) == 2 * 3 * 4
+        sorts.clear()
+        build_accuracy_matrix(tensor_from(values), [Measure("rmse")], *labels_for(values))
+        assert sorts == []
+
+    def test_rmse_and_qape_equal_their_entries_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        vectors = [rng.standard_normal(int(n)) * 10.0 ** rng.uniform(-5, 5) for n in rng.integers(1, 80, 100)]
+        vectors += [np.array([1e155, -1e155]), np.array([1e300, 3.0, -2e299]), np.round(rng.standard_normal(50))]
+        for e in vectors:
+            got = eval_measures(self.MEASURES, e)
+            want = [rmse(e), *(qape(e, m.p) for m in self.MEASURES[1:])]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_checks_the_vector_once_for_every_measure(self):
+        with pytest.raises(ValueError, match="^rmse and qape of an empty error vector$"):
+            eval_measures(self.MEASURES, [])
+        with pytest.raises(ValueError, match="^rmse and qape: errors contain non-finite values$"):
+            eval_measures(self.MEASURES, [1.0, np.inf])
+
+
 class TestBuildAccuracyMatrix:
     def test_hand_example(self):
         # G=1, C=1, B=3, P=2: errors (1,1,1) and (0,0,3)
         values = np.zeros((1, 3, 1, 2))
         values[0, :, 0, 0] = [1.0, 1.0, 1.0]
         values[0, :, 0, 1] = [0.0, 0.0, 3.0]
-        matrix = build_accuracy_matrix(tensor_from(values), [Measure("rmse")])
+        matrix = build_accuracy_matrix(tensor_from(values), [Measure("rmse")], *labels_for(values))
         assert np.allclose(matrix.entries, [[1.0, math.sqrt(3.0)]])
 
     def test_dimension_product(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal((2, 5, 2, 3))
         matrix = build_accuracy_matrix(
-            tensor_from(values), [Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95)]
+            tensor_from(values), [Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95)], *labels_for(values)
         )
         assert matrix.shape == (12, 3)
 
@@ -169,7 +232,7 @@ class TestBuildAccuracyMatrix:
         rng = np.random.default_rng(1)
         values = rng.standard_normal((6, 8, 2, 6))
         matrix = build_accuracy_matrix(
-            tensor_from(values), [Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95)]
+            tensor_from(values), [Measure("rmse"), Measure("qape", 0.5), Measure("qape", 0.95)], *labels_for(values)
         )
         assert matrix.shape == (36, 6)
 
@@ -198,17 +261,17 @@ class TestBuildAccuracyMatrix:
         rng = np.random.default_rng(3)
         values = rng.standard_normal((2, 30, 2, 3))
         measures = [Measure("rmse"), Measure("qape", 0.7)]
-        base = build_accuracy_matrix(tensor_from(values), measures)
+        base = build_accuracy_matrix(tensor_from(values), measures, *labels_for(values))
         perm = rng.permutation(30)
-        shuffled = build_accuracy_matrix(tensor_from(values[:, perm]), measures)
+        shuffled = build_accuracy_matrix(tensor_from(values[:, perm]), measures, *labels_for(values))
         assert np.allclose(base.entries, shuffled.entries)
 
     def test_scaling_errors_scales_entries(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal((1, 20, 1, 2))
         measures = [Measure("rmse"), Measure("qape", 0.5)]
-        base = build_accuracy_matrix(tensor_from(values), measures)
-        scaled = build_accuracy_matrix(tensor_from(3.5 * values), measures)
+        base = build_accuracy_matrix(tensor_from(values), measures, *labels_for(values))
+        scaled = build_accuracy_matrix(tensor_from(3.5 * values), measures, *labels_for(values))
         assert np.allclose(scaled.entries, 3.5 * base.entries)
 
     def test_masked_iterations_excluded(self):
@@ -217,7 +280,7 @@ class TestBuildAccuracyMatrix:
         values[0, :, 0, 1] = [2.0, 2.0, 2.0, 2.0]
         mask = np.zeros((1, 4, 2), dtype=bool)
         mask[0, 1, 0] = True  # drop the 100.0 for strategy 1 only
-        matrix = build_accuracy_matrix(tensor_from(values, mask), [Measure("rmse")])
+        matrix = build_accuracy_matrix(tensor_from(values, mask), [Measure("rmse")], *labels_for(values))
         assert np.allclose(matrix.entries, [[1.0, 2.0]])
 
     def test_too_few_survivors_is_assembly_error(self):
@@ -226,7 +289,8 @@ class TestBuildAccuracyMatrix:
         mask[0, :2, 1] = True
         with pytest.raises(DataError, match=r"strategy 'p2'"):
             build_accuracy_matrix(
-                tensor_from(values, mask), [Measure("rmse")], strategy_names=["p1", "p2"]
+                tensor_from(values, mask), [Measure("rmse")],
+                generator_labels=["g1"], characteristic_labels=["c1"], strategy_names=["p1", "p2"],
             )
 
     def test_entries_nonnegative_enforced(self):

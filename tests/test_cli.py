@@ -350,9 +350,27 @@ class TestCmdRun:
             "characteristic 'total' of the simulated population is not finite\n"
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_draw_exits_4_naming_its_generator_and_iteration(self, tmp_path, capsys):
-        # the response spans 600 decades, so the ols_normal noise sd overflows and its first draw is not finite
+        # log y runs from 690 to 709, so the lognormal scale is finite, but a draw of exp(eta + noise)
+        # passes the largest double (e^709.78) in the first iteration
+        y = np.exp(np.linspace(690.0, 709.0, 40))
+        sample = [f"{v!r},{'ab'[i % 2]},1" for i, v in enumerate(y.tolist())]
+        (tmp_path / "data.csv").write_text("\n".join(["y,c,insample", *sample, ",a,0", ",b,0"]) + "\n", encoding="utf-8")
+        doc = minimal_config(
+            schema={"response": "y", "sample_flag": "insample", "covariates": [{"name": "c", "kind": "categorical"}]},
+            generators=[{"family": "lognormal"}],
+            iterations=3,
+        )
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--data", str(tmp_path / "data.csv")]
+        assert main([*argv, "--out", str(tmp_path / "out"), "--workers", "1"]) == 4
+        assert capsys.readouterr().err == (
+            "error: generator 'gen1_lognormal', iteration 1: generated population contains non-finite values\n"
+        )
+
+    def test_non_finite_generator_scale_exits_2_before_any_cell(self, tmp_path):
+        # the response spans 600 decades, so the ols_normal residual variance overflows; the run
+        # refuses that generator before any cell, and numpy's overflow warning never reaches stderr
         y = np.geomspace(1e-300, 1e300, 40)
         sample = [f"{v!r},{'ab'[i % 2]},1" for i, v in enumerate(y.tolist())]
         (tmp_path / "data.csv").write_text("\n".join(["y,c,insample", *sample, ",a,0", ",b,0"]) + "\n", encoding="utf-8")
@@ -362,11 +380,20 @@ class TestCmdRun:
             iterations=3,
         )
         (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["run", "--config", str(tmp_path / "config.json"), "--data", str(tmp_path / "data.csv")]
-        assert main([*argv, "--out", str(tmp_path / "out"), "--workers", "1"]) == 4
-        assert capsys.readouterr().err == (
-            "error: generator 'gen1_ols_normal', iteration 1: generated population contains non-finite values\n"
+        src = str(Path(predvote.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [
+                sys.executable, "-c", "import sys; from predvote.cli import main; sys.exit(main(sys.argv[1:]))",
+                "run", "--config", "config.json", "--data", "data.csv", "--out", "out", "--workers", "1",
+            ],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: generator 'gen1_ols_normal': the residual variance of its sample fit is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_non_positive_gamma_mean_exits_4_naming_its_generator(self, tmp_path, capsys):
         # the fitted Gamma mean falls with x and underflows to zero at the out-of-sample row x = 1e4
@@ -384,7 +411,8 @@ class TestCmdRun:
         argv = ["run", "--config", str(tmp_path / "config.json"), "--data", str(tmp_path / "data.csv")]
         assert main([*argv, "--out", str(tmp_path / "out"), "--workers", "1"]) == 4
         assert capsys.readouterr().err == (
-            "error: generator 'gen2_gamma_glm_log_link': gamma generation: non-positive fitted mean at row 40\n"
+            "error: generator 'gen2_gamma_glm_log_link': gamma generation: "
+            "non-positive fitted mean on out-of-sample row 1\n"
         )
 
     def test_non_finite_winner_prediction_exits_4_without_a_report(self, workspace, capsys, monkeypatch):

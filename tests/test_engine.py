@@ -456,7 +456,7 @@ class TestSimulateErrors:
             x_out=np.vstack([base.x_out, [[-1e5, 0.0]]]), column_names=base.column_names,
         )
         config = small_config(generators=[ModelSpec("gamma_glm_log_link")])
-        with pytest.raises(SimulationError, match="non-positive fitted mean at row 34"):
+        with pytest.raises(SimulationError, match="non-positive fitted mean on out-of-sample row 5$"):
             simulate_errors(config, frame, workers=1)
 
     def test_out_block_required(self):

@@ -90,10 +90,15 @@ class TestParametricGeneration:
         x = rng.uniform(0.0, 1.0, size=(50, 1))
         model = fit(ModelSpec("gamma_glm_log_link"), x, np.exp(1.0 + 0.5 * x[:, 0] + 0.1 * rng.standard_normal(50)))
         x_full = np.array([[0.5], [0.2], [-1e5]])
-        with pytest.raises(SimulationError, match="non-positive fitted mean at row 2"):
+        with pytest.raises(SimulationError, match=r"non-positive fitted mean at x_full\[2\]$"):
             Generator.from_model(model, x_full)
-        with pytest.raises(SimulationError, match="non-positive fitted mean at row 2"):
+        with pytest.raises(SimulationError, match=r"non-positive fitted mean at x_full\[2\]$"):
             gen_parametric(model, x_full, rng)
+        # given the sample size, the row is named by its block and its 1-based position in it
+        with pytest.raises(SimulationError, match="non-positive fitted mean on out-of-sample row 2$"):
+            Generator.from_model(model, x_full, n_sample=1)
+        with pytest.raises(SimulationError, match="non-positive fitted mean on sample row 3$"):
+            Generator.from_model(model, x_full, n_sample=3)
 
     def test_nonparametric_family_rejected(self):
         rng = np.random.default_rng(0)
