@@ -9,6 +9,7 @@ to a configurable ceiling instead of aborting the run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -158,45 +159,41 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
 
 @dataclass(frozen=True)
 class _Cells:
-    """What every (generator, iteration) cell of a run reads besides its generator."""
+    """What every (generator, iteration) cell of a run reads."""
 
     frame: StudyFrame
+    generators: list[Generator]
     plans: list[RefitPlan]
     characteristics: tuple[Characteristic, ...]
     master_seed: int
 
     @np.errstate(over="ignore")  # an overflow ends in a non-finite truth, checked below
-    def block(
-        self, generator: Generator, g: int, b_lo: int, b_hi: int
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-        """Error and mask slices of iterations b_lo..b_hi-1 (0-based) of generator g, and {p: p's first failure}.
+    def cell(self, g: int, b: int) -> tuple[np.ndarray, dict[int, str]]:
+        """The (C x P) errors of iteration b of generator g (both 0-based), and {p: p's FitError message}.
 
         A non-finite characteristic of the simulated population is a
-        SimulationError; a FitError of a refit plan masks its cell.
+        SimulationError; a FitError of a refit plan leaves its errors at 0.
         """
-        count = b_hi - b_lo
-        errors = np.zeros((count, len(self.characteristics), len(self.plans)))
-        mask = np.zeros((count, len(self.plans)), dtype=bool)
+        generator = self.generators[g]
+        where = f"generator {generator_label(g, generator)!r}, iteration {b + 1}"
+        try:
+            y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b + 1))
+        except SimulationError as exc:
+            raise SimulationError(f"{where}: {exc}") from exc
+        truth = eval_characteristics(self.characteristics, y_gen)
+        bad = np.flatnonzero(~np.isfinite(truth))
+        if bad.size:
+            name = self.characteristics[bad[0]].name
+            raise SimulationError(f"{where}: characteristic {name!r} of the simulated population is not finite")
+        y_s_gen = y_gen[: self.frame.n]
+        errors = np.zeros((len(self.characteristics), len(self.plans)))
         reasons: dict[int, str] = {}
-        for local_b in range(count):
-            cell = f"generator {generator_label(g, generator)!r}, iteration {b_lo + local_b + 1}"
+        for p, plan in enumerate(self.plans):
             try:
-                y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b_lo + local_b + 1))
-            except SimulationError as exc:
-                raise SimulationError(f"{cell}: {exc}") from exc
-            truth = eval_characteristics(self.characteristics, y_gen)
-            bad = np.flatnonzero(~np.isfinite(truth))
-            if bad.size:
-                name = self.characteristics[bad[0]].name
-                raise SimulationError(f"{cell}: characteristic {name!r} of the simulated population is not finite")
-            y_s_gen = y_gen[: self.frame.n]
-            for p, plan in enumerate(self.plans):
-                try:
-                    errors[local_b, :, p] = plan.plug_in(self.frame, y_s_gen, self.characteristics) - truth
-                except FitError as exc:
-                    mask[local_b, p] = True
-                    reasons.setdefault(p, str(exc))
-        return errors, mask, reasons
+                errors[:, p] = plan.plug_in(self.frame, y_s_gen, self.characteristics) - truth
+            except FitError as exc:
+                reasons[p] = str(exc)
+        return errors, reasons
 
 
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
@@ -216,23 +213,16 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
         raise DataError("run needs at least one out-of-sample unit")
     generators = _fit_generators(config, frame)
     cells = _Cells(
-        frame, [plan_refit(strategy, frame) for strategy in config.strategies],
+        frame, generators, [plan_refit(strategy, frame) for strategy in config.strategies],
         config.characteristics, config.master_seed,
     )
-    b_count = config.iterations
+    values = np.zeros((len(generators), config.iterations, len(config.characteristics), len(config.strategies)))
+    mask = np.zeros((len(generators), config.iterations, len(config.strategies)), dtype=bool)
 
-    values = np.zeros((len(generators), b_count, len(config.characteristics), len(config.strategies)))
-    mask = np.zeros((len(generators), b_count, len(config.strategies)), dtype=bool)
-
-    chunk = max(1, -(-b_count // (workers * 4)))
-    tasks = [
-        (generator, g, lo, min(lo + chunk, b_count))
-        for g, generator in enumerate(generators)
-        for lo in range(0, b_count, chunk)
-    ]
-    workers = min(workers, len(tasks))
-    serial = workers == 1
-    if serial:
+    order = list(itertools.product(range(len(generators)), range(config.iterations)))  # the (g, b) cells
+    chunk = -(-len(order) // (4 * workers))
+    workers = min(workers, -(-len(order) // chunk))  # never more processes than chunks
+    if workers == 1:
         pool = nullcontext()
     else:
         # imported here so that a serial run never loads multiprocessing
@@ -240,13 +230,13 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
 
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
-        # map and pool.map both take one iterable per argument of cells.block, and keep the task order
-        blocks = (map if serial else pool.map)(cells.block, *zip(*tasks))
+        # both maps keep the (g, b) order; the pool pickles the cell state once per chunk of cells
+        results = map(cells.cell, *zip(*order)) if workers == 1 else pool.map(cells.cell, *zip(*order), chunksize=chunk)
         first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
-        for (_, g, b_lo, b_hi), (err_block, mask_block, reasons) in zip(tasks, blocks):
-            values[g, b_lo:b_hi] = err_block
-            mask[g, b_lo:b_hi] = mask_block
+        for (g, b), (errors, reasons) in zip(order, results):
+            values[g, b] = errors
             for p, reason in reasons.items():
+                mask[g, b, p] = True
                 first_reason.setdefault((g, p), reason)
 
     failure_rate = mask.sum() / mask.size

@@ -59,6 +59,8 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
     if not rows or len(header) < 2:
         raise DataError(f"{path}: expected a header row plus at least one labeled data row")
     col_labels = header[1:]
+    if "" in col_labels:
+        raise DataError(f"{path}: column {col_labels.index('') + 2} has an empty label; each strategy needs a name")
     repeated = next((label for i, label in enumerate(col_labels) if label in col_labels[:i]), None)
     if repeated is not None:
         raise DataError(f"{path}: column label {repeated!r} is repeated; strategy names must be unique")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .voting import VotingMatrix, ecdf_auc_vote, ecdf_steps
@@ -77,7 +79,7 @@ def render_ecdf_svg(w3: VotingMatrix) -> str:
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="3"/>'
         )
         lines.append(
-            f'<text x="{lx + 28}" y="{ly}">{name} (AUC={aucs[i]:.3f})</text>'
+            f'<text x="{lx + 28}" y="{ly}">{escape(name)} (AUC={aucs[i]:.3f})</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines)

@@ -574,6 +574,14 @@ class TestCmdVote:
         assert "column label 'a' is repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_column_label_exits_3(self, tmp_path, capsys):
+        matrix_path = tmp_path / "empty.csv"
+        matrix_path.write_text("voter,,b\nr1,0.1,0.2\nr2,0.3,0.1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
+        assert f"{matrix_path}: column 2 has an empty label" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tie_break_block_always_present(self, tmp_path, capsys):
         matrix_path = tmp_path / "a.csv"
         self.write_reference_matrix(str(matrix_path))
@@ -685,6 +693,26 @@ class TestPlotEcdf:
         assert main(["plot-ecdf", str(matrix_path), "--out", str(svg)]) == 3
         assert "column label 'a' is repeated" in capsys.readouterr().err
         assert not svg.exists()
+
+    def test_empty_column_label_exits_3(self, tmp_path, capsys):
+        matrix_path = tmp_path / "w3.csv"
+        matrix_path.write_text("voter,,b\nr1,0.0,1.0\n", encoding="utf-8")
+        svg = tmp_path / "p.svg"
+        assert main(["plot-ecdf", str(matrix_path), "--out", str(svg)]) == 3
+        assert f"{matrix_path}: column 2 has an empty label" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_legend_keeps_markup_characters_of_strategy_names(self, tmp_path):
+        # a name holding &, < or " is escaped in the SVG, so the file parses and the legend reads it back
+        import xml.etree.ElementTree as ET
+
+        names = ["a&b", "<c>", 'x"y']
+        w3 = tmp_path / "w3.csv"
+        write_matrix_csv(str(w3), np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]), ["r1", "r2"], names)
+        svg = tmp_path / "p.svg"
+        assert main(["plot-ecdf", str(w3), "--out", str(svg)]) == 0
+        texts = [el.text for el in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert [text.rsplit(" (AUC=", 1)[0] for text in texts if " (AUC=" in text] == names
 
     def test_unusable_out_exits_2(self, tmp_path, capsys):
         w3 = tmp_path / "w3.csv"

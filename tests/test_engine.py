@@ -254,9 +254,10 @@ class TestSimulateErrors:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(None) == 1
 
-    def test_pool_tasks_carry_one_generator_and_no_fitted_model(self, monkeypatch):
-        # a stand-in pool that ships every task through pickle, as the process pool does,
-        # and runs it here; the classes each task's pickle names are recorded
+    def test_pool_chunks_cover_every_cell_in_order_and_ship_no_fitted_model(self, monkeypatch):
+        # a stand-in pool that groups the cells into chunks of chunksize and ships each chunk
+        # through pickle with the function, as ProcessPoolExecutor.map does, and runs it here;
+        # the classes each chunk's pickle names are recorded
         import concurrent.futures
 
         shipped = []
@@ -276,12 +277,13 @@ class TestSimulateErrors:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                for args in zip(*iterables):
+            def map(self, fn, *iterables, chunksize=1):
+                args = list(zip(*iterables))
+                for lo in range(0, len(args), chunksize):
                     shipped.append({"classes": set()})
-                    fn_copy, args_copy = Recorder(io.BytesIO(pickle.dumps((fn, args)))).load()
-                    shipped[-1]["args"] = args_copy
-                    yield fn_copy(*args_copy)
+                    fn_copy, chunk = Recorder(io.BytesIO(pickle.dumps((fn, args[lo : lo + chunksize])))).load()
+                    shipped[-1].update(fn=fn_copy, chunk=chunk)
+                    yield from [fn_copy(*cell) for cell in chunk]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         frame = make_positive_frame(n=40, k=8, seed=3)
@@ -293,17 +295,18 @@ class TestSimulateErrors:
             ],
             iterations=6,
         )
-        pooled = simulate_errors(config, frame, workers=2)
+        workers = 2
+        pooled = simulate_errors(config, frame, workers=workers)
         serial = simulate_errors(config, frame, workers=1)
         assert np.array_equal(pooled.values, serial.values)
         assert np.array_equal(pooled.failure_mask, serial.failure_mask)
-        assert len(shipped) >= 2
+        assert 2 <= len(shipped) <= 4 * workers
+        assert [cell for task in shipped for cell in task["chunk"]] == [(g, b) for g in range(2) for b in range(6)]
         for task in shipped:
             assert not task["classes"] & {"FittedModel", "_GlmState", "_TreeState", "_KnnState"}
-            generator, g, b_lo, b_hi = task["args"]
-            assert isinstance(generator, Generator)
-            assert generator.family == config.generators[g].family
-            assert 0 <= b_lo < b_hi <= config.iterations
+            generators = task["fn"].__self__.generators
+            assert all(isinstance(generator, Generator) for generator in generators)
+            assert [generator.family for generator in generators] == [spec.family for spec in config.generators]
 
     def test_error_identity_on_sampled_cells(self):
         frame = make_positive_frame(n=25, k=5, seed=4)
@@ -332,6 +335,27 @@ class TestSimulateErrors:
         t_base = simulate_errors(base, frame, workers=1)
         t_ext = simulate_errors(extended, frame, workers=1)
         assert np.array_equal(t_base.values, t_ext.values[:, :, :, :2])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_extending_iterations_never_changes_an_earlier_cell(self, workers):
+        # every cell is a pure function of (seed, g, b), so B = 5 is the first five iterations of B = 12,
+        # masked cells included, however the cells are chunked
+        frame = make_positive_frame(n=30, k=5, seed=7, noise=0.55)
+        config = small_config(
+            generators=[ModelSpec("ols_normal"), ModelSpec("regression_tree")],
+            strategies=[
+                PredictionStrategy("ols", ModelSpec("ols_normal")),
+                PredictionStrategy("lognormal", ModelSpec("lognormal")),
+            ],
+            iterations=5,
+            failure_ceiling=0.9,
+            master_seed=11,
+        )
+        short = simulate_errors(config, frame, workers=1)
+        extended = simulate_errors(dataclasses.replace(config, iterations=12), frame, workers=workers)
+        assert short.failure_mask.any()
+        assert np.array_equal(short.values, extended.values[:, :5])
+        assert np.array_equal(short.failure_mask, extended.failure_mask[:, :5])
 
     def test_failure_masking_below_ceiling(self):
         # additive gaussian generator on a moderately noisy positive response:

@@ -141,3 +141,11 @@ def test_matrix_reader_refuses_an_ecdf_step_file(tmp_path):
     write_ecdf_csv(str(steps), {"a": (np.array([0.5, 1.0]), np.array([0.5, 1.0]))})
     with pytest.raises(DataError, match=f"^{re.escape(f'{steps}: an ECDF step file (strategy,x,cdf)')}"):
         read_matrix_csv(str(steps))
+
+
+def test_matrix_reader_refuses_an_empty_column_label_naming_its_column(tmp_path):
+    # each column is one strategy, known by its name; an empty label would be elected as ''
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("voter,a,,b\nr1,0.1,0.2,0.3\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{matrix}: column 3 has an empty label')}"):
+        read_matrix_csv(str(matrix))
