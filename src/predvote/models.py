@@ -161,7 +161,7 @@ class _KnnState:
     x_mean: np.ndarray
     x_scale: np.ndarray
     x_train: np.ndarray      # standardized training covariates
-    y_train: np.ndarray
+    y_train: np.ndarray | None  # None for an index-only fit
     k_neighbors: int
 
     def neighbours(self, x: np.ndarray) -> np.ndarray:
@@ -227,12 +227,6 @@ class FittedModel:
         if not isinstance(self._state, _GlmState):
             raise ValueError(f"{self.spec.family} has no linear predictor")
         return self._state.linear(self._design(x))
-
-    def neighbours(self, x: np.ndarray) -> np.ndarray:
-        """Training-row indices a kNN fit averages for each row of x, (rows x k_neighbors)."""
-        if not isinstance(self._state, _KnnState):
-            raise ValueError(f"{self.spec.family} has no neighbour index")
-        return self._state.neighbours(self._design(x))
 
 
 def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -360,14 +354,23 @@ def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _TreeState:
     return _TreeState(*(np.array(column) for column in zip(*table)))
 
 
-def _fit_knn(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _KnnState:
+def _fit_knn(x: np.ndarray, y: np.ndarray | None, spec: ModelSpec) -> _KnnState:
     k = spec.hyperparams["k_neighbors"]
     if k > x.shape[0]:
         raise FitError(f"knn: k_neighbors={k} exceeds the {x.shape[0]} training rows")
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, scale = x.mean(axis=0), x.std(axis=0)
+    # a column whose sum or squares overflow is standardised on x / max|x|, and the result scaled back
+    for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale))):
+        peak = np.abs(x[:, j]).max()
+        mean[j], scale[j] = (x[:, j] / peak).mean() * peak, (x[:, j] / peak).std() * peak
     scale[scale == 0.0] = 1.0  # constant columns carry no distance information
     return _KnnState(x_mean=mean, x_scale=scale, x_train=(x - mean) / scale, y_train=y, k_neighbors=k)
+
+
+def neighbour_index(spec: ModelSpec, x_train: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """The (rows x k_neighbors) x_train rows a knn fit of spec averages for each row of x; None for another family."""
+    return _fit_knn(x_train, None, spec).neighbours(x) if spec.family == KNN else None
 
 
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:

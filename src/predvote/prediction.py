@@ -15,7 +15,7 @@ import numpy as np
 from .accuracy import sorted_median, sorted_quantile
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
-from .models import KNN, ModelSpec, fit, order_p
+from .models import ModelSpec, fit, neighbour_index, order_p
 
 TOTAL = "total"
 MEAN = "mean"
@@ -117,13 +117,10 @@ class RefitPlan:
 
 def plan_refit(strategy: PredictionStrategy, frame: StudyFrame) -> RefitPlan:
     """The refit plan of one strategy on frame's fixed design."""
-    if strategy.model.family == KNN:
-        try:
-            model = fit(strategy.model, frame.x_sample, np.zeros(frame.n))
-        except FitError:
-            return RefitPlan(strategy)  # k_neighbors > n: every refit raises this FitError
-        return RefitPlan(strategy, model.neighbours(frame.x_out))
-    return RefitPlan(strategy)
+    try:
+        return RefitPlan(strategy, neighbour_index(strategy.model, frame.x_sample, frame.x_out))
+    except FitError:
+        return RefitPlan(strategy)  # k_neighbors > n: every refit raises this FitError
 
 
 def plug_in_predict(

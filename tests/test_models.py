@@ -18,6 +18,7 @@ from predvote.models import (
     ModelSpec,
     _GlmState,
     fit,
+    neighbour_index,
 )
 
 
@@ -714,6 +715,15 @@ class TestKnn:
         with pytest.raises(FitError, match="k_neighbors"):
             fit(ModelSpec(KNN, {"k_neighbors": 5}), [[1.0], [2.0]], [1.0, 2.0])
 
+    def test_huge_covariate_keeps_its_distance(self):
+        # squares of 1e200 overflow, so a plain sd of this column is inf and would drop it from every distance
+        x = np.arange(1.0, 7.0)[:, None] * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(ModelSpec(KNN, {"k_neighbors": 1}), x, np.arange(6.0))
+            assert model.predict([[6e200], [1e200]]).tolist() == [5.0, 0.0]
+        assert np.all(np.isfinite(model._state.x_train)) and np.isfinite(model._state.x_scale[0])
+
 
 def knn_predict_per_row(model: FittedModel, x: np.ndarray) -> np.ndarray:
     """The earlier kNN predict, kept as an oracle: one full neighbour search per query row."""
@@ -833,8 +843,7 @@ class TestKnnNeighbours:
     def test_shape_dtype_and_lowest_row_ties(self):
         # rows 0, 2 and 4 sit at the query, rows 1 and 3 one unit away
         x = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
-        model = fit(ModelSpec(KNN, {"k_neighbors": 4}), x, np.arange(5.0))
-        idx = model.neighbours(np.array([[0.0], [1.0], [0.0]]))
+        idx = neighbour_index(ModelSpec(KNN, {"k_neighbors": 4}), x, np.array([[0.0], [1.0], [0.0]]))
         assert idx.shape == (3, 4) and idx.dtype == np.intp
         assert idx.tolist() == [[0, 2, 4, 1], [1, 3, 0, 2], [0, 2, 4, 1]]
 
@@ -848,17 +857,20 @@ class TestKnnNeighbours:
             patterns = rng.integers(0, 2, size=(int(rng.integers(1, 6)), q)).astype(float)
             x = knn_design(rng, kind, n, q, patterns)
             query = np.vstack([knn_design(rng, kind, int(rng.integers(0, 30)), q, patterns), x[::3]])
-            model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(n))
-            state = model._state
+            spec = ModelSpec(KNN, {"k_neighbors": k})
+            state = fit(spec, x, rng.standard_normal(n))._state
             qs = (query - state.x_mean) / state.x_scale
             d = np.sqrt(((qs[:, None, :] - state.x_train[None, :, :]) ** 2).sum(axis=2))
             expected = np.argsort(d, axis=1, kind="stable")[:, :k]
-            assert np.array_equal(model.neighbours(query), expected)
+            assert np.array_equal(neighbour_index(spec, x, query), expected)
+
+    def test_k_exceeding_sample_raises_fit_error(self):
+        with pytest.raises(FitError, match="k_neighbors"):
+            neighbour_index(ModelSpec(KNN, {"k_neighbors": 3}), np.zeros((2, 1)), np.zeros((4, 1)))
 
     def test_other_families_have_no_neighbour_index(self):
-        x, y = positive_data(seed=7)
-        with pytest.raises(ValueError, match="neighbour"):
-            fit(ModelSpec(OLS_NORMAL), x, y).neighbours(x)
+        x, _ = positive_data(seed=7)
+        assert neighbour_index(ModelSpec(OLS_NORMAL), x, x) is None
 
 
 class TestUniformContract:
