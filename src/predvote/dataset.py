@@ -8,14 +8,13 @@ level so that parametric design matrices stay full rank.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .matrix_io import read_rows, write_rows
+from .matrix_io import parse_number, read_rows, write_rows
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -114,12 +113,9 @@ def _parse_flag(token: str, column: str, line: int) -> bool:
 
 def _parse_number(token: str, column: str, line: int) -> float:
     try:
-        value = float(token)
-    except ValueError:
-        raise DataError(f"line {line}, column {column!r}: cannot parse {token!r} as a number") from None
-    if not math.isfinite(value):
-        raise DataError(f"line {line}, column {column!r}: non-finite value {token!r}")
-    return value
+        return parse_number(token, column)
+    except ValueError as exc:
+        raise DataError(f"line {line}, {exc}") from None
 
 
 def encode_columns(columns: dict[str, list[str]], schema: ColumnSchema, lines: list[int]) -> StudyFrame:

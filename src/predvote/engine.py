@@ -14,6 +14,7 @@ import math
 import os
 import time
 from contextlib import nullcontext
+from functools import partial
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -157,43 +158,36 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
     return generators
 
 
-@dataclass(frozen=True)
-class _Cells:
-    """What every (generator, iteration) cell of a run reads."""
+@np.errstate(over="ignore")  # an overflow ends in a non-finite truth, checked below
+def _cell(
+    frame: StudyFrame, generators: list[Generator], plans: list[RefitPlan],
+    characteristics: tuple[Characteristic, ...], master_seed: int, g: int, b: int,
+) -> tuple[np.ndarray, dict[int, str]]:
+    """The (C x P) errors of iteration b of generator g (both 0-based), and {p: p's FitError message}.
 
-    frame: StudyFrame
-    generators: list[Generator]
-    plans: list[RefitPlan]
-    characteristics: tuple[Characteristic, ...]
-    master_seed: int
-
-    @np.errstate(over="ignore")  # an overflow ends in a non-finite truth, checked below
-    def cell(self, g: int, b: int) -> tuple[np.ndarray, dict[int, str]]:
-        """The (C x P) errors of iteration b of generator g (both 0-based), and {p: p's FitError message}.
-
-        A non-finite characteristic of the simulated population is a
-        SimulationError; a FitError of a refit plan leaves its errors at 0.
-        """
-        generator = self.generators[g]
-        where = f"generator {generator_label(g, generator)!r}, iteration {b + 1}"
+    A non-finite characteristic of the simulated population is a
+    SimulationError; a FitError of a refit plan leaves its errors at 0.
+    """
+    generator = generators[g]
+    where = f"generator {generator_label(g, generator)!r}, iteration {b + 1}"
+    try:
+        y_gen = generator.draw(derive_stream(master_seed, g + 1, b + 1))
+    except SimulationError as exc:
+        raise SimulationError(f"{where}: {exc}") from exc
+    truth = eval_characteristics(characteristics, y_gen)
+    bad = np.flatnonzero(~np.isfinite(truth))
+    if bad.size:
+        name = characteristics[bad[0]].name
+        raise SimulationError(f"{where}: characteristic {name!r} of the simulated population is not finite")
+    y_s_gen = y_gen[: frame.n]
+    errors = np.zeros((len(characteristics), len(plans)))
+    reasons: dict[int, str] = {}
+    for p, plan in enumerate(plans):
         try:
-            y_gen = generator.draw(derive_stream(self.master_seed, g + 1, b + 1))
-        except SimulationError as exc:
-            raise SimulationError(f"{where}: {exc}") from exc
-        truth = eval_characteristics(self.characteristics, y_gen)
-        bad = np.flatnonzero(~np.isfinite(truth))
-        if bad.size:
-            name = self.characteristics[bad[0]].name
-            raise SimulationError(f"{where}: characteristic {name!r} of the simulated population is not finite")
-        y_s_gen = y_gen[: self.frame.n]
-        errors = np.zeros((len(self.characteristics), len(self.plans)))
-        reasons: dict[int, str] = {}
-        for p, plan in enumerate(self.plans):
-            try:
-                errors[:, p] = plan.plug_in(self.frame, y_s_gen, self.characteristics) - truth
-            except FitError as exc:
-                reasons[p] = str(exc)
-        return errors, reasons
+            errors[:, p] = plan.plug_in(frame, y_s_gen, characteristics) - truth
+        except FitError as exc:
+            reasons[p] = str(exc)
+    return errors, reasons
 
 
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
@@ -212,10 +206,8 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
     generators = _fit_generators(config, frame)
-    cells = _Cells(
-        frame, generators, [plan_refit(strategy, frame) for strategy in config.strategies],
-        config.characteristics, config.master_seed,
-    )
+    plans = [plan_refit(strategy, frame) for strategy in config.strategies]
+    cell = partial(_cell, frame, generators, plans, config.characteristics, config.master_seed)
     values = np.zeros((len(generators), config.iterations, len(config.characteristics), len(config.strategies)))
     mask = np.zeros((len(generators), config.iterations, len(config.strategies)), dtype=bool)
 
@@ -230,8 +222,8 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
 
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
-        # both maps keep the (g, b) order; the pool pickles the cell state once per chunk of cells
-        results = map(cells.cell, *zip(*order)) if workers == 1 else pool.map(cells.cell, *zip(*order), chunksize=chunk)
+        # both maps keep the (g, b) order; the pool pickles the bound run state once per chunk of cells
+        results = map(cell, *zip(*order)) if workers == 1 else pool.map(cell, *zip(*order), chunksize=chunk)
         first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
         for (g, b), (errors, reasons) in zip(order, results):
             values[g, b] = errors
@@ -252,7 +244,7 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
             f"strategy fit failures hit {failure_rate:.2%} of cells, "
             f"above the ceiling of {config.failure_ceiling:.2%}; worst pairs: {pairs}"
         )
-    return ErrorTensor(values=values, failure_mask=mask), cells.plans, workers
+    return ErrorTensor(values=values, failure_mask=mask), plans, workers
 
 
 def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> RunOutput:

@@ -10,6 +10,7 @@ the in-memory one bit for bit. ECDF step files are written, never read.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -36,6 +37,17 @@ def read_rows(path, what: str) -> tuple[list[str], list[list[str]], list[int]]:
     except csv.Error as exc:
         raise DataError(f"cannot read {what} {path}, line {reader.line_num}: {exc}") from exc
     return (rows.pop(0) if rows else []), rows, lines[1:]
+
+
+def parse_number(token: str, column: str) -> float:
+    """The finite float a CSV cell of column holds; a ValueError naming the column and the token otherwise."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"column {column!r}: cannot parse {token!r} as a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"column {column!r}: non-finite value {token!r}")
+    return value
 
 
 def write_rows(path, rows) -> None:
@@ -71,13 +83,10 @@ def read_matrix_csv(path: str) -> tuple[np.ndarray, list[str], list[str]]:
             raise DataError(f"{path}, line {line}: expected {width + 1} cells, found {len(row)}")
         row_labels.append(row[0])
         try:
-            data.append([float(cell) for cell in row[1:]])
+            data.append([parse_number(cell, label) for cell, label in zip(row[1:], col_labels)])
         except ValueError as exc:
-            raise DataError(f"{path}, line {line}: {exc}") from exc
-    entries = np.array(data)
-    if not np.all(np.isfinite(entries)):
-        raise DataError(f"{path}: matrix contains non-finite entries")
-    return entries, row_labels, col_labels
+            raise DataError(f"{path}, line {line}: {exc}") from None
+    return np.array(data), row_labels, col_labels
 
 
 def write_ecdf_csv(path: str, steps: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:

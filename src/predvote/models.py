@@ -231,6 +231,11 @@ class FittedModel:
 
 def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:  # retry: each column divided by a power of two at or below its peak |value| (exact)
+        peak = np.abs(design).max(axis=0)
+        scale = np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)  # an all-zero column keeps 1
+        coef, _, rank, _ = np.linalg.lstsq(design / scale, y, rcond=None)
+        coef = coef / scale
     if rank < design.shape[1]:
         raise FitError(f"singular design: rank {rank} < {design.shape[1]} columns")
     return coef

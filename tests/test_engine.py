@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import pickle
 import re
@@ -11,6 +12,7 @@ from predvote.accuracy import Measure
 from predvote.dataset import StudyFrame
 from predvote.engine import (
     RunConfig,
+    _cell,
     _worker_count,
     config_from_dict,
     derive_stream,
@@ -304,7 +306,8 @@ class TestSimulateErrors:
         assert [cell for task in shipped for cell in task["chunk"]] == [(g, b) for g in range(2) for b in range(6)]
         for task in shipped:
             assert not task["classes"] & {"FittedModel", "_GlmState", "_TreeState", "_KnnState"}
-            generators = task["fn"].__self__.generators
+            assert isinstance(task["fn"], functools.partial) and task["fn"].func is _cell
+            generators = task["fn"].args[1]
             assert all(isinstance(generator, Generator) for generator in generators)
             assert [generator.family for generator in generators] == [spec.family for spec in config.generators]
 

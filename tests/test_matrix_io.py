@@ -103,21 +103,38 @@ def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, error, k
         assert main(["run", "--config", str(path), "--data", "data.csv", "--out", str(tmp_path / "out")]) == 2
 
 
+_OOPS_IN_B = "column 'b': cannot parse 'oops' as a number"
+
+
 @pytest.mark.parametrize(
-    "body, line",
+    "body, line, cell",
     [
-        ("voter,a,b\nr1,0.1,0.2\n\nr2,0.3,oops\n", 4),
-        ("\nvoter,a,b\n\n\nr1,0.1,0.2,9\n", 5),
-        ("voter,a,b\n\nr1,0.1,0.2\n\nr2,0.3\n", 5),
-        pytest.param("voter,a,b\n\nr1,0.1,0.2\nr2,0.3," + "1" * 200_000 + "\n", 4, id="field-past-csv-limit"),
-        pytest.param('voter,a,b\n"r\n1",0.1,0.2\nr2,0.3,oops\n', 4, id="multi-line-label"),
+        ("voter,a,b\nr1,0.1,0.2\n\nr2,0.3,oops\n", 4, _OOPS_IN_B),
+        ("\nvoter,a,b\n\n\nr1,0.1,0.2,9\n", 5, None),
+        ("voter,a,b\n\nr1,0.1,0.2\n\nr2,0.3\n", 5, None),
+        pytest.param("voter,a,b\n\nr1,0.1,0.2\nr2,0.3," + "1" * 200_000 + "\n", 4, None, id="field-past-csv-limit"),
+        pytest.param('voter,a,b\n"r\n1",0.1,0.2\nr2,0.3,oops\n', 4, _OOPS_IN_B, id="multi-line-label"),
+        pytest.param("voter,a,b\nr1,0.1,0.2\nr2,inf,0.1\n", 3, "column 'a': non-finite value 'inf'", id="inf"),
+        pytest.param("voter,a,b\n\nr1,0.1,nan\nr2,oops,0.1\n", 3, "column 'b': non-finite value 'nan'", id="nan"),
+        # the first bad cell in file order is named, whether it does not parse or parses to a non-finite value
+        pytest.param("voter,a,b\nr1,0.1,0.2\nr2,oops,inf\n", 3, "column 'a': cannot parse 'oops' as a number", id="oops"),
     ],
 )
-def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body, line):
+def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body, line, cell):
     matrix = tmp_path / "m.csv"
     matrix.write_text(body, encoding="utf-8")
-    with pytest.raises(DataError, match=f", line {line}: "):
+    with pytest.raises(DataError, match=f", line {line}: ") as raised:
         read_matrix_csv(str(matrix))
+    if cell is not None:
+        assert str(raised.value) == f"{matrix}, line {line}: {cell}"
+
+
+@pytest.mark.parametrize("command", ["vote", "plot-ecdf"])
+def test_vote_and_plot_ecdf_name_a_bad_matrix_cell(tmp_path, capsys, command):
+    matrix = tmp_path / "inf.csv"
+    matrix.write_text("voter,a,b\nr1,0.1,0.2\nr2,inf,0.1\n", encoding="utf-8")
+    assert main([command, str(matrix), "--out", str(tmp_path / "out")]) == 3
+    assert f"{matrix}, line 3: column 'a': non-finite value 'inf'" in capsys.readouterr().err
 
 
 def test_plot_ecdf_reads_its_input_once(tmp_path, monkeypatch):

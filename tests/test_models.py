@@ -423,6 +423,54 @@ class TestParametricFitMatchesOracle:
             fit(ModelSpec(family, {"intercept_only": intercept_only}), x, y)
 
 
+class TestColumnScaleRetry:
+    """A design lstsq calls rank-short is solved once more with each column divided by a power of two."""
+
+    @staticmethod
+    def portfolio_with(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        frame = synthesize_portfolio(100, 40, 1)
+        return np.column_stack([frame.x_sample, column]), frame.y_sample
+
+    @pytest.mark.parametrize("family", [OLS_NORMAL, LOGNORMAL, GAMMA_GLM])
+    def test_a_huge_covariate_fits_as_its_unscaled_copy(self, family):
+        # a full-rank design whose last column is 1e200 times the others' scale; lstsq alone reports rank 1 < 9
+        exposure = np.random.default_rng(0).uniform(0.25, 2.25, size=100) * 1e200
+        huge, y = self.portfolio_with(exposure)
+        plain, _ = self.portfolio_with(exposure / 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(ModelSpec(family), huge, y).predict(huge)
+        assert np.allclose(got, fit(ModelSpec(family), plain, y).predict(plain), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("family", [OLS_NORMAL, LOGNORMAL, GAMMA_GLM])
+    @pytest.mark.parametrize("trap", ["dummy", "zero"])
+    def test_a_singular_design_is_still_refused_without_a_warning(self, family, trap):
+        x, y = self.portfolio_with(np.zeros(100))
+        if trap == "dummy":  # gender's reference level too: with the intercept, the two dummies sum to a constant
+            x[:, -1] = 1.0 - x[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an all-zero column takes no log2(0)
+            with pytest.raises(FitError, match=r"^singular design: rank 8 < 9 columns$"):
+                fit(ModelSpec(family), x, y)
+
+    @pytest.mark.parametrize("n, k", [(500, 2000), (2000, 8000)])  # zoo and kde; param
+    @pytest.mark.parametrize("family", [OLS_NORMAL, LOGNORMAL, GAMMA_GLM])
+    @pytest.mark.parametrize("intercept_only", [False, True])
+    def test_an_accepted_design_is_solved_once(self, monkeypatch, n, k, family, intercept_only):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        frame = synthesize_portfolio(n, k, 1)
+        model = fit(ModelSpec(family, {"intercept_only": intercept_only}), frame.x_sample, frame.y_sample)
+        solves = len(model._state.deviance_path) if family == GAMMA_GLM else 1  # the start, then one per IRLS step
+        assert len(calls) == solves
+
+
 @dataclass
 class OracleNode:
     prediction: float
