@@ -137,14 +137,18 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
     for i, spec in enumerate(config.generators):
         label = generator_label(i, spec)
         try:
-            model = fit(spec, frame.x_sample, frame.y_sample)
+            with np.errstate(over="ignore", invalid="ignore"):  # a sample fit that overflows is refused below
+                model = fit(spec, frame.x_sample, frame.y_sample)
+                residuals = None if spec.is_parametric else model.sample_residuals
         except FitError as exc:
             raise ConfigError(f"generator {label!r} cannot be fitted on the sample data: {exc}") from exc
         for name, value in (model.error_summary or {}).items():  # the noise scale of a parametric generator
             if not math.isfinite(value):
                 raise ConfigError(f"generator {label!r}: the {name.replace('_', ' ')} of its sample fit is not finite")
+        if residuals is not None and not np.all(np.isfinite(residuals)):  # a leaf or neighbour mean overflowed
+            raise ConfigError(f"generator {label!r}: the residuals of its sample fit are not finite")
         try:
-            kde = None if spec.is_parametric else fit_kde(model.sample_residuals, config.kde_bandwidth)
+            kde = None if residuals is None else fit_kde(residuals, config.kde_bandwidth)
         except (DataError, ValueError) as exc:  # ValueError: a Silverman bandwidth that is not finite and positive
             raise ConfigError(f"generator {label!r}: residual KDE failed: {exc}") from exc
         fitted.append((label, model, kde))

@@ -132,7 +132,8 @@ class Generator:
             raise ValueError(f"{family} is not a {'parametric' if kde is None else 'nonparametric'} family")
         if family == LOGNORMAL:
             return cls(family, model.linear_predictor(x_full), float(model.error_summary["log_variance"]) ** 0.5)
-        mean = model.predict(x_full)
+        with np.errstate(over="ignore"):  # a mean that overflows is refused below (Gamma) or by the first draw
+            mean = model.predict(x_full)
         if family == OLS_NORMAL:
             return cls(family, mean, float(model.error_summary["residual_variance"]) ** 0.5)
         if family == GAMMA_GLM:
@@ -142,7 +143,8 @@ class Generator:
                 where = f"at x_full[{i}]" if n_sample is None else (
                     f"on sample row {i + 1}" if i < n_sample else f"on out-of-sample row {i - n_sample + 1}"
                 )
-                raise SimulationError(f"gamma generation: non-positive fitted mean {where}")
+                what = "non-positive" if np.isfinite(mean[i]) else "non-finite"
+                raise SimulationError(f"gamma generation: {what} fitted mean {where}")
             return cls(family, mean, float(model.error_summary["dispersion"]))
         return cls(family, mean, kde=kde)
 

@@ -229,20 +229,13 @@ class FittedModel:
         return self._state.linear(self._design(x))
 
 
-def _solve_ls(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:  # retry: each column divided by a power of two at or below its peak |value| (exact)
-        peak = np.abs(design).max(axis=0)
-        scale = np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)  # an all-zero column keeps 1
-        coef, _, rank, _ = np.linalg.lstsq(design / scale, y, rcond=None)
-        coef = coef / scale
-    if rank < design.shape[1]:
-        raise FitError(f"singular design: rank {rank} < {design.shape[1]} columns")
-    return coef
-
-
 def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
-    """The parametric families' one least-squares fit: on y for ols_normal, on log y for the log-link families."""
+    """The parametric families' one fit: least squares on y for ols_normal, on log y for the log-link families.
+
+    The Gamma GLM then runs IRLS for the log link from that start; the Gamma
+    variance function makes the working weights constant, so each step is
+    a least-squares solve on the working response.
+    """
     log_link = spec.family != OLS_NORMAL
     state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=log_link)
     design = state.design(x)
@@ -254,51 +247,41 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
     if log_link and np.any(y <= 0):
         raise FitError(f"{spec.family}: response must be strictly positive")
     target = np.log(y) if log_link else y
-    state.coef = _solve_ls(design, target)
-    if spec.family == GAMMA_GLM:
-        state.coef, state.deviance_path, mu = _gamma_irls(design, y, state.coef, spec)
-    # an ols_normal or Gamma scale may overflow: a generator refuses it, and those families' predictions never read it
+    # lstsq's rank depends on the design alone, so the first solve decides it for every IRLS step too
+    solved, scale = design, 1.0
+    coef, _, rank, _ = np.linalg.lstsq(solved, target, rcond=None)
+    if rank < p:  # retry: each column divided by a power of two at or below its peak |value| (exact)
+        peak = np.abs(design).max(axis=0)
+        scale = np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)  # an all-zero column keeps 1
+        solved = design / scale
+        coef, _, rank, _ = np.linalg.lstsq(solved, target, rcond=None)
+    if rank < p:
+        raise FitError(f"singular design: rank {rank} < {p} columns")
+    state.coef = coef / scale
+    # IRLS means that overflow are a divergence, checked below; an ols_normal or Gamma scale may overflow
+    # too: a generator refuses it, and those families' predictions never read it
     with np.errstate(over="ignore"):
         if spec.family == GAMMA_GLM:
-            return state, {"dispersion": float((((y - mu) / mu) ** 2).sum()) / (n - p)}
+            max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
+            state.deviance_path = []
+            for iteration in range(max_iter + 1):  # iteration 0 is the start
+                if iteration:
+                    z = eta + (y - mu) / mu
+                    state.coef = np.linalg.lstsq(solved, z, rcond=None)[0] / scale
+                eta = design @ state.coef
+                mu = np.exp(eta)
+                if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+                    raise ConvergenceError(f"{GAMMA_GLM}: fitted means diverged at iteration {iteration}", iteration)
+                state.deviance_path.append(float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu)))
+                if iteration and abs(state.deviance_path[-2] - state.deviance_path[-1]) < tol:
+                    return state, {"dispersion": float((((y - mu) / mu) ** 2).sum()) / (n - p)}
+            raise ConvergenceError(f"{GAMMA_GLM}: IRLS did not converge in {max_iter} iterations", max_iter)
         sigma2 = float(((target - design @ state.coef) ** 2).sum()) / (n - p)
     if spec.family == OLS_NORMAL:
         return state, {"residual_variance": sigma2}
     # conditional-mean back-transform: E[Y|x] = exp(eta + sigma^2 / 2)
     state.mean_shift = sigma2 / 2.0
     return state, {"log_variance": sigma2}
-
-
-def _gamma_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    return float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu))
-
-
-def _gamma_irls(design: np.ndarray, y: np.ndarray, coef: np.ndarray, spec: ModelSpec) -> tuple:
-    """(coef, deviance path, fitted means) of IRLS for the log link, started from coef.
-
-    The Gamma variance function makes the working weights constant, so each
-    step is an OLS solve on the working response.
-    """
-    max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
-    eta = design @ coef
-    mu = np.exp(eta)
-    deviance_path = [_gamma_deviance(y, mu)]
-    for iterations in range(1, max_iter + 1):
-        z = eta + (y - mu) / mu
-        coef = _solve_ls(design, z)
-        eta = design @ coef
-        with np.errstate(over="ignore"):
-            mu = np.exp(eta)
-        if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-            raise ConvergenceError(
-                f"gamma_glm_log_link: fitted means diverged at iteration {iterations}", iterations
-            )
-        deviance_path.append(_gamma_deviance(y, mu))
-        if abs(deviance_path[-2] - deviance_path[-1]) < tol:
-            return coef, deviance_path, mu
-    raise ConvergenceError(
-        f"gamma_glm_log_link: IRLS did not converge in {max_iter} iterations", max_iter
-    )
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:

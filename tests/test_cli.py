@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -60,6 +61,19 @@ def minimal_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def run_in_subprocess(cwd: Path, workers: str) -> subprocess.CompletedProcess:
+    """predvote run --config config.json --data data.csv --out out in cwd, in a fresh interpreter."""
+    src = str(Path(predvote.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from predvote.cli import main; sys.exit(main(sys.argv[1:]))",
+            "run", "--config", "config.json", "--data", "data.csv", "--out", "out", "--workers", workers,
+        ],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -332,17 +346,9 @@ class TestCmdRun:
             iterations=4,
         )
         (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-        src = str(Path(predvote.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         errors = []
         for workers in ("1", "2"):
-            done = subprocess.run(
-                [
-                    sys.executable, "-c", "import sys; from predvote.cli import main; sys.exit(main(sys.argv[1:]))",
-                    "run", "--config", "config.json", "--data", "data.csv", "--out", "out", "--workers", workers,
-                ],
-                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-            )
+            done = run_in_subprocess(tmp_path, workers)
             assert done.returncode == 4, done.stderr
             errors.append(done.stderr)
         assert errors[0] == errors[1] == (
@@ -380,18 +386,31 @@ class TestCmdRun:
             iterations=3,
         )
         (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-        src = str(Path(predvote.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run(
-            [
-                sys.executable, "-c", "import sys; from predvote.cli import main; sys.exit(main(sys.argv[1:]))",
-                "run", "--config", "config.json", "--data", "data.csv", "--out", "out", "--workers", "1",
-            ],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = run_in_subprocess(tmp_path, "1")
         assert done.returncode == 2
         assert done.stderr == (
             "error: generator 'gen1_ols_normal': the residual variance of its sample fit is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_tree_generator_fit_exits_2_before_the_kde(self, tmp_path):
+        # the largest response is 1.7e308, so a leaf mean overflows; the run refuses the generator's
+        # fit instead of blaming the residual KDE's bandwidth, and no numpy warning reaches stderr
+        write_portfolio_csv(str(tmp_path / "data.csv"), 100, 40, 1)
+        with open(tmp_path / "data.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index("claim_amount")
+        factor = 1.7e308 / max(float(row[at]) for row in rows[1:] if row[at])
+        for row in rows[1:]:
+            row[at] = repr(float(row[at]) * factor) if row[at] else ""
+        with open(tmp_path / "data.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        doc = minimal_config(generators=[{"family": "regression_tree"}], iterations=3)
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        done = run_in_subprocess(tmp_path, "1")
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: generator 'gen1_regression_tree': the residuals of its sample fit are not finite\n"
         )
         assert not (tmp_path / "out").exists()
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_positive_frame, overflow_refits_on
 from predvote.accuracy import Measure
-from predvote.dataset import StudyFrame
+from predvote.dataset import StudyFrame, synthesize_portfolio
 from predvote.engine import (
     RunConfig,
     _cell,
@@ -484,6 +484,35 @@ class TestSimulateErrors:
         )
         config = small_config(generators=[ModelSpec("gamma_glm_log_link")])
         with pytest.raises(SimulationError, match="non-positive fitted mean on out-of-sample row 5$"):
+            simulate_errors(config, frame, workers=1)
+
+    def test_gamma_generator_whose_mean_overflows_is_named_non_finite(self):
+        # exp(600 + 100 x) passes the float range at the out-of-sample row x = 1.2; numpy's overflow
+        # warning stays inside the generator, and the mean is not called non-positive
+        rng = np.random.default_rng(1)
+        x = np.linspace(0.0, 1.0, 40)[:, None]
+        frame = StudyFrame(
+            x_sample=x, y_sample=np.exp(600.0 + 100.0 * x[:, 0] + rng.normal(0.0, 0.1, 40)),
+            x_out=np.array([[0.5], [1.2]]), column_names=["x"],
+        )
+        config = small_config(
+            generators=[ModelSpec("gamma_glm_log_link")],
+            strategies=[
+                PredictionStrategy("ols", ModelSpec("ols_normal")), PredictionStrategy("knn", ModelSpec("knn")),
+            ],
+        )
+        message = "generator 'gen1_gamma_glm_log_link': gamma generation: non-finite fitted mean on out-of-sample row 2"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            run(config, frame, workers=1)
+
+    @pytest.mark.parametrize("family", ["regression_tree", "knn"])
+    def test_nonparametric_generator_whose_sample_fit_overflows_is_config_error(self, family):
+        # the largest response is 1.7e308, so a leaf or neighbour mean overflows; that, not the KDE, is refused
+        base = synthesize_portfolio(100, 40, 1)
+        frame = dataclasses.replace(base, y_sample=base.y_sample * (1.7e308 / base.y_sample.max()))
+        config = small_config(generators=[ModelSpec(family)])
+        message = f"generator 'gen1_{family}': the residuals of its sample fit are not finite"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             simulate_errors(config, frame, workers=1)
 
     def test_out_block_required(self):

@@ -224,6 +224,17 @@ class TestGammaGlm:
             fit(ModelSpec(GAMMA_GLM, {"max_iter": 1, "tol": 1e-300}), x, y)
         assert excinfo.value.iterations == 1
 
+    def test_a_start_whose_means_overflow_diverges_at_iteration_0(self):
+        # the log-scale least-squares start reaches eta = 718.8, past exp's range; no numpy warning escapes
+        x = np.arange(10.0)[:, None]
+        y = np.exp([640.0, 650.0, 660.0, 670.0, 680.0, 690.0, 700.0, 705.0, 709.7, 709.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"^gamma_glm_log_link: fitted means diverged at iteration 0$"
+            with pytest.raises(ConvergenceError, match=message) as excinfo:
+                fit(ModelSpec(GAMMA_GLM), x, y)
+        assert excinfo.value.iterations == 0
+
 
 # The separate OLS and Gamma fits that preceded the shared least-squares core, kept as
 # the oracle of the merged fit; only the Gamma check order differs (sign before row count).
@@ -453,10 +464,9 @@ class TestColumnScaleRetry:
             with pytest.raises(FitError, match=r"^singular design: rank 8 < 9 columns$"):
                 fit(ModelSpec(family), x, y)
 
-    @pytest.mark.parametrize("n, k", [(500, 2000), (2000, 8000)])  # zoo and kde; param
-    @pytest.mark.parametrize("family", [OLS_NORMAL, LOGNORMAL, GAMMA_GLM])
-    @pytest.mark.parametrize("intercept_only", [False, True])
-    def test_an_accepted_design_is_solved_once(self, monkeypatch, n, k, family, intercept_only):
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list:
+        """One entry per np.linalg.lstsq call."""
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -465,10 +475,25 @@ class TestColumnScaleRetry:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
+        return calls
+
+    @pytest.mark.parametrize("n, k", [(500, 2000), (2000, 8000)])  # zoo and kde; param
+    @pytest.mark.parametrize("family", [OLS_NORMAL, LOGNORMAL, GAMMA_GLM])
+    @pytest.mark.parametrize("intercept_only", [False, True])
+    def test_an_accepted_design_is_solved_once(self, calls, n, k, family, intercept_only):
         frame = synthesize_portfolio(n, k, 1)
         model = fit(ModelSpec(family, {"intercept_only": intercept_only}), frame.x_sample, frame.y_sample)
         solves = len(model._state.deviance_path) if family == GAMMA_GLM else 1  # the start, then one per IRLS step
         assert len(calls) == solves
+
+    @pytest.mark.parametrize("family", [OLS_NORMAL, LOGNORMAL, GAMMA_GLM])
+    def test_a_rank_short_design_is_scaled_once(self, calls, family):
+        # the first solve decides the rank: one refused solve, then the start and every IRLS step on scaled columns
+        exposure = np.random.default_rng(0).uniform(0.25, 2.25, size=100) * 1e200
+        huge, y = self.portfolio_with(exposure)
+        model = fit(ModelSpec(family), huge, y)
+        solves = len(model._state.deviance_path) if family == GAMMA_GLM else 1
+        assert len(calls) == solves + 1
 
 
 @dataclass
