@@ -38,6 +38,7 @@ class Measure:
         return f"qape{self.p:g}" if self.kind == QAPE else self.kind
 
 
+@np.errstate(all="ignore")  # the errors are checked finite, and an rmse that overflows is rescued below
 def eval_measures(measures: list[Measure], errors: np.ndarray) -> np.ndarray:
     """Each measure of one error vector, checked once; one sort of |errors| serves every qape, if any."""
     e = np.asarray(errors, dtype=np.float64).ravel()
@@ -48,8 +49,7 @@ def eval_measures(measures: list[Measure], errors: np.ndarray) -> np.ndarray:
         raise ValueError(f"{what}: errors contain non-finite values")
     ordered = np.sort(np.abs(e)) if any(m.kind == QAPE for m in measures) else None
     if any(m.kind == RMSE for m in measures):
-        with np.errstate(over="ignore"):
-            root = float(np.sqrt(np.mean(e**2)))
+        root = float(np.sqrt(np.mean(e**2)))
         if math.isinf(root):  # e**2 or its sum overflowed: scale by the largest error before squaring
             scale = np.max(np.abs(e))
             root = float(scale * np.sqrt(np.mean((e / scale) ** 2)))

@@ -137,9 +137,8 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
     for i, spec in enumerate(config.generators):
         label = generator_label(i, spec)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # a sample fit that overflows is refused below
-                model = fit(spec, frame.x_sample, frame.y_sample)
-                residuals = None if spec.is_parametric else model.sample_residuals
+            model = fit(spec, frame.x_sample, frame.y_sample)
+            residuals = None if spec.is_parametric else model.sample_residuals
         except FitError as exc:
             raise ConfigError(f"generator {label!r} cannot be fitted on the sample data: {exc}") from exc
         for name, value in (model.error_summary or {}).items():  # the noise scale of a parametric generator
@@ -162,7 +161,7 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
     return generators
 
 
-@np.errstate(over="ignore")  # an overflow ends in a non-finite truth, checked below
+@np.errstate(all="ignore")  # an overflow ends in a non-finite truth, checked below; set here for pool workers too
 def _cell(
     frame: StudyFrame, generators: list[Generator], plans: list[RefitPlan],
     characteristics: tuple[Characteristic, ...], master_seed: int, g: int, b: int,
@@ -205,6 +204,7 @@ def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = 
     return _simulate(config, frame, _worker_count(workers))[0]
 
 
+@np.errstate(all="ignore")  # the generator fits and refit plans, each checked as it is built
 def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[ErrorTensor, list[RefitPlan], int]:
     """simulate_errors at a checked worker count, plus the refit plans its cells ran and the processes that ran them."""
     if frame.k < 1:

@@ -77,6 +77,7 @@ def _quartiles(values: np.ndarray) -> tuple[float, float]:
     return quartiles[0], quartiles[1]
 
 
+@np.errstate(all="ignore")  # a bandwidth that is not finite and positive is refused by KdeModel
 def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeModel:
     """Fit the residual KDE used by the nonparametric generator.
 
@@ -94,6 +95,9 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
         if rule != "silverman":
             raise ValueError(f"unknown bandwidth rule {rule!r}")
         sd = float(centred.std(ddof=1))
+        if math.isinf(sd):  # the squares overflowed: scale by a power of two above max |centred|, which is exact
+            peak = math.ldexp(1.0, math.frexp(float(np.abs(centred).max()))[1])
+            sd = float((centred / peak).std(ddof=1)) * peak
         q75, q25 = _quartiles(centred)
         spread = min(sd, (q75 - q25) / 1.34)
         if spread == 0.0:
@@ -119,6 +123,7 @@ class Generator:
     kde: KdeModel | None = None
 
     @classmethod
+    @np.errstate(all="ignore")  # a mean that overflows is refused below (Gamma) or by the first draw
     def from_model(
         cls, model: FittedModel, x_full: np.ndarray, kde: KdeModel | None = None, n_sample: int | None = None
     ) -> "Generator":
@@ -132,8 +137,7 @@ class Generator:
             raise ValueError(f"{family} is not a {'parametric' if kde is None else 'nonparametric'} family")
         if family == LOGNORMAL:
             return cls(family, model.linear_predictor(x_full), float(model.error_summary["log_variance"]) ** 0.5)
-        with np.errstate(over="ignore"):  # a mean that overflows is refused below (Gamma) or by the first draw
-            mean = model.predict(x_full)
+        mean = model.predict(x_full)
         if family == OLS_NORMAL:
             return cls(family, mean, float(model.error_summary["residual_variance"]) ** 0.5)
         if family == GAMMA_GLM:

@@ -260,23 +260,22 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
     state.coef = coef / scale
     # IRLS means that overflow are a divergence, checked below; an ols_normal or Gamma scale may overflow
     # too: a generator refuses it, and those families' predictions never read it
-    with np.errstate(over="ignore"):
-        if spec.family == GAMMA_GLM:
-            max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
-            state.deviance_path = []
-            for iteration in range(max_iter + 1):  # iteration 0 is the start
-                if iteration:
-                    z = eta + (y - mu) / mu
-                    state.coef = np.linalg.lstsq(solved, z, rcond=None)[0] / scale
-                eta = design @ state.coef
-                mu = np.exp(eta)
-                if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-                    raise ConvergenceError(f"{GAMMA_GLM}: fitted means diverged at iteration {iteration}", iteration)
-                state.deviance_path.append(float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu)))
-                if iteration and abs(state.deviance_path[-2] - state.deviance_path[-1]) < tol:
-                    return state, {"dispersion": float((((y - mu) / mu) ** 2).sum()) / (n - p)}
-            raise ConvergenceError(f"{GAMMA_GLM}: IRLS did not converge in {max_iter} iterations", max_iter)
-        sigma2 = float(((target - design @ state.coef) ** 2).sum()) / (n - p)
+    if spec.family == GAMMA_GLM:
+        max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
+        state.deviance_path = []
+        for iteration in range(max_iter + 1):  # iteration 0 is the start
+            if iteration:
+                z = eta + (y - mu) / mu
+                state.coef = np.linalg.lstsq(solved, z, rcond=None)[0] / scale
+            eta = design @ state.coef
+            mu = np.exp(eta)
+            if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+                raise ConvergenceError(f"{GAMMA_GLM}: fitted means diverged at iteration {iteration}", iteration)
+            state.deviance_path.append(float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu)))
+            if iteration and abs(state.deviance_path[-2] - state.deviance_path[-1]) < tol:
+                return state, {"dispersion": float((((y - mu) / mu) ** 2).sum()) / (n - p)}
+        raise ConvergenceError(f"{GAMMA_GLM}: IRLS did not converge in {max_iter} iterations", max_iter)
+    sigma2 = float(((target - design @ state.coef) ** 2).sum()) / (n - p)
     if spec.family == OLS_NORMAL:
         return state, {"residual_variance": sigma2}
     # conditional-mean back-transform: E[Y|x] = exp(eta + sigma^2 / 2)
@@ -300,17 +299,16 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     if feat.size == 0:
         return None
     i = pos + min_leaf  # rows sent left
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = y[order]
-        cum = np.cumsum(ys, axis=0)
-        cum2 = np.cumsum(ys**2, axis=0)
-        left, left2 = cum[i - 1, feat], cum2[i - 1, feat]
-        total, total2 = cum[-1, feat], cum2[-1, feat]
-        # squares use C pow() (float_power), as numpy scalar ** does, so trees match
-        # the per-position scan bit for bit; x * x differs in about 1 value in 1000
-        sse = (left2 - np.float_power(left, 2) / i) + (
-            (total2 - left2) - np.float_power(total - left, 2) / (n - i)
-        )
+    ys = y[order]
+    cum = np.cumsum(ys, axis=0)
+    cum2 = np.cumsum(ys**2, axis=0)
+    left, left2 = cum[i - 1, feat], cum2[i - 1, feat]
+    total, total2 = cum[-1, feat], cum2[-1, feat]
+    # squares use C pow() (float_power), as numpy scalar ** does, so trees match
+    # the per-position scan bit for bit; x * x differs in about 1 value in 1000
+    sse = (left2 - np.float_power(left, 2) / i) + (
+        (total2 - left2) - np.float_power(total - left, 2) / (n - i)
+    )
     sse[np.isnan(sse)] = np.inf
     best = int(np.argmin(sse))
     if sse[best] == np.inf:
@@ -346,8 +344,7 @@ def _fit_knn(x: np.ndarray, y: np.ndarray | None, spec: ModelSpec) -> _KnnState:
     k = spec.hyperparams["k_neighbors"]
     if k > x.shape[0]:
         raise FitError(f"knn: k_neighbors={k} exceeds the {x.shape[0]} training rows")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, scale = x.mean(axis=0), x.std(axis=0)
+    mean, scale = x.mean(axis=0), x.std(axis=0)
     # a column whose sum or squares overflow is standardised on x / max|x|, and the result scaled back
     for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale))):
         peak = np.abs(x[:, j]).max()
@@ -356,11 +353,13 @@ def _fit_knn(x: np.ndarray, y: np.ndarray | None, spec: ModelSpec) -> _KnnState:
     return _KnnState(x_mean=mean, x_scale=scale, x_train=(x - mean) / scale, y_train=y, k_neighbors=k)
 
 
+@np.errstate(all="ignore")  # NaN distances sort last; the plug-in predictions they give are checked
 def neighbour_index(spec: ModelSpec, x_train: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """The (rows x k_neighbors) x_train rows a knn fit of spec averages for each row of x; None for another family."""
     return _fit_knn(x_train, None, spec).neighbours(x) if spec.family == KNN else None
 
 
+@np.errstate(all="ignore")  # a non-finite result is refused where it is used (README: floating-point policy)
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
     """Fit a model family to a design matrix and response vector.
 

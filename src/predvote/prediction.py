@@ -97,7 +97,7 @@ class RefitPlan:
     strategy: PredictionStrategy
     neighbours: np.ndarray | None = None
 
-    @np.errstate(over="ignore")  # an overflow ends in a non-finite prediction, checked below
+    @np.errstate(all="ignore")  # an overflow ends in a non-finite prediction, checked below
     def plug_in(self, frame: StudyFrame, y_s: np.ndarray, characteristics: list[Characteristic]) -> np.ndarray:
         """Each characteristic's plug-in prediction from a finite float64 y_s of length frame.n.
 

@@ -176,6 +176,13 @@ class TestKde:
         kde = KdeModel(support_points=np.array([-1.0, 1.0]), bandwidth=np.float32(0.5))
         assert type(kde.bandwidth) is float and kde.bandwidth == 0.5
 
+    @pytest.mark.parametrize("m", [520, 600, 900])
+    def test_silverman_bandwidth_scales_with_the_residuals_at_any_magnitude(self, m):
+        # beyond about 1e154 the squares in the sd overflow: the bandwidth once kept IQR / 1.34, 1.29 times too
+        # wide here, after numpy's overflow warning; scaling by 2^m is exact, so the bandwidth scales exactly
+        r = np.random.default_rng(1).uniform(-1.0, 1.0, 200)
+        assert fit_kde(r * 2.0**m).bandwidth == fit_kde(r).bandwidth * 2.0**m
+
 
 class TestNonparametricGeneration:
     def fit_tree(self, seed=0, n=40):
