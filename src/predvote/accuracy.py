@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .models import order_p
+from .models import order_p, pow2_scale
 
 RMSE = "rmse"
 QAPE = "qape"
@@ -50,8 +50,8 @@ def eval_measures(measures: list[Measure], errors: np.ndarray) -> np.ndarray:
     ordered = np.sort(np.abs(e)) if any(m.kind == QAPE for m in measures) else None
     if any(m.kind == RMSE for m in measures):
         root = float(np.sqrt(np.mean(e**2)))
-        if math.isinf(root):  # e**2 or its sum overflowed: scale by the largest error before squaring
-            scale = np.max(np.abs(e))
+        if math.isinf(root):  # e**2 or its sum overflowed: divide by a power of two at or below max |e| (exact)
+            scale = pow2_scale(e)
             root = float(scale * np.sqrt(np.mean((e / scale) ** 2)))
     values = np.empty(len(measures))
     for i, m in enumerate(measures):

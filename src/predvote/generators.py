@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SimulationError
-from .models import GAMMA_GLM, LOGNORMAL, OLS_NORMAL, FittedModel, is_real
+from .models import GAMMA_GLM, LOGNORMAL, OLS_NORMAL, FittedModel, is_real, pow2_scale
 
 
 @dataclass
@@ -95,9 +95,9 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
         if rule != "silverman":
             raise ValueError(f"unknown bandwidth rule {rule!r}")
         sd = float(centred.std(ddof=1))
-        if math.isinf(sd):  # the squares overflowed: scale by a power of two above max |centred|, which is exact
-            peak = math.ldexp(1.0, math.frexp(float(np.abs(centred).max()))[1])
-            sd = float((centred / peak).std(ddof=1)) * peak
+        if math.isinf(sd):  # the squares overflowed: scale by a power of two at or below max |centred| (exact)
+            peak = pow2_scale(centred)
+            sd = float((centred / peak).std(ddof=1) * peak)
         q75, q25 = _quartiles(centred)
         spread = min(sd, (q75 - q25) / 1.34)
         if spread == 0.0:
@@ -152,6 +152,7 @@ class Generator:
             return cls(family, mean, float(model.error_summary["dispersion"]))
         return cls(family, mean, kde=kde)
 
+    @np.errstate(all="ignore")  # a non-finite draw is refused below
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One simulated response vector of length n + k; a non-finite value is a SimulationError."""
         size = self.location.shape[0]

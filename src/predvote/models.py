@@ -229,6 +229,12 @@ class FittedModel:
         return self._state.linear(self._design(x))
 
 
+def pow2_scale(v: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The power of two at or below the peak |v| along axis, 1 where that peak is 0 (README: floating-point policy)."""
+    peak = np.abs(v).max(axis=axis)
+    return np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
+
+
 def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
     """The parametric families' one fit: least squares on y for ols_normal, on log y for the log-link families.
 
@@ -251,8 +257,7 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
     solved, scale = design, 1.0
     coef, _, rank, _ = np.linalg.lstsq(solved, target, rcond=None)
     if rank < p:  # retry: each column divided by a power of two at or below its peak |value| (exact)
-        peak = np.abs(design).max(axis=0)
-        scale = np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)  # an all-zero column keeps 1
+        scale = pow2_scale(design, axis=0)
         solved = design / scale
         coef, _, rank, _ = np.linalg.lstsq(solved, target, rcond=None)
     if rank < p:
@@ -284,13 +289,13 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
-    """(feature, threshold) of the least-SSE split of one node, or None.
+    """(feature, threshold) of the least-SSE split of one node, or None if no position is a candidate.
 
     One stable sort per column and cumsums along the sorted rows score every
     split position of every feature at once. A split after sorted position i
-    is a candidate iff the sorted covariate changes there; a NaN or +inf SSE
-    (an overflowing response) never wins, and the first (feature, position)
-    in feature-major order wins a tie.
+    is a candidate iff the sorted covariate changes there, and the first
+    (feature, position) in feature-major order wins a tie. A node whose SSEs
+    overflow is scored again on y / pow2_scale(y), which is exact.
     """
     n = y.shape[0]
     order = np.argsort(x, axis=0, kind="stable")
@@ -309,10 +314,9 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     sse = (left2 - np.float_power(left, 2) / i) + (
         (total2 - left2) - np.float_power(total - left, 2) / (n - i)
     )
-    sse[np.isnan(sse)] = np.inf
+    if not np.all(np.isfinite(sse)):  # |y / pow2_scale(y)| < 2, so its SSEs are finite
+        return _best_split(x, y / pow2_scale(y), min_leaf)
     best = int(np.argmin(sse))
-    if sse[best] == np.inf:
-        return None
     j, i = int(feat[best]), int(i[best])
     lower, upper = xs[i - 1, j], xs[i, j]
     mid = (lower + upper) / 2.0
@@ -345,9 +349,9 @@ def _fit_knn(x: np.ndarray, y: np.ndarray | None, spec: ModelSpec) -> _KnnState:
     if k > x.shape[0]:
         raise FitError(f"knn: k_neighbors={k} exceeds the {x.shape[0]} training rows")
     mean, scale = x.mean(axis=0), x.std(axis=0)
-    # a column whose sum or squares overflow is standardised on x / max|x|, and the result scaled back
+    # a column whose sum or squares overflow is standardised on x / pow2_scale(x), and the result scaled back
     for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale))):
-        peak = np.abs(x[:, j]).max()
+        peak = pow2_scale(x[:, j])
         mean[j], scale[j] = (x[:, j] / peak).mean() * peak, (x[:, j] / peak).std() * peak
     scale[scale == 0.0] = 1.0  # constant columns carry no distance information
     return _KnnState(x_mean=mean, x_scale=scale, x_train=(x - mean) / scale, y_train=y, k_neighbors=k)

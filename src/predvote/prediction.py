@@ -66,11 +66,13 @@ def eval_characteristics(characteristics: list[Characteristic], y: np.ndarray) -
     if y.size == 0:
         raise ValueError("cannot evaluate a characteristic on an empty vector")
     if any(c.kind in (MEDIAN, QUANTILE) for c in characteristics):
-        ordered = np.sort(y)  # NaN sorts last and, as in np.median, is the median
+        ordered = np.sort(y)
+        if np.isnan(ordered[-1]):  # NaN sorts last and, as in np.median and np.quantile, is every order statistic
+            ordered[:] = np.nan
     values = np.empty(len(characteristics))
     for i, c in enumerate(characteristics):
         if c.kind == MEDIAN:
-            values[i] = ordered[-1] if np.isnan(ordered[-1]) else sorted_median(ordered)
+            values[i] = sorted_median(ordered)
         elif c.kind == QUANTILE:
             values[i] = sorted_quantile(ordered, c.p)
         else:

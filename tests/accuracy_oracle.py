@@ -3,7 +3,7 @@
 The per-entry route to what predvote.accuracy.build_accuracy_matrix
 computes: one loop over (measure, characteristic, generator, strategy)
 that checks, squares or sorts each surviving error vector afresh for every
-measure, with its own rmse (overflow fallback included) and inf-type qape.
+measure, with its own rmse (power-of-two overflow fallback included) and inf-type qape.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 def rmse(e: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         value = float(np.sqrt(np.mean(e**2)))
-    if math.isinf(value):
-        scale = np.max(np.abs(e))
+    if math.isinf(value):  # divide by the power of two at or below max |e|, which is exact
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(e))))[1] - 1)
         value = float(scale * np.sqrt(np.mean((e / scale) ** 2)))
     return value
 

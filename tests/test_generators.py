@@ -183,6 +183,13 @@ class TestKde:
         r = np.random.default_rng(1).uniform(-1.0, 1.0, 200)
         assert fit_kde(r * 2.0**m).bandwidth == fit_kde(r).bandwidth * 2.0**m
 
+    def test_silverman_bandwidth_of_residuals_past_2_to_the_1023(self):
+        # the sd's overflow fallback once divided by the power of two above the peak, 2^1024, and
+        # math.ldexp raised a bare OverflowError; here IQR / 1.34 is the smaller spread
+        r = np.array([1.5e308, -1.5e308, 1.0, 2.0, -3.0, 0.5])
+        q75, q25 = np.percentile(r - r.mean(), [75, 25])
+        assert fit_kde(r).bandwidth == 0.9 * ((q75 - q25) / 1.34) * r.size ** (-1.0 / 5.0)
+
 
 class TestNonparametricGeneration:
     def fit_tree(self, seed=0, n=40):
@@ -282,8 +289,8 @@ class TestGenerator:
 
     def test_non_finite_draw_is_simulation_error(self):
         generator = Generator("lognormal", np.array([0.0, 800.0]), 0.1)
-        with np.errstate(over="ignore"), pytest.raises(SimulationError, match="non-finite"):
-            generator.draw(np.random.default_rng(0))  # exp(800) overflows to inf
+        with pytest.raises(SimulationError, match="non-finite"):
+            generator.draw(np.random.default_rng(0))  # exp(800) overflows to inf, without a numpy warning
 
     def test_kde_goes_with_nonparametric_models_only(self):
         cases, x_full = fitted_generators()

@@ -71,6 +71,33 @@ def test_plug_in_total_of_opposite_infinities_is_fit_error():
         plug_in_predict(strategy, frame, y, [Characteristic("total"), Characteristic("median")])
 
 
+def test_plug_in_quantile_of_a_nan_prediction_is_fit_error():
+    # the slope is inf (test_ols_slope_that_overflows_is_inf), so the prediction at x = 0 is inf * 0 = NaN; the
+    # median was NaN, and so refused, but the quantile once skipped the NaN and returned 1.66e273
+    x, y = design()
+    frame = StudyFrame(x_sample=x * 1e-188, y_sample=y * 1e272, x_out=np.array([[0.0]]), column_names=["x"])
+    strategy = PredictionStrategy("ols", ModelSpec("ols_normal"))
+    with pytest.raises(FitError, match="plug-in prediction of 'q0.5' is not finite"):
+        plug_in_predict(strategy, frame, frame.y_sample, [Characteristic("quantile", 0.5)])
+
+
+def test_tree_generator_on_responses_past_2_to_the_1023_is_a_predvote_error():
+    # the residual KDE's sd once divided by 2^1024, and math.ldexp raised a bare OverflowError; now the KDE is
+    # fitted and the first draw, whose re-centring overflows, is refused
+    y = np.array([1.5e308, -1.5e308, *range(1, 19)], dtype=np.float64)
+    frame = StudyFrame(x_sample=np.zeros((20, 1)), y_sample=y, x_out=np.zeros((3, 1)), column_names=["x"])
+    config = RunConfig(
+        generators=[ModelSpec("regression_tree")],
+        strategies=[PredictionStrategy(f, ModelSpec(f)) for f in ("ols_normal", "regression_tree")],
+        characteristics=[Characteristic("total")],
+        measures=[Measure("rmse")],
+        iterations=2,
+        master_seed=1,
+    )
+    with pytest.raises(PredvoteError, match="non-finite values"):
+        run(config, frame, workers=1)
+
+
 def random_study(rng: np.random.Generator) -> tuple[RunConfig, StudyFrame]:
     """A small study on covariates x 10^U(-200, 200) and responses x 10^U(-300, 300), over all five families."""
     n, k, q = int(rng.integers(15, 40)), int(rng.integers(2, 8)), int(rng.integers(1, 3))

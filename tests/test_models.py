@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from predvote.models import (
     _GlmState,
     fit,
     neighbour_index,
+    pow2_scale,
 )
 
 
@@ -505,13 +507,10 @@ class OracleNode:
     right: "OracleNode | None" = None
 
 
-def grow_tree_recursive(x, y, depth, max_depth, min_leaf) -> OracleNode:
-    """The earlier recursive tree, kept as an oracle: a Python loop over split positions."""
-    node = OracleNode(prediction=float(y.mean()))
+def oracle_split(x, y, min_leaf):
+    """((feature, threshold, rows sent left) of the least-SSE split or None, whether every candidate SSE is finite)."""
     n = y.shape[0]
-    if depth >= max_depth or n < 2 * min_leaf or np.ptp(y) == 0.0:
-        return node
-    best_sse, best = np.inf, None
+    best_sse, best, finite = np.inf, None, True
     for j in range(x.shape[1]):
         order = np.argsort(x[:, j], kind="stable")
         xs, ys = x[order, j], y[order]
@@ -524,11 +523,27 @@ def grow_tree_recursive(x, y, depth, max_depth, min_leaf) -> OracleNode:
             left_sse = cum2[i - 1] - cum[i - 1] ** 2 / i
             right_sse = (total2 - cum2[i - 1]) - (total - cum[i - 1]) ** 2 / (n - i)
             sse = left_sse + right_sse
+            finite = finite and bool(np.isfinite(sse))
             if sse < best_sse:  # strict improvement; first (j, i) wins ties
                 mid = (xs[i - 1] + xs[i]) / 2.0
                 if not (xs[i - 1] <= mid < xs[i]):
                     mid = xs[i - 1]
                 best_sse, best = sse, (j, mid, x[:, j] <= mid)
+    return best, finite
+
+
+def grow_tree_recursive(x, y, depth, max_depth, min_leaf) -> OracleNode:
+    """The earlier recursive tree, kept as an oracle: a Python loop over split positions.
+
+    A node with a candidate SSE that is not finite is scored again on y divided
+    by the power of two at or below max |y|, which is exact.
+    """
+    node = OracleNode(prediction=float(y.mean()))
+    if depth >= max_depth or y.shape[0] < 2 * min_leaf or np.ptp(y) == 0.0:
+        return node
+    best, finite = oracle_split(x, y, min_leaf)
+    if not finite:
+        best, _ = oracle_split(x, y / math.ldexp(1.0, math.frexp(float(np.abs(y).max()))[1] - 1), min_leaf)
     if best is None:
         return node
     node.feature, node.threshold, mask = best
@@ -647,6 +662,44 @@ class TestRegressionTree:
                 moved[j] = lo + frac * (hi - lo) + 1e-12
                 assert model.predict([moved])[0] == base
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_power_of_two_scaling_past_overflowing_squares(self, seed):
+        # at these magnitudes some nodes' squared sums overflow, and such a node is scored on y / pow2_scale(y):
+        # the tree on y * 2^m keeps the nodes of the tree on y, with leaf values times 2^m (once 70 of 130 failed)
+        frame = synthesize_portfolio(500, 100, seed)
+        base = fit(ModelSpec(REGRESSION_TREE), frame.x_sample, frame.y_sample)._state
+        for m in [*range(480, 500), 520, 600, 700, 800, 900, 1000]:
+            scaled = fit(ModelSpec(REGRESSION_TREE), frame.x_sample, frame.y_sample * 2.0**m)._state
+            assert np.array_equal(scaled.feature, base.feature), m
+            assert np.array_equal(scaled.threshold, base.threshold, equal_nan=True), m
+            assert np.array_equal(scaled.value, base.value * 2.0**m, equal_nan=True), m
+
+    def test_minus_infinite_sses_never_win(self):
+        # at y * 2^492 a left sum's square overflows while the squares' sum does not: its SSE is -inf,
+        # which once won the argmin and grew a 115-node tree with other splits
+        frame = synthesize_portfolio(500, 100, 1)
+        base = fit(ModelSpec(REGRESSION_TREE), frame.x_sample, frame.y_sample)._state
+        scaled = fit(ModelSpec(REGRESSION_TREE), frame.x_sample, frame.y_sample * 2.0**492)._state
+        assert (scaled.feature[0], scaled.threshold[0]) == (base.feature[0], base.threshold[0])
+        assert scaled.feature.size == base.feature.size == 113
+
+
+class TestPow2Scale:
+    @pytest.mark.parametrize("peak, scale", [(0.0, 1.0), (3.0, 2.0), (1.7e308, 2.0**1023), (5e-324, 5e-324)])
+    def test_power_of_two_at_or_below_the_peak(self, peak, scale):
+        assert pow2_scale(np.array([peak / 4, -peak])) == scale
+
+    def test_per_column(self):
+        v = np.array([[0.0, 3.0, -1.0, 1e-300], [0.0, -1.0, 0.75, -2e-300]])
+        assert pow2_scale(v, axis=0).tolist() == [1.0, 2.0, 1.0, 2.0 ** math.floor(math.log2(2e-300))]
+
+    def test_division_is_exact_and_leaves_every_value_below_2(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = rng.standard_normal(int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-300, 300)
+            q = v / pow2_scale(v)
+            assert 1.0 <= np.abs(q).max() < 2.0 and np.array_equal(q * pow2_scale(v), v)
+
 
 class TestTreeMatchesRecursiveOracle:
     """The flat-array tree equals the recursive per-position tree bit for bit."""
@@ -726,8 +779,8 @@ class TestTreeMatchesRecursiveOracle:
         assert np.array_equal(model.predict(x), y)
 
     def test_overflowing_responses_warn_nothing(self):
-        # squared sums of 1e200-scaled responses overflow; those SSE candidates are
-        # discarded without a RuntimeWarning
+        # squared sums of 1e200-scaled responses overflow; such a node is scored again on
+        # y / pow2_scale(y), without a RuntimeWarning, and splits (it was once a single leaf)
         rng = np.random.default_rng(56)
         x = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
@@ -735,7 +788,7 @@ class TestTreeMatchesRecursiveOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = self.assert_matches_oracle(x, y, 6, 2, x)
-        assert model._state.feature.tolist() == [-1]
+        assert model._state.feature.size > 1
 
 
 class TestKnn:
@@ -796,6 +849,15 @@ class TestKnn:
             model = fit(ModelSpec(KNN, {"k_neighbors": 1}), x, np.arange(6.0))
             assert model.predict([[6e200], [1e200]]).tolist() == [5.0, 0.0]
         assert np.all(np.isfinite(model._state.x_train)) and np.isfinite(model._state.x_scale[0])
+
+    @pytest.mark.parametrize("m", [520, 600, 900, 1000])
+    def test_standardisation_scales_exactly_past_overflowing_squares(self, m):
+        # the overflow fallback once divided by max |x|, which is not exact
+        x = np.random.default_rng(0).uniform(0.25, 2.25, (100, 1))
+        base = fit(ModelSpec(KNN), x, np.arange(100.0))._state
+        scaled = fit(ModelSpec(KNN), x * 2.0**m, np.arange(100.0))._state
+        assert np.array_equal(scaled.x_mean, base.x_mean * 2.0**m)
+        assert np.array_equal(scaled.x_scale, base.x_scale * 2.0**m)
 
 
 def knn_predict_per_row(model: FittedModel, x: np.ndarray) -> np.ndarray:

@@ -6,8 +6,11 @@ summation order inside a kernel:
 
 - scaling the sample response by a power of two scales every accuracy entry
   and every final prediction by exactly that factor and leaves the voting
-  matrices and the winners unchanged (multiplying by 2^m commutes with every
-  rounding step, barring overflow and underflow)
+  matrices and the winners unchanged (multiplying by 2^m commutes with
+  sums, products, quotients and square roots, barring overflow and
+  underflow; C pow(x, 2), which the tree's split scan uses, can differ in
+  the last bit, so the tree's relation holds away from near-ties in SSE,
+  and these designs have none)
 - a renamed clone of a strategy gives an identical column that ties with it
   in every voting system, and leaves the other columns unchanged
 - permuting the strategies permutes the columns
