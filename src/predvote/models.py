@@ -295,7 +295,8 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     split position of every feature at once. A split after sorted position i
     is a candidate iff the sorted covariate changes there, and the first
     (feature, position) in feature-major order wins a tie. A node whose SSEs
-    overflow is scored again on y / pow2_scale(y), which is exact.
+    overflow, or whose squares sum below n * 2^-1022 (so that even its largest
+    square may be subnormal), is scored again on y / pow2_scale(y), which is exact.
     """
     n = y.shape[0]
     order = np.argsort(x, axis=0, kind="stable")
@@ -314,7 +315,8 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     sse = (left2 - np.float_power(left, 2) / i) + (
         (total2 - left2) - np.float_power(total - left, 2) / (n - i)
     )
-    if not np.all(np.isfinite(sse)):  # |y / pow2_scale(y)| < 2, so its SSEs are finite
+    # 1 <= max |y / pow2_scale(y)| < 2, so its SSEs are finite and its largest square is normal
+    if not np.all(np.isfinite(sse)) or cum2[-1, 0] < n * 2.0**-1022:
         return _best_split(x, y / pow2_scale(y), min_leaf)
     best = int(np.argmin(sse))
     j, i = int(feat[best]), int(i[best])

@@ -1,0 +1,50 @@
+"""Straight-line per-cell loop of a run's simulation, kept as a test oracle.
+
+The public-primitive route to what predvote.engine.simulate_errors
+computes: for each (generator, iteration) cell, the population drawn on the
+cell's own stream, a fresh fit of every strategy on the simulated sample,
+and its plug-in characteristics against the simulated truth. It never
+builds a RefitPlan or calls the engine's cell function.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from predvote.engine import derive_stream
+from predvote.errors import FitError
+from predvote.generators import fit_kde, gen_nonparametric, gen_parametric
+from predvote.models import fit
+from predvote.prediction import eval_characteristic
+
+
+def refit_plug_in(strategy, frame, y_s, characteristics):
+    """A fresh fit on y_s, its predictions for x_out, and the composite's characteristics."""
+    y_out = fit(strategy.model, frame.x_sample, y_s).predict(frame.x_out)
+    composite = np.concatenate([y_s, y_out])
+    return np.array([eval_characteristic(c, composite) for c in characteristics])
+
+
+def simulate_errors(config, frame):
+    """(values, mask): the G x B x C x P errors and the G x B x P cells whose refit raised a FitError."""
+    shape = (len(config.generators), config.iterations, len(config.characteristics), len(config.strategies))
+    values = np.zeros(shape)
+    mask = np.zeros((shape[0], shape[1], shape[3]), dtype=bool)
+    for g, spec in enumerate(config.generators):
+        model = fit(spec, frame.x_sample, frame.y_sample)
+        kde = None if spec.is_parametric else fit_kde(model.sample_residuals)
+        for b in range(config.iterations):
+            rng = derive_stream(config.master_seed, g + 1, b + 1)
+            if kde is None:
+                y_gen = gen_parametric(model, frame.x_full, rng).y_full
+            else:
+                y_gen = gen_nonparametric(model, frame.x_full, kde, rng).y_full
+            truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
+            for p, strategy in enumerate(config.strategies):
+                try:
+                    predicted = refit_plug_in(strategy, frame, y_gen[: frame.n], config.characteristics)
+                except FitError:
+                    mask[g, b, p] = True
+                    continue
+                values[g, b, :, p] = predicted - truth
+    return values, mask

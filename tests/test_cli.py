@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import overflow_refits_on
 from predvote.cli import main
 from predvote.dataset import load_csv, write_portfolio_csv
 from predvote.engine import config_from_dict
-from predvote.matrix_io import read_matrix_csv, write_matrix_csv
+from predvote.matrix_io import read_matrix_csv, write_matrix_csv, write_rows
 
 RUN_FILES = {"accuracy_matrix.csv", "w1.csv", "w2.csv", "w3.csv", "ecdf.csv", "report.json"}
 SYSTEMS = {"fptp", "positional", "evaluative", "ecdf_auc"}
@@ -63,6 +64,62 @@ def minimal_config(**overrides):
     return doc
 
 
+def families(*names):
+    return [{"family": name} for name in names]
+
+
+def smoke_config(exposure=False, **overrides):
+    """minimal_config with two generators, and median, q0.95 and qape0.95 to put order statistics under the checks."""
+    doc = minimal_config(**{
+        "generators": families("ols_normal", "regression_tree"),
+        "characteristics": [{"kind": "total"}, {"kind": "median"}, {"kind": "quantile", "p": 0.95}],
+        "measures": [{"kind": "rmse"}, {"kind": "qape", "p": 0.95}],
+        "iterations": 5,
+        "master_seed": 1,
+        **overrides,
+    })
+    if exposure:
+        doc["schema"]["covariates"].append({"name": "exposure", "kind": "numeric"})
+    return doc
+
+
+# the exposure column times 1e200 squares to overflow: knn standardises it on x / pow2_scale(x), and lstsq calls
+# the parametric designs rank-short, so their solve is retried on columns divided by powers of two
+HUGE_COVARIATE_TREES = smoke_config(
+    exposure=True,
+    generators=families("regression_tree"),
+    strategies=[{"name": "knn", "family": "knn"}, {"name": "tree", "family": "regression_tree"}],
+)
+HUGE_COVARIATE_GLMS = smoke_config(
+    exposure=True,
+    generators=families("lognormal", "gamma_glm_log_link"),
+    strategies=families("ols_normal", "lognormal", "gamma_glm_log_link", "knn"),
+)
+# a response that peaks at 1e200 (or at 2^500 times its own peak) overflows the squares of the tree's
+# split scan, the residual KDE's sd and the rmse
+HUGE_RESPONSE = smoke_config(
+    generators=families("regression_tree", "knn"),
+    strategies=families("ols_normal", "regression_tree", "knn"),
+)
+
+
+def quiet(capfd, *argv):
+    """main(argv) exits 0 and writes nothing to stderr, read at the file-descriptor level, pool workers included."""
+    code = main([str(arg) for arg in argv])
+    assert (code, capfd.readouterr().err) == (0, "")
+
+
+def quiet_run(capfd, doc, data, out, workers=1):
+    """Write doc next to out and run it on data at --workers, quietly."""
+    config = out.with_name(f"{out.name}.json")
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    quiet(capfd, "run", "--config", config, "--data", data, "--out", out, "--workers", workers)
+
+
+def read_report(out):
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
 def run_in_subprocess(cwd: Path, workers: str) -> subprocess.CompletedProcess:
     """predvote run --config config.json --data data.csv --out out in cwd, in a fresh interpreter."""
     src = str(Path(predvote.__file__).resolve().parents[1])
@@ -83,6 +140,31 @@ def workspace(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(minimal_config()), encoding="utf-8")
     return tmp_path, config, data
+
+
+@pytest.fixture(scope="module")
+def smoke_data(tmp_path_factory):
+    """Data CSVs written once per module: write_portfolio_csv(100, 40, 1) as 'portfolio', and its variants with a
+    numeric 'exposure' column, with that column times 1e200, and with claim_amount scaled to peak at 1e200 or
+    1.7e308, or times 2^500; 'workspace' is the workspace fixture's data."""
+    tmp = tmp_path_factory.mktemp("smoke")
+    paths = {name: tmp / f"{name}.csv" for name in (
+        "workspace", "portfolio", "exposure", "exposure_1e200", "claims_1e200", "claims_1.7e308", "claims_2e500",
+    )}
+    write_portfolio_csv(str(paths["workspace"]), 50, 10, 5)
+    write_portfolio_csv(str(paths["portfolio"]), 100, 40, 1)
+    with open(paths["portfolio"], newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    exposure = [0.25 + (i * 37 % 101) / 50 for i in range(len(rows))]
+    for name, factor in (("exposure", 1.0), ("exposure_1e200", 1e200)):
+        write_rows(paths[name], [[*header, "exposure"], *([*row, repr(v * factor)] for row, v in zip(rows, exposure))])
+    at = header.index("claim_amount")
+    peak = max(float(row[at]) for row in rows if row[at])
+    scales = {"claims_1e200": 1e200 / peak, "claims_1.7e308": 1.7e308 / peak, "claims_2e500": 2.0**500}
+    for name, factor in scales.items():
+        scaled = ([*row[:at], repr(float(row[at]) * factor) if row[at] else "", *row[at + 1:]] for row in rows)
+        write_rows(paths[name], [header, *scaled])
+    return paths
 
 
 class TestCmdRun:
@@ -296,14 +378,14 @@ class TestCmdRun:
         assert "measures: labels must be unique, 'rmse' is repeated" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_byte_order_marks_are_read(self, workspace):
+    def test_byte_order_marks_are_read(self, workspace, capfd):
         # Excel's "CSV UTF-8" export starts the file with a BOM
         tmp, config, data = workspace
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "plain")]) == 0
+        quiet(capfd, "run", "--config", config, "--data", data, "--out", tmp / "plain")
         bom_config, bom_data = tmp / "bom_config.json", tmp / "bom_data.csv"
         bom_config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
         bom_data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
-        assert main(["run", "--config", str(bom_config), "--data", str(bom_data), "--out", str(tmp / "bom")]) == 0
+        quiet(capfd, "run", "--config", bom_config, "--data", bom_data, "--out", tmp / "bom")
         for name in ("accuracy_matrix.csv", "w3.csv"):
             assert (tmp / "bom" / name).read_bytes() == (tmp / "plain" / name).read_bytes()
 
@@ -393,18 +475,10 @@ class TestCmdRun:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_overflowing_tree_generator_fit_exits_2_before_the_kde(self, tmp_path):
+    def test_overflowing_tree_generator_fit_exits_2_before_the_kde(self, smoke_data, tmp_path):
         # the largest response is 1.7e308, so a leaf mean overflows; the run refuses the generator's
         # fit instead of blaming the residual KDE's bandwidth, and no numpy warning reaches stderr
-        write_portfolio_csv(str(tmp_path / "data.csv"), 100, 40, 1)
-        with open(tmp_path / "data.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        at = rows[0].index("claim_amount")
-        factor = 1.7e308 / max(float(row[at]) for row in rows[1:] if row[at])
-        for row in rows[1:]:
-            row[at] = repr(float(row[at]) * factor) if row[at] else ""
-        with open(tmp_path / "data.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
+        (tmp_path / "data.csv").write_bytes(smoke_data["claims_1.7e308"].read_bytes())
         doc = minimal_config(generators=[{"family": "regression_tree"}], iterations=3)
         (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
         done = run_in_subprocess(tmp_path, "1")
@@ -494,14 +568,70 @@ class TestCmdRun:
         assert a == b
         assert a != c
 
-    def test_worker_count_byte_identical(self, workspace):
-        tmp, config, data = workspace
-        for out, workers in ((tmp / "w1_", "1"), (tmp / "w8_", "8")):
-            assert main([
-                "run", "--config", str(config), "--data", str(data),
-                "--out", str(out), "--workers", workers,
-            ]) == 0
-        assert (tmp / "w1_" / "accuracy_matrix.csv").read_bytes() == (tmp / "w8_" / "accuracy_matrix.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "data,doc,workers",
+        [
+            pytest.param("workspace", minimal_config(), 8, id="workspace-8"),
+            # the pool's chunks of cells ship the tree generator's residual KDE
+            pytest.param("portfolio", smoke_config(), 2, id="smoke-2"),
+            # one generator and B = 2 make two cells, so --workers 4 starts a pool of two
+            pytest.param("portfolio", smoke_config(generators=families("ols_normal"), iterations=2), 4, id="g1-b2-4"),
+            # a numeric covariate is encoded over every row in file order
+            pytest.param("exposure", smoke_config(exposure=True), 2, id="numeric-covariate-2"),
+            pytest.param("exposure_1e200", HUGE_COVARIATE_TREES, 2, id="1e200-covariate-trees-2"),
+            pytest.param("exposure_1e200", HUGE_COVARIATE_GLMS, 2, id="1e200-covariate-parametric-2"),
+            pytest.param("claims_1e200", HUGE_RESPONSE, 2, id="1e200-response-2"),
+        ],
+    )
+    def test_worker_count_byte_identical(self, smoke_data, tmp_path, capfd, data, doc, workers):
+        # the run at --workers N writes the serial run's five CSVs byte for byte, and its report.json
+        # but for the worker count and the wall time; both runs write nothing to stderr
+        outs = [tmp_path / "w1", tmp_path / f"w{workers}"]
+        for out, n in zip(outs, (1, workers)):
+            quiet_run(capfd, doc, smoke_data[data], out, n)
+        for name in sorted(RUN_FILES - {"report.json"}):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        reports = [read_report(out) for out in outs]
+        for report in reports:
+            del report["metadata"]["workers"], report["metadata"]["wall_time_seconds"]
+        assert reports[0] == reports[1]
+
+    def test_huge_covariate_keeps_the_winners_of_the_unscaled_one(self, smoke_data, tmp_path, capfd):
+        # the parametric solves on the exposure column times 1e200 are retried on power-of-two-scaled columns
+        for data in ("exposure_1e200", "exposure"):
+            quiet_run(capfd, HUGE_COVARIATE_GLMS, smoke_data[data], tmp_path / data)
+        assert read_report(tmp_path / "exposure_1e200")["winners"] == read_report(tmp_path / "exposure")["winners"]
+
+    def test_response_times_2_to_the_500_scales_every_accuracy_entry_exactly(self, smoke_data, tmp_path, capfd):
+        # each overflowing square is rescued by an exact power-of-two rescale, so every accuracy entry scales
+        # by exactly 2^500, and w1-w3 and the winners stay those of the unscaled run
+        base, scaled = tmp_path / "base", tmp_path / "scaled"
+        quiet_run(capfd, HUGE_RESPONSE, smoke_data["portfolio"], base)
+        quiet_run(capfd, HUGE_RESPONSE, smoke_data["claims_2e500"], scaled)
+        for name in ("w1.csv", "w2.csv", "w3.csv"):
+            assert (base / name).read_bytes() == (scaled / name).read_bytes(), name
+        entries, rows, cols = read_matrix_csv(str(base / "accuracy_matrix.csv"))
+        scaled_entries, scaled_rows, scaled_cols = read_matrix_csv(str(scaled / "accuracy_matrix.csv"))
+        assert (scaled_rows, scaled_cols) == (rows, cols)
+        assert np.array_equal(scaled_entries, entries * 2.0**500)
+        assert read_report(scaled)["winners"] == read_report(base)["winners"]
+
+    def test_run_vote_and_plot_ecdf_write_nothing_to_stderr(self, smoke_data, tmp_path, capfd):
+        # so do a vote and a plot on strategy names holding & and <, which the legend escapes; every SVG parses
+        run, vote = tmp_path / "run", tmp_path / "vote"
+        quiet_run(capfd, smoke_config(), smoke_data["portfolio"], run)
+        quiet(capfd, "vote", run / "accuracy_matrix.csv", "--out", vote)
+        quiet(capfd, "plot-ecdf", run / "w3.csv", "--out", tmp_path / "plot.svg")
+        markup = tmp_path / "markup.csv"
+        markup.write_text("voter,a&b,<c>\nr1,0.1,0.2\nr2,0.3,0.1\n", encoding="utf-8")
+        quiet(capfd, "vote", markup, "--out", tmp_path / "vote_markup")
+        quiet(capfd, "plot-ecdf", tmp_path / "vote_markup" / "w3.csv", "--out", tmp_path / "markup.svg")
+        for path in (run / "accuracy_matrix.csv", run / "w3.csv", run / "report.json", vote / "report.json"):
+            assert path.stat().st_size > 0, path
+        svgs = sorted(tmp_path.glob("*.svg"))
+        assert [svg.name for svg in svgs] == ["markup.svg", "plot.svg"]
+        for svg in svgs:
+            ET.parse(svg)
 
     def test_tie_break_block_always_present(self, workspace):
         tmp, config, data = workspace
@@ -623,6 +753,15 @@ class TestCmdVote:
         assert_step_file_refused(["vote", str(run_out / "ecdf.csv"), "--out", str(out)], capsys)
         assert not out.exists()
 
+    def test_latin1_matrix_exits_3(self, tmp_path, capsys):
+        # a matrix that is not UTF-8 is a data error, not a traceback
+        matrix_path = tmp_path / "latin1.csv"
+        matrix_path.write_bytes("voter,a,b\nr\xe9,0.1,0.2\nr2,0.3,0.1\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read matrix file {matrix_path}: not UTF-8 (")
+        assert not out.exists()
+
     def test_missing_matrix_exits_3(self, tmp_path):
         assert main(["vote", str(tmp_path / "none.csv"), "--out", str(tmp_path / "out")]) == 3
 
@@ -723,8 +862,6 @@ class TestPlotEcdf:
 
     def test_legend_keeps_markup_characters_of_strategy_names(self, tmp_path):
         # a name holding &, < or " is escaped in the SVG, so the file parses and the legend reads it back
-        import xml.etree.ElementTree as ET
-
         names = ["a&b", "<c>", 'x"y']
         w3 = tmp_path / "w3.csv"
         write_matrix_csv(str(w3), np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]), ["r1", "r2"], names)

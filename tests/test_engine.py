@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+import cell_oracle
+from cell_oracle import refit_plug_in
 from conftest import make_positive_frame, overflow_refits_on
 from predvote.accuracy import Measure
 from predvote.dataset import StudyFrame, synthesize_portfolio
@@ -21,7 +23,7 @@ from predvote.engine import (
     simulate_errors,
 )
 from predvote.errors import ConfigError, DataError, FitError, SimulationError
-from predvote.generators import Generator, fit_kde, gen_nonparametric, gen_parametric
+from predvote.generators import Generator, gen_parametric
 from predvote.models import ModelSpec, fit
 from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
 
@@ -40,13 +42,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-def refit_plug_in(strategy, frame, y_s, characteristics):
-    """Oracle of the engine's plug-in: a fresh fit, its predictions for x_out, the composite's characteristics."""
-    y_out = fit(strategy.model, frame.x_sample, y_s).predict(frame.x_out)
-    composite = np.concatenate([y_s, y_out])
-    return np.array([eval_characteristic(c, composite) for c in characteristics])
 
 
 class TestDeriveStream:
@@ -123,18 +118,7 @@ class TestSimulateErrors:
             master_seed=77,
         )
         tensor = simulate_errors(config, frame, workers=1)
-
-        gen_model = fit(config.generators[0], frame.x_sample, frame.y_sample)
-        kde = fit_kde(gen_model.sample_residuals)
-        x_full = frame.x_full
-        expected = np.zeros_like(tensor.values)
-        for b in range(200):
-            rng = derive_stream(77, 1, b + 1)
-            y_gen = gen_nonparametric(gen_model, x_full, kde, rng).y_full
-            truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
-            for p, strategy in enumerate(config.strategies):
-                predicted = refit_plug_in(strategy, frame, y_gen[: frame.n], config.characteristics)
-                expected[0, b, :, p] = predicted - truth
+        expected, _ = cell_oracle.simulate_errors(config, frame)
         assert np.array_equal(tensor.values, expected)
         assert not tensor.failure_mask.any()
 
@@ -173,25 +157,7 @@ class TestSimulateErrors:
             failure_ceiling=0.5,
         )
         tensor = simulate_errors(config, frame, workers=workers)
-
-        model = fit(generator, frame.x_sample, frame.y_sample)
-        kde = None if generator.is_parametric else fit_kde(model.sample_residuals)
-        expected = np.zeros_like(tensor.values)
-        expected_mask = np.zeros_like(tensor.failure_mask)
-        for b in range(config.iterations):
-            rng = derive_stream(19, 1, b + 1)
-            if kde is None:
-                y_gen = gen_parametric(model, frame.x_full, rng).y_full
-            else:
-                y_gen = gen_nonparametric(model, frame.x_full, kde, rng).y_full
-            truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
-            for p, strategy in enumerate(config.strategies):
-                try:
-                    predicted = refit_plug_in(strategy, frame, y_gen[: frame.n], config.characteristics)
-                except FitError:
-                    expected_mask[0, b, p] = True
-                    continue
-                expected[0, b, :, p] = predicted - truth
+        expected, expected_mask = cell_oracle.simulate_errors(config, frame)
         assert np.array_equal(tensor.values, expected)
         assert np.array_equal(tensor.failure_mask, expected_mask)
         # k_neighbors > n masks every cell of that strategy and no other

@@ -664,11 +664,15 @@ class TestRegressionTree:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_power_of_two_scaling_past_overflowing_squares(self, seed):
-        # at these magnitudes some nodes' squared sums overflow, and such a node is scored on y / pow2_scale(y):
-        # the tree on y * 2^m keeps the nodes of the tree on y, with leaf values times 2^m (once 70 of 130 failed)
+        # at these magnitudes some nodes' squared sums overflow, or their squares go subnormal, and such a node is
+        # scored on y / pow2_scale(y): the tree on y * 2^m keeps the nodes of the tree on y, with leaf values times
+        # 2^m (once 70 of 130 positive m failed, and 30 of 50 negative ones)
         frame = synthesize_portfolio(500, 100, seed)
         base = fit(ModelSpec(REGRESSION_TREE), frame.x_sample, frame.y_sample)._state
-        for m in [*range(480, 500), 520, 600, 700, 800, 900, 1000]:
+        for m in [
+            *range(480, 500), 520, 600, 700, 800, 900, 1000,
+            -510, -515, -520, -530, -550, -600, -700, -800, -900, -1000,
+        ]:
             scaled = fit(ModelSpec(REGRESSION_TREE), frame.x_sample, frame.y_sample * 2.0**m)._state
             assert np.array_equal(scaled.feature, base.feature), m
             assert np.array_equal(scaled.threshold, base.threshold, equal_nan=True), m
