@@ -67,10 +67,12 @@ class StudyFrame:
 
     def __post_init__(self):
         self.x_sample = np.atleast_2d(np.asarray(self.x_sample, dtype=np.float64))
-        self.x_out = np.asarray(self.x_out, dtype=np.float64).reshape(-1, self.x_sample.shape[1])
+        self.x_out = np.atleast_2d(np.asarray(self.x_out, dtype=np.float64))
         self.y_sample = np.asarray(self.y_sample, dtype=np.float64).ravel()
         if self.x_sample.shape[0] < 1:
             raise DataError("sample block must contain at least one row")
+        if self.x_out.shape[1:] != self.x_sample.shape[1:]:
+            raise DataError(f"x_out has {self.x_out.shape[1]} columns, x_sample has {self.x_sample.shape[1]}")
         if self.x_sample.shape[0] != self.y_sample.shape[0]:
             raise DataError("x_sample and y_sample row counts differ")
         if self.x_sample.shape[1] != len(self.column_names):

@@ -13,7 +13,7 @@ import numpy as np
 
 from predvote.engine import derive_stream
 from predvote.errors import FitError
-from predvote.generators import fit_kde, gen_nonparametric, gen_parametric
+from predvote.generators import Generator, fit_kde
 from predvote.models import fit
 from predvote.prediction import eval_characteristic
 
@@ -34,11 +34,7 @@ def simulate_errors(config, frame):
         model = fit(spec, frame.x_sample, frame.y_sample)
         kde = None if spec.is_parametric else fit_kde(model.sample_residuals)
         for b in range(config.iterations):
-            rng = derive_stream(config.master_seed, g + 1, b + 1)
-            if kde is None:
-                y_gen = gen_parametric(model, frame.x_full, rng).y_full
-            else:
-                y_gen = gen_nonparametric(model, frame.x_full, kde, rng).y_full
+            y_gen = Generator.from_model(model, frame.x_full, kde).draw(derive_stream(config.master_seed, g + 1, b + 1))
             truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
             for p, strategy in enumerate(config.strategies):
                 try:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import overflow_refits_on
 from predvote.cli import main
 from predvote.dataset import load_csv, write_portfolio_csv
 from predvote.engine import config_from_dict
+from predvote.errors import ConfigError
 from predvote.matrix_io import read_matrix_csv, write_matrix_csv, write_rows
 
 RUN_FILES = {"accuracy_matrix.csv", "w1.csv", "w2.csv", "w3.csv", "ecdf.csv", "report.json"}
@@ -30,11 +33,6 @@ def assert_tie_break_block(report):
     assert set(report["tie_break"]) == SYSTEMS
     for system, chosen in report["tie_break"].items():
         assert chosen in report["winners"][system]
-
-
-def assert_step_file_refused(argv, capsys):
-    assert main(argv) == 3
-    assert "an ECDF step file (strategy,x,cdf), not a labeled matrix" in capsys.readouterr().err
 
 
 def minimal_config(**overrides):
@@ -167,6 +165,318 @@ def smoke_data(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def workspace_run(smoke_data, tmp_path_factory):
+    """The output directory of one run of minimal_config() on the workspace data, made once per module."""
+    tmp = tmp_path_factory.mktemp("workspace_run")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(minimal_config()), encoding="utf-8")
+    out = tmp / "out"
+    assert main(["run", "--config", str(config), "--data", str(smoke_data["workspace"]), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def refusal_dir(tmp_path, monkeypatch):
+    """An empty working directory but for a file 'afile' that reads 'kept'; the table rows name paths relative to it."""
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("kept", encoding="utf-8")
+
+
+def assert_nothing_written(*inputs):
+    """The working directory holds afile, unchanged, and the given inputs: the refused command wrote nothing."""
+    assert sorted(os.listdir()) == sorted(["afile", *inputs])
+    assert Path("afile").read_text(encoding="utf-8") == "kept"
+
+
+def write_input(path, body):
+    """Write body (str as UTF-8, or bytes) at path; a body of None leaves the file missing."""
+    if body is not None:
+        Path(path).write_bytes(body.encode("utf-8") if isinstance(body, str) else body)
+    return [] if body is None else [path]
+
+
+class RunOnly(NamedTuple):
+    """A rule that `predvote run` alone enforces: edit changes minimal_config() in place, text maps the edited
+    document's JSON to the config file's body (None: no file), and --out and extra options follow."""
+
+    edit: Callable = lambda doc: None
+    text: Callable = lambda text: text
+    out: str = "out"
+    options: tuple = ()
+
+
+def prepend(key, entry):
+    return lambda doc: doc[key].insert(0, entry)
+
+
+# RunConfig's scalar fields, which the library path checks through dataclasses.replace as well
+SCALAR_FIELDS = {"iterations", "master_seed", "failure_ceiling", "kde_bandwidth"}
+FAMILIES = "('ols_normal', 'lognormal', 'gamma_glm_log_link', 'regression_tree', 'knn')"
+
+# One row per configuration rule: an edit of minimal_config() and the exact message it is refused with. An edit is
+# a dict of top-level fields or a function that changes the document in place; a RunOnly row holds a rule that
+# only the CLI enforces.
+CONFIG_REFUSALS = [
+    pytest.param({"generators": []}, "generators: at least one data-generation model required", id="no-generator"),
+    pytest.param(
+        lambda doc: doc["strategies"].pop(), "strategies: at least two strategies required", id="one-strategy"
+    ),
+    *(
+        pytest.param({key: value}, f"{key}: must be a list of entries, got {value!r}", id=f"{key}-as-{kind}")
+        for key in ("generators", "strategies", "characteristics", "measures")
+        for kind, value in (("int", 5), ("str", "ols_normal"), ("dict", {"family": "ols_normal"}))
+    ),
+    pytest.param(lambda doc: doc.pop("measures"), "measures: missing required field", id="no-measures"),
+    pytest.param({"tuning": {}}, "unknown configuration field(s): ['tuning']", id="unknown-field"),
+    # the worker count is --workers alone, a machine setting; the document holds the study
+    *(
+        pytest.param({"parallelism": v}, "unknown configuration field(s): ['parallelism']", id=f"parallelism-{v}")
+        for v in ("auto", 2, None)
+    ),
+    # each name or label is one row or column of the accuracy matrix: a repeat would merge silently or vote twice
+    pytest.param(
+        lambda doc: doc["strategies"].append({"name": "ols", "family": "knn"}),
+        "strategies: names must be unique, 'ols' is repeated",
+        id="strategy-name-repeated",
+    ),
+    pytest.param(
+        {"characteristics": [{"kind": "total"}, {"kind": "mean", "name": "total"}]},
+        "characteristics: names must be unique, 'total' is repeated",
+        id="characteristic-name-repeated",
+    ),
+    pytest.param(
+        {"characteristics": [{"kind": "quantile", "p": 0.95}, {"kind": "quantile", "p": 0.95}]},
+        "characteristics: names must be unique, 'q0.95' is repeated",
+        id="default-characteristic-name-repeated",
+    ),
+    pytest.param(
+        {"measures": [{"kind": "rmse"}, {"kind": "rmse"}]},
+        "measures: labels must be unique, 'rmse' is repeated",
+        id="measure-label-repeated",
+    ),
+    pytest.param(
+        {"measures": [{"kind": "qape", "p": 0.95}, {"kind": "qape", "p": 0.9500001}]},
+        "measures: labels must be unique, 'qape0.95' is repeated",
+        id="measure-labels-equal-once-rounded",
+    ),
+    # a non-string name would reach json.dumps(sort_keys=True) only after the whole simulation; only a missing or
+    # empty name takes the family's, and these once ran as 'ols_normal'
+    *(
+        pytest.param(
+            prepend("strategies", {"name": name, "family": "ols_normal"}),
+            f"strategies[0]: strategy needs a non-empty name string, got {name!r}",
+            id=f"strategy-name-{kind}",
+        )
+        for kind, name in (("5", 5), ("null", None), ("false", False), ("zero", 0), ("empty-list", []))
+    ),
+    pytest.param(
+        prepend("characteristics", {"kind": "total", "name": 7}),
+        "characteristics[0]: characteristic name must be a string, got 7",
+        id="characteristic-name-7",
+    ),
+    # a numeric covariate name once read a CSV column called '5', and a numeric response exited 3 after the read
+    *(
+        pytest.param(edit, "schema: schema names and kinds must be strings, got 5", id=f"schema-{where}-5")
+        for where, edit in (
+            ("response", lambda doc: doc["schema"].update(response=5)),
+            ("sample-flag", lambda doc: doc["schema"].update(sample_flag=5)),
+            ("covariate-name", lambda doc: doc["schema"]["covariates"][0].update(name=5)),
+            ("covariate-kind", lambda doc: doc["schema"]["covariates"][0].update(kind=5)),
+        )
+    ),
+    # a key that no constructor takes was once dropped, and the entry ran with its defaults
+    *(
+        pytest.param(edit, f"{where}: {function}() got an unexpected keyword argument {key!r}", id=f"misspelled-{key}")
+        for where, function, key, edit in (
+            ("generators[0]", "ModelSpec.__init__", "hyperparam",
+             lambda doc: doc["generators"][0].update(hyperparam={"max_depth": 3})),
+            ("strategies[1]", "ModelSpec.__init__", "hyperparms",
+             lambda doc: doc["strategies"][1].update(hyperparms={"k_neighbors": 50})),
+            ("characteristics[0]", "Characteristic.__init__", "nmae",
+             lambda doc: doc["characteristics"][0].update(nmae="x")),
+            ("measures[0]", "Measure.__init__", "foo", lambda doc: doc["measures"][0].update(foo=1)),
+            ("measures[0]", "Measure.__init__", "label", lambda doc: doc["measures"][0].update(label="q")),
+            ("schema", "ColumnSchema.__init__", "sample_flg", lambda doc: doc["schema"].update(sample_flg="s")),
+            ("schema", "_covariate", "knd", lambda doc: doc["schema"]["covariates"][1].update(knd="numeric")),
+        )
+    ),
+    pytest.param(
+        lambda doc: doc["generators"][0].update(family="svm"),
+        f"generators[0]: unknown model family 'svm'; choose one of {FAMILIES}",
+        id="unknown-family",
+    ),
+    pytest.param(
+        lambda doc: doc["measures"].append({"kind": "qape", "p": 2.0}),
+        "measures[1]: qape measure needs a number p in (0, 1), got 2.0",
+        id="qape-order-outside-0-1",
+    ),
+    pytest.param(
+        lambda doc: doc["strategies"][1].update(hyperparams=[["k_neighbors", 7]]),
+        "strategies[1]: knn: hyperparams must be a mapping, got [['k_neighbors', 7]]",
+        id="list-hyperparams",
+    ),
+    # int() would truncate 3.9 to 3 and read true as 1, and float() would read "0.5" as 0.5 and false as 0.0
+    *(
+        pytest.param({key: value}, f"{key}: {rule}, got {value!r}", id=f"{key}-{value!r}")
+        for key, rule, values in (
+            ("iterations", "need an integer, at least 2 and at most 4294967296", (1, 3.9)),
+            ("master_seed", "must be an integer in [0, 2^64)", (-1, 2**64, 1.7, "1")),
+            ("failure_ceiling", "must be a number in [0, 1)", (1.0, "0.5", False, None)),
+            ("kde_bandwidth", "must be 'silverman' or a finite positive number", ("scott", -1.0)),
+        )
+        for value in values
+    ),
+    pytest.param(
+        RunOnly(text=lambda text: None),
+        "cannot read configuration config.json: [Errno 2] No such file or directory: 'config.json'",
+        id="no-config-file",
+    ),
+    pytest.param(
+        RunOnly(text=lambda text: b'{"schema": "\xe9"}'),
+        "cannot read configuration config.json: not UTF-8 (invalid continuation byte)",
+        id="latin-1-config",
+    ),
+    pytest.param(
+        RunOnly(text=lambda text: "{not json"),
+        "config.json: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        id="invalid-json",
+    ),
+    pytest.param(RunOnly(text=lambda text: "[]"), "configuration root must be a mapping", id="list-root"),
+    # json.loads would keep the last copy of a repeated key without a word
+    *(
+        pytest.param(
+            RunOnly(text=lambda text, once=once, twice=twice: text.replace(once, twice, 1)),
+            f"configuration key {key!r} is repeated",
+            id=f"repeated-{where}-key",
+        )
+        for where, once, twice, key in (
+            ("top-level", '"iterations": 10', '"iterations": 10, "iterations": 5000', "iterations"),
+            ("entry", '"hyperparams": {"k_neighbors": 5}', '"hyperparams": {"k_neighbors": 5}, "hyperparams": {}',
+             "hyperparams"),
+            ("covariate", '"kind": "categorical"}', '"kind": "categorical", "kind": "numeric"}', "kind"),
+        )
+    ),
+    pytest.param(RunOnly(edit=lambda doc: doc.pop("schema")), "schema: required to load the data CSV", id="no-schema"),
+    pytest.param(
+        RunOnly(options=("--workers", "0")), "workers: must be a positive integer or unset, got 0", id="zero-workers"
+    ),
+    *(
+        pytest.param(RunOnly(out=out), f"cannot write --out {out}: afile exists and is not a directory", id=where)
+        for where, out in (("out-is-a-file", "afile"), ("out-under-a-file", "afile/sub"))
+    ),
+]
+
+
+@pytest.mark.parametrize("edit,message", CONFIG_REFUSALS)
+def test_run_refuses_the_configuration_before_reading_the_data(refusal_dir, capsys, edit, message):
+    # the library refuses a document rule with the CLI's message; the data path does not exist, so exit 2
+    # shows that run refused the document before it read the data
+    run_only = isinstance(edit, RunOnly)
+    cli = edit if run_only else RunOnly(edit=edit if callable(edit) else lambda doc: doc.update(edit))
+    doc = minimal_config()
+    cli.edit(doc)
+    inputs = write_input("config.json", cli.text(json.dumps(doc)))
+    if not run_only:
+        with pytest.raises(ConfigError) as raised:
+            config_from_dict(doc)
+        assert str(raised.value) == message
+    if isinstance(edit, dict) and set(edit) <= SCALAR_FIELDS:
+        with pytest.raises(ConfigError) as raised:
+            dataclasses.replace(config_from_dict(minimal_config()), **edit)
+        assert str(raised.value) == message
+    code = main(["run", "--config", "config.json", "--data", "absent.csv", "--out", cli.out, *cli.options])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert_nothing_written(*inputs)
+
+
+GOOD_MATRIX = "voter,a,b\nr1,0.1,0.2\nr2,0.3,0.1\n"
+BOTH = ("vote", "plot-ecdf")
+OUT = {"vote": "out", "plot-ecdf": "out.svg"}
+
+
+def matrix_refusal(body, commands, code, message, id, out=None):
+    """One row per command: body as for write_input, or a function of the workspace run's output directory."""
+    return [
+        pytest.param(body, command, out or OUT[command], code, message, id=f"{id}-{command}") for command in commands
+    ]
+
+
+MATRIX_REFUSALS = [
+    *matrix_refusal(
+        None, BOTH, 3, "cannot read matrix file matrix.csv: [Errno 2] No such file or directory: 'matrix.csv'",
+        "no-file",
+    ),
+    # a matrix that is not UTF-8 is a data error, not a traceback
+    *matrix_refusal(
+        "voter,a,b\nr\xe9,0.1,0.2\nr2,0.3,0.1\n".encode("latin-1"), BOTH, 3,
+        "cannot read matrix file matrix.csv: not UTF-8 (invalid continuation byte)", "latin-1",
+    ),
+    # read as a 2-column matrix, the run's step file would elect a strategy named 'cdf'
+    *matrix_refusal(
+        lambda run: (run / "ecdf.csv").read_bytes(), BOTH, 3,
+        "matrix.csv: an ECDF step file (strategy,x,cdf), not a labeled matrix", "run-ecdf-step-file",
+    ),
+    *matrix_refusal(
+        "voter,a,b\n", BOTH, 3, "matrix.csv: expected a header row plus at least one labeled data row", "header-only"
+    ),
+    *matrix_refusal(
+        "voter,,b\nr1,0.1,0.2\nr2,0.3,0.1\n", BOTH, 3,
+        "matrix.csv: column 2 has an empty label; each strategy needs a name", "empty-label",
+    ),
+    # keyed by name, the two 'a' columns (1 and 2 first-place votes) would merge silently
+    *matrix_refusal(
+        "voter,a,a,b\nr1,0.1,0.2,0.3\nr2,0.3,0.2,0.1\nr3,0.2,0.1,0.3\n", BOTH, 3,
+        "matrix.csv: column label 'a' is repeated; strategy names must be unique", "repeated-label",
+    ),
+    *matrix_refusal("voter,a,b\nr1,1.0\n", BOTH, 3, "matrix.csv, line 2: expected 3 cells, found 2", "short-row"),
+    *matrix_refusal(
+        "voter,a,b\nr1,1.0,x\n", BOTH, 3, "matrix.csv, line 2: column 'b': cannot parse 'x' as a number",
+        "unparsable-cell",
+    ),
+    *matrix_refusal(
+        "voter,a,b\nr1,0.1,0.2\nr2,inf,0.1\n", BOTH, 3, "matrix.csv, line 3: column 'a': non-finite value 'inf'",
+        "non-finite-cell",
+    ),
+    *matrix_refusal(
+        "voter,a,b\nr1,-0.1,0.2\nr2,0.3,0.1\n", ("vote",), 3, "matrix.csv: accuracy matrix entries must be nonnegative",
+        "negative-entry",
+    ),
+    *matrix_refusal(
+        "voter,a,b\nr1,-0.1,0.2\nr2,0.3,0.1\n", ("plot-ecdf",), 3, "matrix.csv: scaled scores must lie in [0, 1]",
+        "negative-entry",
+    ),
+    *matrix_refusal(
+        "voter,a,b\nr1,0.5,1.5\n", ("plot-ecdf",), 3, "matrix.csv: scaled scores must lie in [0, 1]", "entry-above-1"
+    ),
+    *matrix_refusal("voter,a\nr1,0.1\n", ("vote",), 3, "matrix.csv: need at least two strategy columns", "one-column"),
+    *matrix_refusal(
+        GOOD_MATRIX, ("vote",), 2, "cannot write --out afile: afile exists and is not a directory", "out-is-a-file",
+        out="afile",
+    ),
+    *matrix_refusal(
+        GOOD_MATRIX, ("vote",), 2, "cannot write --out afile/sub: afile exists and is not a directory",
+        "out-under-a-file", out="afile/sub",
+    ),
+    *matrix_refusal(
+        GOOD_MATRIX, ("plot-ecdf",), 2, "cannot write --out afile/x.svg: [Errno 17] File exists: 'afile'",
+        "out-under-a-file", out="afile/x.svg",
+    ),
+    *matrix_refusal(
+        GOOD_MATRIX, ("plot-ecdf",), 2, "cannot write --out .: [Errno 21] Is a directory: '.'", "out-is-a-directory",
+        out=".",
+    ),
+]
+
+
+@pytest.mark.parametrize("body,command,out,code,message", MATRIX_REFUSALS)
+def test_vote_and_plot_ecdf_refuse_the_matrix_file(refusal_dir, workspace_run, capsys, body, command, out, code,
+                                                    message):
+    inputs = write_input("matrix.csv", body(workspace_run) if callable(body) else body)
+    assert (main([command, "matrix.csv", "--out", out]), capsys.readouterr().err) == (code, f"error: {message}\n")
+    assert_nothing_written(*inputs)
+
+
 class TestCmdRun:
     def test_smoke_writes_six_files(self, workspace):
         tmp, config, data = workspace
@@ -178,166 +488,20 @@ class TestCmdRun:
         assert set(report["winners"]) == SYSTEMS
         assert report["final_predictions"]
 
-    def test_plot_ecdf_draws_the_run_curves_from_w3_only(self, workspace, capsys):
+    def test_plot_ecdf_draws_the_run_curves_from_w3_only(self, workspace, workspace_run, capsys):
         # a run writes no SVG; plot-ecdf draws, from the w3 matrix, the bytes it once drew from the step file
         tmp, config, data = workspace
-        out = tmp / "out"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
-        assert {p.name for p in out.iterdir()} == RUN_FILES
+        assert {p.name for p in workspace_run.iterdir()} == RUN_FILES
         svg = tmp / "w3.svg"
-        assert main(["plot-ecdf", str(out / "w3.csv"), "--out", str(svg)]) == 0
+        assert main(["plot-ecdf", str(workspace_run / "w3.csv"), "--out", str(svg)]) == 0
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == WORKSPACE_PLOT_SHA256
         capsys.readouterr()
-        assert_step_file_refused(["plot-ecdf", str(out / "ecdf.csv"), "--out", str(tmp / "steps.svg")], capsys)
-        assert not (tmp / "steps.svg").exists()
         for option in ("--svg", "--tie-break"):
             with pytest.raises(SystemExit) as exc:
                 main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x"), option])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not (tmp / "x").exists()
-
-    def test_unusable_out_exits_2_before_the_data_is_read(self, workspace, capsys):
-        # the data path does not exist, so exit 2 shows that --out was checked first
-        tmp, config, _ = workspace
-        afile = tmp / "afile"
-        afile.write_text("kept", encoding="utf-8")
-        for out in (afile, afile / "sub"):
-            assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
-            assert f"cannot write --out {out}: {afile} exists and is not a directory" in capsys.readouterr().err
-        assert afile.read_text(encoding="utf-8") == "kept"
-
-    def test_single_strategy_config_exits_2(self, workspace, capsys):
-        tmp, config, data = workspace
-        bad = minimal_config()
-        bad["strategies"] = bad["strategies"][:1]
-        config.write_text(json.dumps(bad), encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
-        assert "at least two strategies" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bandwidth", ["scott", -1.0])
-    def test_bad_kde_bandwidth_exits_2(self, workspace, capsys, bandwidth):
-        tmp, config, data = workspace
-        bad = minimal_config(generators=[{"family": "knn"}], kde_bandwidth=bandwidth)
-        config.write_text(json.dumps(bad), encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
-        assert "kde_bandwidth" in capsys.readouterr().err
-
-    def test_string_failure_ceiling_exits_2(self, workspace, capsys):
-        tmp, config, data = workspace
-        config.write_text(json.dumps(minimal_config(failure_ceiling="0.5")), encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
-        assert "failure_ceiling" in capsys.readouterr().err
-
-    def test_non_list_generators_exits_2(self, workspace, capsys):
-        tmp, config, data = workspace
-        config.write_text(json.dumps(minimal_config(generators=5)), encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
-        assert "generators: must be a list of entries" in capsys.readouterr().err
-
-    def test_duplicate_characteristic_name_exits_2(self, workspace, capsys):
-        tmp, config, data = workspace
-        doc = minimal_config(characteristics=[{"kind": "total"}, {"kind": "mean", "name": "total"}])
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
-        assert "characteristics: names must be unique, 'total' is repeated" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_zero_workers_exits_2(self, workspace, capsys):
-        # --workers is checked before any data is read
-        tmp, config, _ = workspace
-        assert main([
-            "run", "--config", str(config), "--data", str(tmp / "nope.csv"),
-            "--out", str(tmp / "x"), "--workers", "0",
-        ]) == 2
-        assert "workers: must be a positive integer or unset, got 0" in capsys.readouterr().err
-        assert not (tmp / "x").exists()
-
-    def test_parallelism_field_exits_2(self, workspace, capsys):
-        # the worker count is --workers alone; the document holds the study
-        tmp, config, data = workspace
-        config.write_text(json.dumps(minimal_config(parallelism=2)), encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
-        assert "unknown configuration field(s): ['parallelism']" in capsys.readouterr().err
-        assert not (tmp / "x").exists()
-
-    @pytest.mark.parametrize(
-        "key,entry,message",
-        [
-            ("strategies", {"name": 5, "family": "ols_normal"}, "strategies[0]: strategy needs a non-empty name string"),
-            ("characteristics", {"kind": "total", "name": 7}, "characteristics[0]: characteristic name must be a string"),
-            # only a missing or empty name takes the family's; these once ran as 'ols_normal'
-            *(
-                (
-                    "strategies",
-                    {"name": name, "family": "ols_normal"},
-                    f"strategies[0]: strategy needs a non-empty name string, got {name!r}",
-                )
-                for name in (None, False, 0, [])
-            ),
-        ],
-    )
-    def test_non_string_name_exits_2(self, workspace, capsys, key, entry, message):
-        # a non-string name would reach json.dumps(sort_keys=True) only after the whole simulation
-        tmp, config, _ = workspace
-        doc = minimal_config(characteristics=[{"kind": "median"}])
-        doc[key] = [entry, *doc[key]]
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "key,entry,misspelled",
-        [
-            ("strategies", {"name": "b", "family": "knn", "hyperparms": {"k_neighbors": 50}}, "hyperparms"),
-            ("generators", {"family": "regression_tree", "hyperparam": {"max_depth": 3}}, "hyperparam"),
-            ("characteristics", {"kind": "quantile", "p": 0.9, "nmae": "x"}, "nmae"),
-            ("measures", {"kind": "rmse", "foo": 1}, "foo"),
-        ],
-    )
-    def test_misspelled_entry_key_exits_2_before_the_data_is_read(self, workspace, capsys, key, entry, misspelled):
-        tmp, config, _ = workspace
-        doc = minimal_config()
-        doc[key] = [entry, *doc[key]]
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}[0]: ")
-        assert f"unexpected keyword argument '{misspelled}'" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "once,twice,key",
-        [
-            ('"iterations": 10', '"iterations": 10, "iterations": 5000', "iterations"),
-            ('"hyperparams": {"k_neighbors": 5}', '"hyperparams": {"k_neighbors": 5}, "hyperparams": {}', "hyperparams"),
-            ('"kind": "categorical"}', '"kind": "categorical", "kind": "numeric"}', "kind"),
-        ],
-        ids=["top-level", "entry", "covariate"],
-    )
-    def test_repeated_key_exits_2(self, workspace, capsys, once, twice, key):
-        # json.loads keeps the last copy of a repeated key without a word
-        tmp, config, data = workspace
-        text = json.dumps(minimal_config())
-        assert once in text
-        config.write_text(text.replace(once, twice, 1), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: configuration key {key!r} is repeated\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", str(2**64)])
-    def test_seed_outside_64_bits_exits_2(self, workspace, capsys, seed):
-        tmp, config, data = workspace
-        config.write_text(json.dumps(minimal_config(master_seed=seed)), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
-        assert f"master_seed: must be an integer in [0, 2^64), got {seed}" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_seed_option_is_unrecognized(self, workspace, capsys):
         # the configuration's master_seed is the one source of the seed
@@ -347,35 +511,6 @@ class TestCmdRun:
             main(["run", "--config", str(config), "--data", str(data), "--out", str(out), "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda schema: schema.update(response=5),
-            lambda schema: schema.update(sample_flag=5),
-            lambda schema: schema["covariates"][0].update(name=5),
-            lambda schema: schema["covariates"][0].update(kind=5),
-        ],
-        ids=["response", "sample_flag", "covariate-name", "covariate-kind"],
-    )
-    def test_non_string_schema_name_exits_2_before_the_data_is_read(self, workspace, capsys, edit):
-        # a numeric covariate name once read a CSV column called '5', and a numeric response exited 3 after the read
-        tmp, config, _ = workspace
-        doc = minimal_config()
-        edit(doc["schema"])
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(out)]) == 2
-        assert "error: schema: schema names and kinds must be strings, got 5" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_repeated_measure_label_exits_2(self, workspace, capsys):
-        tmp, config, data = workspace
-        config.write_text(json.dumps(minimal_config(measures=[{"kind": "rmse"}, {"kind": "rmse"}])), encoding="utf-8")
-        out = tmp / "x"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 2
-        assert "measures: labels must be unique, 'rmse' is repeated" in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_order_marks_are_read(self, workspace, capfd):
@@ -527,24 +662,22 @@ class TestCmdRun:
         )
         assert not out.exists()
 
-    def test_missing_config_exits_2(self, workspace):
-        tmp, _, data = workspace
-        assert main(["run", "--config", str(tmp / "nope.json"), "--data", str(data), "--out", str(tmp / "x")]) == 2
-
-    def test_invalid_json_exits_2(self, workspace):
-        tmp, config, data = workspace
-        config.write_text("{not json", encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(tmp / "x")]) == 2
-
-    def test_missing_data_exits_3(self, workspace):
+    def test_missing_data_exits_3(self, workspace, capsys):
         tmp, config, _ = workspace
-        assert main(["run", "--config", str(config), "--data", str(tmp / "nope.csv"), "--out", str(tmp / "x")]) == 3
+        data, out = tmp / "nope.csv", tmp / "x"
+        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(out)]) == 3
+        reason = f"[Errno 2] No such file or directory: '{data}'"
+        assert capsys.readouterr().err == f"error: cannot read data file {data}: {reason}\n"
+        assert not out.exists()
 
-    def test_data_schema_mismatch_exits_3(self, workspace, tmp_path):
+    def test_data_schema_mismatch_exits_3(self, workspace, tmp_path, capsys):
         tmp, config, _ = workspace
-        bad_data = tmp_path / "bad.csv"
+        bad_data, out = tmp_path / "bad.csv", tmp / "x"
         bad_data.write_text("a,b\n1,2\n", encoding="utf-8")
-        assert main(["run", "--config", str(config), "--data", str(bad_data), "--out", str(tmp / "x")]) == 3
+        assert main(["run", "--config", str(config), "--data", str(bad_data), "--out", str(out)]) == 3
+        missing = ["claim_amount", "insample", "gender", "district", "payment", "engine", "age_group"]
+        assert capsys.readouterr().err == f"error: {bad_data}: missing column(s) {missing}\n"
+        assert not out.exists()
 
     def test_repeated_data_column_exits_3(self, workspace, tmp_path, capsys):
         tmp, config, data = workspace
@@ -693,44 +826,6 @@ class TestCmdVote:
             "fptp": ["a"], "positional": ["a"], "evaluative": ["a"], "ecdf_auc": ["a"],
         }
 
-    def test_negative_entry_exits_3(self, tmp_path, capsys):
-        matrix_path = tmp_path / "neg.csv"
-        write_matrix_csv(str(matrix_path), np.array([[1.0, -2.0]]), ["r1"], ["a", "b"])
-        assert main(["vote", str(matrix_path), "--out", str(tmp_path / "out")]) == 3
-        assert "nonnegative" in capsys.readouterr().err
-
-    def test_negative_entry_error_names_the_file(self, tmp_path, capsys):
-        matrix_path = tmp_path / "neg.csv"
-        matrix_path.write_text("voter,a,b\nr1,-0.1,0.2\nr2,0.3,0.1\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"error: {matrix_path}: accuracy matrix entries must be nonnegative\n"
-        assert not out.exists()
-
-    def test_malformed_matrix_exits_3(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("voter,a,b\nr1,1.0\n", encoding="utf-8")
-        assert main(["vote", str(bad), "--out", str(tmp_path / "out")]) == 3
-        bad.write_text("voter,a,b\nr1,1.0,x\n", encoding="utf-8")
-        assert main(["vote", str(bad), "--out", str(tmp_path / "out")]) == 3
-
-    def test_repeated_column_label_exits_3(self, tmp_path, capsys):
-        # keyed by name, the two 'a' columns (1 and 2 first-place votes) would merge silently
-        matrix_path = tmp_path / "dup.csv"
-        matrix_path.write_text("voter,a,a,b\nr1,0.1,0.2,0.3\nr2,0.3,0.2,0.1\nr3,0.2,0.1,0.3\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
-        assert "column label 'a' is repeated" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_empty_column_label_exits_3(self, tmp_path, capsys):
-        matrix_path = tmp_path / "empty.csv"
-        matrix_path.write_text("voter,,b\nr1,0.1,0.2\nr2,0.3,0.1\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
-        assert f"{matrix_path}: column 2 has an empty label" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_tie_break_block_always_present(self, tmp_path, capsys):
         matrix_path = tmp_path / "a.csv"
         self.write_reference_matrix(str(matrix_path))
@@ -743,41 +838,13 @@ class TestCmdVote:
         assert "unrecognized arguments: --tie-break" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_ecdf_step_file_exits_3(self, workspace, capsys):
-        # read as a 2-column matrix, the run's step file would elect a strategy named 'cdf'
-        tmp, config, data = workspace
-        run_out = tmp / "run_out"
-        assert main(["run", "--config", str(config), "--data", str(data), "--out", str(run_out)]) == 0
-        capsys.readouterr()
-        out = tmp / "vote_out"
-        assert_step_file_refused(["vote", str(run_out / "ecdf.csv"), "--out", str(out)], capsys)
-        assert not out.exists()
-
-    def test_latin1_matrix_exits_3(self, tmp_path, capsys):
-        # a matrix that is not UTF-8 is a data error, not a traceback
-        matrix_path = tmp_path / "latin1.csv"
-        matrix_path.write_bytes("voter,a,b\nr\xe9,0.1,0.2\nr2,0.3,0.1\n".encode("latin-1"))
-        out = tmp_path / "out"
-        assert main(["vote", str(matrix_path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith(f"error: cannot read matrix file {matrix_path}: not UTF-8 (")
-        assert not out.exists()
-
-    def test_missing_matrix_exits_3(self, tmp_path):
-        assert main(["vote", str(tmp_path / "none.csv"), "--out", str(tmp_path / "out")]) == 3
-
-    def test_unusable_out_exits_2(self, tmp_path, capsys):
-        matrix_path = tmp_path / "a.csv"
-        self.write_reference_matrix(str(matrix_path))
-        afile = tmp_path / "afile"
-        afile.write_text("kept", encoding="utf-8")
-        assert main(["vote", str(matrix_path), "--out", str(afile)]) == 2
-        assert f"cannot write --out {afile}: {afile} exists and is not a directory" in capsys.readouterr().err
-        assert afile.read_text(encoding="utf-8") == "kept"
-        # an output that cannot be written once the directory exists is the same error
-        out = tmp_path / "out"
-        (out / "w1.csv").mkdir(parents=True)
-        assert main(["vote", str(matrix_path), "--out", str(out)]) == 2
-        assert f"cannot write --out {out}: " in capsys.readouterr().err
+    def test_output_that_cannot_be_written_inside_out_exits_2(self, tmp_path, monkeypatch, capsys):
+        # --out exists, so the check before any work passes; the write of w1.csv fails with the same error
+        monkeypatch.chdir(tmp_path)
+        self.write_reference_matrix("a.csv")
+        Path("out", "w1.csv").mkdir(parents=True)
+        assert main(["vote", "a.csv", "--out", "out"]) == 2
+        assert capsys.readouterr().err == "error: cannot write --out out: [Errno 21] Is a directory: 'out/w1.csv'\n"
 
 
 class TestPipelineIdempotence:
@@ -839,27 +906,6 @@ class TestPlotEcdf:
         assert main(["plot-ecdf", str(w3), "--out", str(svg)]) == 0
         assert svg.read_text().count("<path") == 6
 
-    def test_out_of_range_entries_exit_3(self, tmp_path):
-        w3 = tmp_path / "w3.csv"
-        write_matrix_csv(str(w3), np.array([[0.5, 1.5]]), ["r1"], ["a", "b"])
-        assert main(["plot-ecdf", str(w3), "--out", str(tmp_path / "p.svg")]) == 3
-
-    def test_repeated_column_label_exits_3(self, tmp_path, capsys):
-        matrix_path = tmp_path / "w3.csv"
-        write_matrix_csv(str(matrix_path), np.array([[0.0, 1.0, 0.5]]), ["r1"], ["a", "b", "a"])
-        svg = tmp_path / "p.svg"
-        assert main(["plot-ecdf", str(matrix_path), "--out", str(svg)]) == 3
-        assert "column label 'a' is repeated" in capsys.readouterr().err
-        assert not svg.exists()
-
-    def test_empty_column_label_exits_3(self, tmp_path, capsys):
-        matrix_path = tmp_path / "w3.csv"
-        matrix_path.write_text("voter,,b\nr1,0.0,1.0\n", encoding="utf-8")
-        svg = tmp_path / "p.svg"
-        assert main(["plot-ecdf", str(matrix_path), "--out", str(svg)]) == 3
-        assert f"{matrix_path}: column 2 has an empty label" in capsys.readouterr().err
-        assert not svg.exists()
-
     def test_legend_keeps_markup_characters_of_strategy_names(self, tmp_path):
         # a name holding &, < or " is escaped in the SVG, so the file parses and the legend reads it back
         names = ["a&b", "<c>", 'x"y']
@@ -869,17 +915,6 @@ class TestPlotEcdf:
         assert main(["plot-ecdf", str(w3), "--out", str(svg)]) == 0
         texts = [el.text for el in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
         assert [text.rsplit(" (AUC=", 1)[0] for text in texts if " (AUC=" in text] == names
-
-    def test_unusable_out_exits_2(self, tmp_path, capsys):
-        w3 = tmp_path / "w3.csv"
-        write_matrix_csv(str(w3), np.array([[0.0, 1.0]]), ["r1"], ["a", "b"])
-        afile = tmp_path / "afile"
-        afile.write_text("kept", encoding="utf-8")
-        for svg in (afile / "x.svg", tmp_path):
-            assert main(["plot-ecdf", str(w3), "--out", str(svg)]) == 2
-            assert f"cannot write --out {svg}: " in capsys.readouterr().err
-        assert afile.read_text(encoding="utf-8") == "kept"
-
 
 def loaded_by_cli_import(modules):
     """The given modules that a fresh `import predvote.cli` loads."""

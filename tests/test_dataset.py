@@ -346,6 +346,17 @@ class TestStudyFrame:
                 column_names=["a", "b"],
             )
 
+    @pytest.mark.parametrize("width", [8, 6])
+    def test_out_block_of_another_width_rejected(self, width):
+        # reshaped to the sample's width, a 7 x 8 block would pass as eight rows made of the wrong cells
+        with pytest.raises(DataError, match=f"^x_out has {width} columns, x_sample has 7$"):
+            StudyFrame(
+                x_sample=np.zeros((5, 7)),
+                y_sample=np.ones(5),
+                x_out=np.arange(7.0 * width).reshape(7, width),
+                column_names=list("abcdefg"),
+            )
+
     def test_schema_validation(self):
         with pytest.raises(DataError):
             ColumnSchema(response="y", covariates=(("y", "numeric"),), sample_flag="s")

@@ -99,8 +99,6 @@ def test_missing_file_raises_data_error_naming_its_kind(tmp_path, read, error, k
     reason = "" if body is None else "not UTF-8 (invalid continuation byte)"
     with pytest.raises(error, match=f"^{re.escape(f'cannot read {kind} {path}: {reason}')}"):
         read(str(path))
-    if error is ConfigError:
-        assert main(["run", "--config", str(path), "--data", "data.csv", "--out", str(tmp_path / "out")]) == 2
 
 
 _OOPS_IN_B = "column 'b': cannot parse 'oops' as a number"
@@ -127,14 +125,6 @@ def test_bad_matrix_cell_after_blank_lines_reports_its_file_line(tmp_path, body,
         read_matrix_csv(str(matrix))
     if cell is not None:
         assert str(raised.value) == f"{matrix}, line {line}: {cell}"
-
-
-@pytest.mark.parametrize("command", ["vote", "plot-ecdf"])
-def test_vote_and_plot_ecdf_name_a_bad_matrix_cell(tmp_path, capsys, command):
-    matrix = tmp_path / "inf.csv"
-    matrix.write_text("voter,a,b\nr1,0.1,0.2\nr2,inf,0.1\n", encoding="utf-8")
-    assert main([command, str(matrix), "--out", str(tmp_path / "out")]) == 3
-    assert f"{matrix}, line 3: column 'a': non-finite value 'inf'" in capsys.readouterr().err
 
 
 def test_plot_ecdf_reads_its_input_once(tmp_path, monkeypatch):
