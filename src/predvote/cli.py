@@ -53,9 +53,9 @@ def _dominance_block(w3: VotingMatrix) -> dict:
     }
 
 
-def _output_dir(out_dir: str) -> Path:
-    """The --out directory, checked before any work: no existing part of its path may be a file."""
-    out = Path(out_dir)
+def _output_dir(out_dir: str, of_file: bool = False) -> Path:
+    """The --out directory, or the parent of an --out file, checked before any work: no existing part may be a file."""
+    out = Path(out_dir).parent if of_file else Path(out_dir)
     blocker = next(part for part in (out, *out.parents) if part.exists())
     if not blocker.is_dir():
         raise ConfigError(f"cannot write --out {out_dir}: {blocker} exists and is not a directory")
@@ -165,12 +165,13 @@ def cmd_plot_ecdf(input_path: str, out_svg: str) -> int:
     from .plots import render_ecdf_svg
 
     entries, row_labels, col_labels = read_matrix_csv(input_path)
+    folder = _output_dir(out_svg, of_file=True)
     try:
         svg = render_ecdf_svg(VotingMatrix(entries, TRANSFORM_SCALED, row_labels, col_labels))
     except ValueError as exc:  # the scaled scores do not lie in [0, 1]
         raise DataError(f"{input_path}: {exc}") from exc
     try:
-        Path(out_svg).parent.mkdir(parents=True, exist_ok=True)
+        folder.mkdir(parents=True, exist_ok=True)
         Path(out_svg).write_text(svg, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out_svg}: {exc}") from exc

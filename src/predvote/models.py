@@ -152,10 +152,6 @@ class _TreeState:
         return self.value[node]
 
 
-# elements per (rows x n x q) distance temporary in a kNN search (128 KB)
-_KNN_BLOCK_ELEMENTS = 16384
-
-
 @dataclass
 class _KnnState:
     x_mean: np.ndarray
@@ -176,12 +172,14 @@ class _KnnState:
         inverse = np.empty(ordered.shape[0], dtype=np.intp)
         inverse[order] = np.cumsum(starts) - 1
         distinct = ordered[starts]
-        nearest = np.empty((distinct.shape[0], self.k_neighbors), dtype=np.intp)
-        step = max(1, _KNN_BLOCK_ELEMENTS // self.x_train.size)
-        for lo in range(0, distinct.shape[0], step):
-            block = distinct[lo : lo + step, None, :]
-            d = np.sqrt(((self.x_train - block) ** 2).sum(axis=2))
-            nearest[lo : lo + step] = np.argsort(d, axis=1, kind="stable")[:, : self.k_neighbors]
+        k = self.k_neighbors
+        nearest = np.empty((distinct.shape[0], k), dtype=np.intp)
+        for i, row in enumerate(distinct):
+            # the rows within the k-th smallest distance, in row order, hold the k nearest;
+            # a NaN k-th distance keeps every row, so NaN still sorts last
+            d = np.sqrt(((self.x_train - row) ** 2).sum(axis=1))
+            near = np.flatnonzero(~(d > np.partition(d, k - 1)[k - 1]))
+            nearest[i] = near[np.argsort(d[near], kind="stable")[:k]]
         return nearest[inverse]
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -459,7 +459,7 @@ MATRIX_REFUSALS = [
         "out-under-a-file", out="afile/sub",
     ),
     *matrix_refusal(
-        GOOD_MATRIX, ("plot-ecdf",), 2, "cannot write --out afile/x.svg: [Errno 17] File exists: 'afile'",
+        GOOD_MATRIX, ("plot-ecdf",), 2, "cannot write --out afile/x.svg: afile exists and is not a directory",
         "out-under-a-file", out="afile/x.svg",
     ),
     *matrix_refusal(

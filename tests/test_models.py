@@ -18,6 +18,7 @@ from predvote.models import (
     FittedModel,
     ModelSpec,
     _GlmState,
+    _KnnState,
     fit,
     neighbour_index,
     pow2_scale,
@@ -949,7 +950,7 @@ class TestKnnDistinctRows:
 
     def test_query_spanning_several_distance_blocks(self):
         # 300 distinct continuous query rows; n * q sets how many rows share one
-        # distance temporary, so the search runs over many blocks of rows
+        # distance temporary of the blocked oracle, so it runs over many blocks of rows
         rng = np.random.default_rng(45)
         for q in (1, 2, 5, 8, 13):
             n = int(rng.integers(60, 200))
@@ -1010,6 +1011,73 @@ class TestKnnNeighbours:
     def test_other_families_have_no_neighbour_index(self):
         x, _ = positive_data(seed=7)
         assert neighbour_index(ModelSpec(OLS_NORMAL), x, x) is None
+
+
+class TestKnnSelection:
+    """The search keeps, per distinct row, the k nearest by exact selection: ties go to the lowest row, NaN last."""
+
+    @staticmethod
+    def assert_exact(model, query):
+        """model's neighbours equal a full stable argsort of every query row, and its predict the per-row oracle."""
+        state = model._state
+        qs = (query - state.x_mean) / state.x_scale
+        d = np.sqrt(((qs[:, None, :] - state.x_train[None, :, :]) ** 2).sum(axis=2))
+        expected = np.argsort(d, axis=1, kind="stable")[:, : state.k_neighbors]
+        assert np.array_equal(state.neighbours(query), expected)
+        assert np.array_equal(model.predict(query), knn_predict_per_row(model, query))
+        return np.sort(d, axis=1), expected
+
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    def test_ties_at_the_kth_distance_on_an_integer_grid(self, k):
+        rng = np.random.default_rng(50 + k)
+        x = rng.integers(0, 4, size=(80, 2)).astype(float)
+        model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(80))
+        d, _ = self.assert_exact(model, np.vstack([rng.integers(0, 4, size=(30, 2)).astype(float), x[::5]]))
+        assert np.any(d[:, k - 1] == d[:, k])  # some row ties across the k-th distance
+
+    def test_k_equal_to_n_and_a_single_training_row(self):
+        rng = np.random.default_rng(51)
+        for n in (1, 30):
+            x = rng.standard_normal((n, 3))
+            query = np.vstack([rng.standard_normal((10, 3)), x])
+            _, expected = self.assert_exact(fit(ModelSpec(KNN, {"k_neighbors": n}), x, rng.standard_normal(n)), query)
+            assert np.array_equal(np.sort(expected, axis=1), np.broadcast_to(np.arange(n), expected.shape))
+
+    def test_query_row_equal_to_a_training_row(self):
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((40, 2))
+        for k in (1, 4):
+            model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(40))
+            _, expected = self.assert_exact(model, x[[3, 3, 17, 39]])
+            assert expected[:, 0].tolist() == [3, 3, 17, 39]
+
+    def test_query_whose_distances_are_all_nan(self):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((25, 3))
+        query = np.array([[np.nan, 0.0, 0.0], [np.nan] * 3, [0.0, 0.0, 0.0]])
+        for k in (1, 7, 25):
+            _, expected = self.assert_exact(fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(25)), query)
+            assert expected[:2].tolist() == [list(range(k))] * 2
+
+    def test_query_with_fewer_than_k_finite_distances(self):
+        # training rows 0-2 are finite, 3-6 infinite and 7-11 NaN, so from a finite
+        # query the k-th distance is finite for k <= 3, inf for k <= 7 and NaN beyond
+        x = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0], *[[np.inf, 0.0]] * 4, *[[np.nan, 0.0]] * 5])
+        query = np.array([[1.0, 0.0], [0.0, 0.0], [-np.inf, 0.0]])
+        for k in range(1, 13):
+            state = _KnnState(np.zeros(2), np.ones(2), x, np.arange(12.0), k)
+            model = FittedModel(ModelSpec(KNN, {"k_neighbors": k}), None, state, x, None)
+            _, expected = self.assert_exact(model, query)
+            assert expected[:2, min(k, 3):min(k, 7)].tolist() == [list(range(3, min(k, 7)))] * 2
+            assert expected[:2, 7:].tolist() == [list(range(7, k))] * 2
+
+    def test_no_repeat_design_past_the_short_array_selection(self):
+        # 2,000 distinct training rows and 200 distinct query rows
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal((2000, 3))
+        for k in (1, 10, 600):
+            model = fit(ModelSpec(KNN, {"k_neighbors": k}), x, rng.standard_normal(2000))
+            self.assert_exact(model, rng.standard_normal((200, 3)))
 
 
 class TestUniformContract:
