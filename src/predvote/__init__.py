@@ -18,9 +18,9 @@ from .errors import (
     PredvoteError,
     SimulationError,
 )
-from .generators import GeneratedPopulation, KdeModel, fit_kde, gen_nonparametric, gen_parametric
+from .generators import KdeModel, fit_kde
 from .models import FittedModel, ModelSpec, fit
-from .prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
+from .prediction import Characteristic, PredictionStrategy, plug_in_predict
 from .voting import (
     SelectionResult,
     VotingMatrix,
@@ -43,7 +43,6 @@ __all__ = [
     "ErrorTensor",
     "FitError",
     "FittedModel",
-    "GeneratedPopulation",
     "KdeModel",
     "Measure",
     "ModelSpec",
@@ -56,13 +55,10 @@ __all__ = [
     "build_accuracy_matrix",
     "ecdf_auc_vote",
     "elect",
-    "eval_characteristic",
     "evaluative_vote",
     "fit",
     "fit_kde",
     "fptp_vote",
-    "gen_nonparametric",
-    "gen_parametric",
     "load_csv",
     "plug_in_predict",
     "positional_vote",

@@ -138,26 +138,34 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
         label = generator_label(i, spec)
         try:
             model = fit(spec, frame.x_sample, frame.y_sample)
-            residuals = None if spec.is_parametric else model.sample_residuals
         except FitError as exc:
             raise ConfigError(f"generator {label!r} cannot be fitted on the sample data: {exc}") from exc
         for name, value in (model.error_summary or {}).items():  # the noise scale of a parametric generator
             if not math.isfinite(value):
                 raise ConfigError(f"generator {label!r}: the {name.replace('_', ' ')} of its sample fit is not finite")
-        if residuals is not None and not np.all(np.isfinite(residuals)):  # a leaf or neighbour mean overflowed
+        if spec.is_parametric:
+            fitted.append((label, model))
+            continue
+        # a nonparametric location is the row-wise prediction on x_full, whose first n rows are x_sample,
+        # so it gives the sample residuals too; it raises no SimulationError
+        location = model.predict(frame.x_full)
+        residuals = frame.y_sample - location[: frame.n]
+        if not np.all(np.isfinite(residuals)):  # a leaf or neighbour mean overflowed
             raise ConfigError(f"generator {label!r}: the residuals of its sample fit are not finite")
         try:
-            kde = None if residuals is None else fit_kde(residuals, config.kde_bandwidth)
+            kde = fit_kde(residuals, config.kde_bandwidth)
         except (DataError, ValueError) as exc:  # ValueError: a Silverman bandwidth that is not finite and positive
             raise ConfigError(f"generator {label!r}: residual KDE failed: {exc}") from exc
-        fitted.append((label, model, kde))
-    # every fit and KDE is checked (ConfigError) before any location is built (SimulationError)
+        fitted.append((label, Generator(spec.family, location, kde=kde)))
+    # every fit and KDE is checked (ConfigError) before any parametric location is built (SimulationError)
     generators = []
-    for label, model, kde in fitted:
-        try:
-            generators.append(Generator.from_model(model, frame.x_full, kde, frame.n))
-        except SimulationError as exc:
-            raise SimulationError(f"generator {label!r}: {exc}") from exc
+    for label, made in fitted:
+        if not isinstance(made, Generator):
+            try:
+                made = Generator.from_model(made, frame.x_full, None, frame.n)
+            except SimulationError as exc:
+                raise SimulationError(f"generator {label!r}: {exc}") from exc
+        generators.append(made)
     return generators
 
 

@@ -269,12 +269,22 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
         for iteration in range(max_iter + 1):  # iteration 0 is the start
             if iteration:
                 z = eta + (y - mu) / mu
-                state.coef = np.linalg.lstsq(solved, z, rcond=None)[0] / scale
-            eta = design @ state.coef
-            mu = np.exp(eta)
-            if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-                raise ConvergenceError(f"{GAMMA_GLM}: fitted means diverged at iteration {iteration}", iteration)
-            state.deviance_path.append(float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu)))
+                previous, state.coef = state.coef, np.linalg.lstsq(solved, z, rcond=None)[0] / scale
+            # glm2's rule (Marschner 2011): while the deviance rises by more than tol, halve the step, max_iter times
+            for _ in range(max_iter + 1):
+                eta = design @ state.coef
+                mu = np.exp(eta)
+                if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+                    raise ConvergenceError(f"{GAMMA_GLM}: fitted means diverged at iteration {iteration}", iteration)
+                deviance = float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu))
+                if not (iteration and deviance > state.deviance_path[-1] + tol):
+                    break
+                state.coef = (state.coef + previous) / 2.0
+            else:
+                raise ConvergenceError(
+                    f"{GAMMA_GLM}: IRLS did not converge, its deviance rose after {max_iter} step halvings", iteration
+                )
+            state.deviance_path.append(deviance)
             if iteration and abs(state.deviance_path[-2] - state.deviance_path[-1]) < tol:
                 return state, {"dispersion": float((((y - mu) / mu) ** 2).sum()) / (n - p)}
         raise ConvergenceError(f"{GAMMA_GLM}: IRLS did not converge in {max_iter} iterations", max_iter)

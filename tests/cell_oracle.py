@@ -15,14 +15,14 @@ from predvote.engine import derive_stream
 from predvote.errors import FitError
 from predvote.generators import Generator, fit_kde
 from predvote.models import fit
-from predvote.prediction import eval_characteristic
+from predvote.prediction import eval_characteristics
 
 
 def refit_plug_in(strategy, frame, y_s, characteristics):
     """A fresh fit on y_s, its predictions for x_out, and the composite's characteristics."""
     y_out = fit(strategy.model, frame.x_sample, y_s).predict(frame.x_out)
     composite = np.concatenate([y_s, y_out])
-    return np.array([eval_characteristic(c, composite) for c in characteristics])
+    return eval_characteristics(characteristics, composite)
 
 
 def simulate_errors(config, frame):
@@ -35,7 +35,7 @@ def simulate_errors(config, frame):
         kde = None if spec.is_parametric else fit_kde(model.sample_residuals)
         for b in range(config.iterations):
             y_gen = Generator.from_model(model, frame.x_full, kde).draw(derive_stream(config.master_seed, g + 1, b + 1))
-            truth = np.array([eval_characteristic(c, y_gen) for c in config.characteristics])
+            truth = eval_characteristics(config.characteristics, y_gen)
             for p, strategy in enumerate(config.strategies):
                 try:
                     predicted = refit_plug_in(strategy, frame, y_gen[: frame.n], config.characteristics)

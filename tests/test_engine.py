@@ -15,6 +15,7 @@ from predvote.dataset import StudyFrame, synthesize_portfolio
 from predvote.engine import (
     RunConfig,
     _cell,
+    _fit_generators,
     _worker_count,
     config_from_dict,
     derive_stream,
@@ -23,9 +24,9 @@ from predvote.engine import (
     simulate_errors,
 )
 from predvote.errors import ConfigError, DataError, FitError, SimulationError
-from predvote.generators import Generator, gen_parametric
-from predvote.models import ModelSpec, fit
-from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristic, plug_in_predict
+from predvote.generators import Generator, fit_kde
+from predvote.models import ModelSpec, _KnnState, _TreeState, fit
+from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristics, plug_in_predict
 
 
 def small_config(**overrides):
@@ -281,15 +282,15 @@ class TestSimulateErrors:
         frame = make_positive_frame(n=25, k=5, seed=4)
         config = small_config(iterations=40, master_seed=5)
         tensor = simulate_errors(config, frame, workers=1)
-        gen_model = fit(config.generators[0], frame.x_sample, frame.y_sample)
+        generator = Generator.from_model(fit(config.generators[0], frame.x_sample, frame.y_sample), frame.x_full)
         rng = np.random.default_rng(0)
         for _ in range(100):
             b = int(rng.integers(0, 40))
             c = 0
             p = int(rng.integers(0, 2))
             stream = derive_stream(5, 1, b + 1)
-            y_gen = gen_parametric(gen_model, frame.x_full, stream).y_full
-            truth = eval_characteristic(config.characteristics[c], y_gen)
+            y_gen = generator.draw(stream)
+            truth = eval_characteristics(config.characteristics, y_gen)[c]
             predicted = refit_plug_in(
                 config.strategies[p], frame, y_gen[: frame.n], config.characteristics
             )[c]
@@ -480,6 +481,26 @@ class TestSimulateErrors:
         message = f"generator 'gen1_{family}': the residuals of its sample fit are not finite"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             simulate_errors(config, frame, workers=1)
+
+    def test_a_nonparametric_generator_predicts_its_rows_once(self, monkeypatch):
+        # its location on x_full, whose first n rows are x_sample, gives its sample residuals too
+        calls = []
+        for cls, name in ((_KnnState, "neighbours"), (_TreeState, "predict")):
+            def spy(state, x, method=getattr(cls, name)):
+                calls.append((type(state).__name__, x.shape))
+                return method(state, x)
+            monkeypatch.setattr(cls, name, spy)
+        frame = make_positive_frame(n=30, k=8, seed=3)
+        specs = [ModelSpec("knn", {"k_neighbors": 3}), ModelSpec("ols_normal"), ModelSpec("regression_tree")]
+        generators = _fit_generators(small_config(generators=specs), frame)
+        assert calls == [("_KnnState", (38, 2)), ("_TreeState", (38, 2))]
+        monkeypatch.undo()
+        for spec, generator in zip(specs[::2], generators[::2]):  # as from_model builds it from the model's residuals
+            model = fit(spec, frame.x_sample, frame.y_sample)
+            kde = fit_kde(model.sample_residuals)
+            assert np.array_equal(generator.location, Generator.from_model(model, frame.x_full, kde).location)
+            assert np.array_equal(generator.kde.support_points, kde.support_points)
+            assert generator.kde.bandwidth == kde.bandwidth
 
     def test_out_block_required(self):
         rng = np.random.default_rng(9)
