@@ -89,6 +89,15 @@ class TestParametricGeneration:
         with pytest.raises(SimulationError, match="non-positive fitted mean on sample row 3$"):
             Generator.from_model(model, x_full, n_sample=3)
 
+    def test_nonparametric_family_rejected(self):
+        from predvote.generators import gen_parametric  # the wrapper is this test's subject
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 1))
+        model = fit(ModelSpec("knn", {"k_neighbors": 3}), x, rng.standard_normal(20))
+        with pytest.raises(ValueError, match="not a parametric"):
+            gen_parametric(model, x, rng)
+
     def test_deterministic_given_stream(self):
         model = ols_with_sigma2(2.0)
         x_full = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -204,6 +213,14 @@ class TestNonparametricGeneration:
         noise = Generator.from_model(model, x_big, kde).draw(np.random.default_rng(6)) - model.predict(x_big)
         target = kde.support_points.var() + kde.bandwidth**2
         assert abs(np.var(noise) - target) < 0.05 * target
+
+    def test_parametric_family_rejected(self):
+        from predvote.generators import gen_nonparametric  # the wrapper is this test's subject
+
+        model = fit(ModelSpec("ols_normal"), [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.5])
+        kde = fit_kde(np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="not a nonparametric"):
+            gen_nonparametric(model, np.array([[1.0]]), kde, np.random.default_rng(0))
 
     def test_deterministic_given_stream(self):
         model, x = self.fit_tree(seed=9)
