@@ -66,9 +66,10 @@ class StudyFrame:
     column_names: list[str]
 
     def __post_init__(self):
-        self.x_sample = np.atleast_2d(np.asarray(self.x_sample, dtype=np.float64))
-        self.x_out = np.atleast_2d(np.asarray(self.x_out, dtype=np.float64))
-        self.y_sample = np.asarray(self.y_sample, dtype=np.float64).ravel()
+        # private copies: a view would let the caller's arrays change the frozen frame
+        self.x_sample = np.array(self.x_sample, dtype=np.float64, ndmin=2)
+        self.x_out = np.array(self.x_out, dtype=np.float64, ndmin=2)
+        self.y_sample = np.array(self.y_sample, dtype=np.float64).ravel()
         if self.x_sample.shape[0] < 1:
             raise DataError("sample block must contain at least one row")
         if self.x_out.shape[1:] != self.x_sample.shape[1:]:

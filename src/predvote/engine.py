@@ -317,7 +317,9 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
 
 
 def _build(where: str, make, node):
-    """make(**node), with a TypeError, ValueError or DataError reported as a ConfigError naming where."""
+    """make(**node) of a mapping node; a TypeError, ValueError or DataError becomes a ConfigError naming where."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: must be a mapping, got {node!r}")
     try:
         return make(**node)
     except (TypeError, ValueError, DataError) as exc:
@@ -334,6 +336,11 @@ def _covariate(name, kind) -> tuple:
 
 
 def _schema(covariates, **rest) -> ColumnSchema:
+    if not isinstance(covariates, list):
+        raise ValueError(f"covariates must be a list of entries, got {covariates!r}")
+    for i, entry in enumerate(covariates):
+        if not isinstance(entry, dict):
+            raise ValueError(f"covariates[{i}] must be a mapping, got {entry!r}")
     return ColumnSchema(covariates=[_covariate(**c) for c in covariates], **rest)
 
 

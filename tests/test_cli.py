@@ -285,6 +285,16 @@ CONFIG_REFUSALS = [
             ("covariate-kind", lambda doc: doc["schema"]["covariates"][0].update(kind=5)),
         )
     ),
+    # an entry of the wrong shape gets a predvote message, not Python's wording for a failed **, which varies by version
+    pytest.param({"schema": None}, "schema: must be a mapping, got None", id="schema-null"),
+    pytest.param({"generators": ["lognormal"]}, "generators[0]: must be a mapping, got 'lognormal'", id="entry-as-str"),
+    *(
+        pytest.param(lambda doc, value=value: doc["schema"].update(covariates=value), message, id=f"covariates-{where}")
+        for where, value, message in (
+            ("null", None, "schema: covariates must be a list of entries, got None"),
+            ("of-str", ["gender"], "schema: covariates[0] must be a mapping, got 'gender'"),
+        )
+    ),
     # a key that no constructor takes was once dropped, and the entry ran with its defaults
     *(
         pytest.param(edit, f"{where}: {function}() got an unexpected keyword argument {key!r}", id=f"misspelled-{key}")

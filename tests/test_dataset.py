@@ -327,6 +327,12 @@ class TestStudyFrame:
             frame.y_sample[0] = 0.0
         with pytest.raises(ValueError):
             frame.x_sample[0, 0] = 0.0
+        # the frame holds copies, so later edits of the caller's float64 arrays do not show through
+        x, y = np.arange(20.0).reshape(10, 2), np.arange(1.0, 9.0)
+        frame = StudyFrame(x_sample=x[:8], y_sample=y, x_out=x[8:], column_names=["a", "b"])
+        x[0, 0], x[9, 1], y[0] = 99.0, -7.0, 42.0
+        assert (frame.x_sample[0, 0], frame.x_out[1, 1], frame.y_sample[0]) == (0.0, 19.0, 1.0)
+        assert not any(a.flags.writeable for a in (frame.x_sample, frame.x_out, frame.y_sample))
 
     def test_non_finite_response_rejected(self):
         with pytest.raises(DataError, match="non-finite"):

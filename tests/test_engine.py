@@ -1,14 +1,15 @@
+import ast
 import dataclasses
 import functools
 import io
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cell_oracle
-from cell_oracle import refit_plug_in
 from conftest import make_positive_frame, overflow_refits_on
 from predvote.accuracy import Measure
 from predvote.dataset import StudyFrame, synthesize_portfolio
@@ -24,9 +25,9 @@ from predvote.engine import (
     simulate_errors,
 )
 from predvote.errors import ConfigError, DataError, FitError, SimulationError
-from predvote.generators import Generator, fit_kde
-from predvote.models import ModelSpec, _KnnState, _TreeState, fit
-from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristics, plug_in_predict
+from predvote.generators import Generator
+from predvote.models import ModelSpec, _KnnState, _TreeState
+from predvote.prediction import Characteristic, PredictionStrategy, plug_in_predict
 
 
 def small_config(**overrides):
@@ -104,77 +105,83 @@ class TestDeriveStream:
         assert stat < critical, f"chi-square {stat:.1f} exceeds {critical:.1f}"
 
 
-class TestSimulateErrors:
-    def test_matches_naive_reference_loop(self):
-        # straight-line single-threaded reimplementation from the primitives
-        frame = make_positive_frame(n=30, k=6, seed=2)
-        config = small_config(
-            generators=[ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 3})],
-            strategies=[
-                PredictionStrategy("ols", ModelSpec("ols_normal")),
-                PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 4})),
-            ],
-            characteristics=[Characteristic("total"), Characteristic("median")],
-            iterations=200,
-            master_seed=77,
-        )
-        tensor = simulate_errors(config, frame, workers=1)
-        expected, _ = cell_oracle.simulate_errors(config, frame)
-        assert np.array_equal(tensor.values, expected)
-        assert not tensor.failure_mask.any()
+def grid_frame():
+    """Covariates on a half-unit grid: rows repeat and distances tie, so the kNN index meets its lowest-row rule."""
+    base = make_positive_frame(n=30, k=8, seed=12)
+    return dataclasses.replace(base, x_sample=np.round(2 * base.x_sample) / 2, x_out=np.round(2 * base.x_out) / 2)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "generator",
-        [
-            ModelSpec("lognormal"),
-            ModelSpec("gamma_glm_log_link"),
-            ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 3}),
-            ModelSpec("knn", {"k_neighbors": 4}),
+
+def family_case(where, make_frame, n, *generators):
+    """A row whose strategies are every family, the intercept-only twins, and a knn whose k exceeds n rows."""
+    strategies = [PredictionStrategy(name, ModelSpec(family, hyperparams)) for name, family, hyperparams in (
+        ("ols", "ols_normal", {}), ("ols_null", "ols_normal", {"intercept_only": True}),
+        ("lognormal", "lognormal", {}), ("lognormal_null", "lognormal", {"intercept_only": True}),
+        ("gamma", "gamma_glm_log_link", {}), ("tree", "regression_tree", {"max_depth": 2, "min_leaf": 3}),
+        ("knn", "knn", {"k_neighbors": 3}), ("knn_over_n", "knn", {"k_neighbors": n + 1}),
+    )]
+    characteristics = [Characteristic("total"), Characteristic("median"), Characteristic("quantile", 0.9)]
+    return pytest.param(make_frame, small_config(
+        generators=generators, strategies=strategies, characteristics=characteristics,
+        iterations=12, master_seed=19, failure_ceiling=0.5,
+    ), id="-".join([where, *(spec.family for spec in generators)]))
+
+
+# one (frame, config) per row; simulate_errors must give the cell oracle's values and masks bit for bit
+ENGINE_CASES = [
+    *(family_case("grid", grid_frame, 30, ModelSpec(family, hyperparams)) for family, hyperparams in (
+        ("ols_normal", {}), ("lognormal", {}), ("gamma_glm_log_link", {}),
+        ("regression_tree", {"max_depth": 3, "min_leaf": 3}), ("knn", {"k_neighbors": 4}),
+    )),
+    # the benchmark's dummy-coded categorical rows, each repeated many times
+    family_case(
+        "portfolio", lambda: synthesize_portfolio(60, 40, 9), 60, ModelSpec("lognormal"), ModelSpec("regression_tree")
+    ),
+    pytest.param(lambda: make_positive_frame(n=30, k=6, seed=2), small_config(
+        generators=[ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 3})],
+        strategies=[
+            PredictionStrategy("ols", ModelSpec("ols_normal")),
+            PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 4})),
         ],
-        ids=lambda spec: spec.family,
-    )
-    def test_matches_per_cell_public_api_loop(self, generator, workers):
-        # covariates on a half-unit grid repeat rows and tie distances, so the
-        # once-per-run kNN neighbour index meets the lowest-row tie rule
-        base = make_positive_frame(n=30, k=8, seed=12)
-        frame = StudyFrame(
-            x_sample=np.round(2 * base.x_sample) / 2,
-            y_sample=base.y_sample,
-            x_out=np.round(2 * base.x_out) / 2,
-            column_names=base.column_names,
-        )
-        config = small_config(
-            generators=[generator],
-            strategies=[
-                PredictionStrategy("knn", ModelSpec("knn", {"k_neighbors": 3})),
-                PredictionStrategy("tree", ModelSpec("regression_tree", {"max_depth": 2, "min_leaf": 3})),
-                PredictionStrategy("ols", ModelSpec("ols_normal")),
-                PredictionStrategy("knn_over_n", ModelSpec("knn", {"k_neighbors": 31})),
-            ],
-            characteristics=[Characteristic("total"), Characteristic("median"), Characteristic("quantile", 0.9)],
-            iterations=12,
-            master_seed=19,
-            failure_ceiling=0.5,
-        )
+        characteristics=[Characteristic("total"), Characteristic("median")], iterations=200, master_seed=77,
+    ), id="regression_tree-b200"),
+    pytest.param(
+        lambda: make_positive_frame(n=25, k=5, seed=4), small_config(iterations=40, master_seed=5), id="ols_normal-b40"
+    ),
+]
+
+
+@pytest.mark.parametrize("make_frame,config", ENGINE_CASES)
+def test_simulate_errors_matches_the_cell_oracle(make_frame, config):
+    frame = make_frame()
+    values, mask, reasons = cell_oracle.simulate_errors(config, frame)
+    for workers in (1, 2):
         tensor = simulate_errors(config, frame, workers=workers)
-        expected, expected_mask = cell_oracle.simulate_errors(config, frame)
-        assert np.array_equal(tensor.values, expected)
-        assert np.array_equal(tensor.failure_mask, expected_mask)
-        # k_neighbors > n masks every cell of that strategy and no other
-        assert expected_mask[0, :, 3].all() and not expected_mask[0, :, :3].any()
+        assert np.array_equal(tensor.values, values), workers
+        assert np.array_equal(tensor.failure_mask, mask), workers
+    # k_neighbors > n masks every cell of its strategy; any other masked cell is a lognormal or Gamma refit
+    # refusing a simulated sample that is not strictly positive
+    for p, strategy in enumerate(config.strategies):
+        k, family = strategy.model.hyperparams.get("k_neighbors", 0), strategy.model.family
+        if k > frame.n:
+            assert set(reasons[:, :, p].flat) == {f"knn: k_neighbors={k} exceeds the {frame.n} training rows"}
+        elif family in ("lognormal", "gamma_glm_log_link"):
+            assert set(reasons[:, :, p].flat) <= {"", f"{family}: response must be strictly positive"}, strategy.name
+        else:
+            assert not mask[:, :, p].any(), strategy.name
 
-    def test_worker_count_does_not_change_results(self):
-        frame = make_positive_frame(n=40, k=8, seed=3)
-        config = small_config(
-            generators=[ModelSpec("ols_normal"), ModelSpec("knn", {"k_neighbors": 5})],
-            iterations=30,
-        )
-        t1 = simulate_errors(config, frame, workers=1)
-        t8 = simulate_errors(config, frame, workers=8)
-        assert np.array_equal(t1.values, t8.values)
-        assert np.array_equal(t1.failure_mask, t8.failure_mask)
 
+def test_the_cell_oracle_imports_only_primitives():
+    # the oracle must not share the engine's refit plans, kNN index or cell function, which a rewrite changes
+    imported = set()
+    for node in ast.walk(ast.parse(Path(cell_oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "predvote":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "predvote"}
+    assert imported and imported <= {"derive_stream", "FitError", "Generator", "fit_kde", "fit", "eval_characteristics"}
+
+
+class TestSimulateErrors:
     @pytest.mark.parametrize("workers", [0, True, -1, 2.5])
     def test_bad_worker_count_is_config_error(self, workers):
         # the rule run applies to its workers too; 0 would fall back to the default,
@@ -278,24 +285,6 @@ class TestSimulateErrors:
             assert all(isinstance(generator, Generator) for generator in generators)
             assert [generator.family for generator in generators] == [spec.family for spec in config.generators]
 
-    def test_error_identity_on_sampled_cells(self):
-        frame = make_positive_frame(n=25, k=5, seed=4)
-        config = small_config(iterations=40, master_seed=5)
-        tensor = simulate_errors(config, frame, workers=1)
-        generator = Generator.from_model(fit(config.generators[0], frame.x_sample, frame.y_sample), frame.x_full)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            b = int(rng.integers(0, 40))
-            c = 0
-            p = int(rng.integers(0, 2))
-            stream = derive_stream(5, 1, b + 1)
-            y_gen = generator.draw(stream)
-            truth = eval_characteristics(config.characteristics, y_gen)[c]
-            predicted = refit_plug_in(
-                config.strategies[p], frame, y_gen[: frame.n], config.characteristics
-            )[c]
-            assert abs(tensor.values[0, b, c, p] - (predicted - truth)) < 1e-10
-
     def test_adding_a_strategy_never_changes_existing_errors(self):
         frame = make_positive_frame(n=30, k=6, seed=6)
         base = small_config(iterations=25)
@@ -376,14 +365,7 @@ class TestSimulateErrors:
         frame = make_positive_frame(n=30, k=5, seed=7, noise=0.55)
         strategy = PredictionStrategy("gamma1", ModelSpec("gamma_glm_log_link", {"max_iter": 1, "tol": 1e-300}))
         config = small_config(strategies=[small_config().strategies[0], strategy], iterations=40, master_seed=26)
-        generator = Generator.from_model(fit(config.generators[0], frame.x_sample, frame.y_sample), frame.x_full)
-        reasons = []
-        for b in range(1, config.iterations + 1):
-            y_s = generator.draw(derive_stream(config.master_seed, 1, b))[: frame.n]
-            try:
-                refit_plug_in(strategy, frame, y_s, config.characteristics)
-            except FitError as exc:
-                reasons.append(str(exc))
+        reasons = [reason for reason in cell_oracle.simulate_errors(config, frame)[2][0, :, 1] if reason]
         assert len(reasons) == config.iterations and "IRLS" in reasons[0]
         assert sum("IRLS" in reason for reason in reasons) < config.iterations / 2
         for workers in (1, 2):
@@ -492,15 +474,10 @@ class TestSimulateErrors:
             monkeypatch.setattr(cls, name, spy)
         frame = make_positive_frame(n=30, k=8, seed=3)
         specs = [ModelSpec("knn", {"k_neighbors": 3}), ModelSpec("ols_normal"), ModelSpec("regression_tree")]
-        generators = _fit_generators(small_config(generators=specs), frame)
+        # ENGINE_CASES' grid-knn and grid-regression_tree rows check that each generator draws as
+        # Generator.from_model builds it from the model's residuals
+        _fit_generators(small_config(generators=specs), frame)
         assert calls == [("_KnnState", (38, 2)), ("_TreeState", (38, 2))]
-        monkeypatch.undo()
-        for spec, generator in zip(specs[::2], generators[::2]):  # as from_model builds it from the model's residuals
-            model = fit(spec, frame.x_sample, frame.y_sample)
-            kde = fit_kde(model.sample_residuals)
-            assert np.array_equal(generator.location, Generator.from_model(model, frame.x_full, kde).location)
-            assert np.array_equal(generator.kde.support_points, kde.support_points)
-            assert generator.kde.bandwidth == kde.bandwidth
 
     def test_out_block_required(self):
         rng = np.random.default_rng(9)
