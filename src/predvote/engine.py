@@ -218,7 +218,12 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
     if frame.k < 1:
         raise DataError("run needs at least one out-of-sample unit")
     generators = _fit_generators(config, frame)
-    plans = [plan_refit(strategy, frame) for strategy in config.strategies]
+    plans = []
+    for strategy in config.strategies:
+        try:
+            plans.append(plan_refit(strategy, frame))
+        except FitError as exc:  # a knn whose k_neighbors exceeds n: every refit would raise it
+            raise ConfigError(f"strategy {strategy.name!r} cannot be fitted on the sample design: {exc}") from exc
     cell = partial(_cell, frame, generators, plans, config.characteristics, config.master_seed)
     values = np.zeros((len(generators), config.iterations, len(config.characteristics), len(config.strategies)))
     mask = np.zeros((len(generators), config.iterations, len(config.strategies)), dtype=bool)
@@ -316,14 +321,30 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
 # --- configuration document parsing (JSON-compatible tree) ---
 
 
-def _build(where: str, make, node):
-    """make(**node) of a mapping node; a TypeError, ValueError or DataError becomes a ConfigError naming where."""
+def _keys(cls, **extra: bool) -> dict[str, bool]:
+    """Each field of dataclass cls, then each extra key, mapped to whether a node that builds cls must hold it."""
+    return {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)} | extra
+
+
+def _node(where: str, node, keys: dict[str, bool], make):
+    """The one key rule: node is a mapping with every required key and no other; make(**node) errors name where."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: must be a mapping, got {node!r}")
+    unknown, missing = set(node) - set(keys), {key for key in keys if keys[key]} - set(node)
+    for what, wrong in (("unknown", unknown), ("missing required", missing)):
+        if wrong:
+            raise ConfigError(f"{where}: {what} field(s) {sorted(wrong, key=str)}")
     try:
         return make(**node)
     except (TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _nodes(where: str, nodes, keys: dict[str, bool], make) -> list:
+    """_node of each entry of a list, entry i at where[i]."""
+    if not isinstance(nodes, list):
+        raise ConfigError(f"{where}: must be a list of entries, got {nodes!r}")
+    return [_node(f"{where}[{i}]", node, keys, make) for i, node in enumerate(nodes)]
 
 
 def _strategy(name="", **model) -> PredictionStrategy:
@@ -331,38 +352,22 @@ def _strategy(name="", **model) -> PredictionStrategy:
     return PredictionStrategy(spec.family if name == "" else name, spec)
 
 
-def _covariate(name, kind) -> tuple:
-    return name, kind
-
-
 def _schema(covariates, **rest) -> ColumnSchema:
-    if not isinstance(covariates, list):
-        raise ValueError(f"covariates must be a list of entries, got {covariates!r}")
-    for i, entry in enumerate(covariates):
-        if not isinstance(entry, dict):
-            raise ValueError(f"covariates[{i}] must be a mapping, got {entry!r}")
-    return ColumnSchema(covariates=[_covariate(**c) for c in covariates], **rest)
+    pairs = _nodes("schema.covariates", covariates, {"name": True, "kind": True}, lambda name, kind: (name, kind))
+    return ColumnSchema(covariates=pairs, **rest)
 
 
-_ENTRIES = {"generators": ModelSpec, "strategies": _strategy, "characteristics": Characteristic, "measures": Measure}
+_ENTRIES = {"generators": (_keys(ModelSpec), ModelSpec), "strategies": (_keys(ModelSpec, name=False), _strategy),
+            "characteristics": (_keys(Characteristic), Characteristic), "measures": (_keys(Measure), Measure)}
+
+
+def _config(**doc) -> RunConfig:
+    values = {key: _nodes(key, doc[key], keys, make) for key, (keys, make) in _ENTRIES.items()}
+    if "schema" in doc:
+        values["schema"] = _node("schema", doc["schema"], _keys(ColumnSchema), _schema)
+    return RunConfig(**{**doc, **values})
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed document; a field it leaves out keeps RunConfig's default."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a mapping")
-    unknown = set(doc) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown configuration field(s): {sorted(unknown)}")
-    for required in (f.name for f in fields(RunConfig) if f.default is MISSING):
-        if required not in doc:
-            raise ConfigError(f"{required}: missing required field")
-
-    values = dict(doc)
-    for key, make in _ENTRIES.items():
-        if not isinstance(doc[key], list):
-            raise ConfigError(f"{key}: must be a list of entries, got {doc[key]!r}")
-        values[key] = [_build(f"{key}[{i}]", make, node) for i, node in enumerate(doc[key])]
-    if "schema" in doc:
-        values["schema"] = _build("schema", _schema, doc["schema"])
-    return RunConfig(**values)
+    return _node("configuration", doc, _keys(RunConfig), _config)

@@ -53,6 +53,8 @@ class KdeModel:
         if not (is_real(self.bandwidth) and math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be a finite positive number, got {self.bandwidth!r}")
         self.bandwidth = float(self.bandwidth)
+        if not np.all(np.isfinite(self.support_points)):
+            raise ValueError("support_points must be finite")
         center = abs(float(self.support_points.mean()))
         if center > 1e-10 * max(1.0, float(np.abs(self.support_points).max())):
             raise ValueError("support_points must be centred to mean zero")
@@ -88,6 +90,8 @@ def fit_kde(residuals: np.ndarray, rule: "str | float" = "silverman") -> KdeMode
     r = np.asarray(residuals, dtype=np.float64).ravel()
     if r.size < 2:
         raise DataError("need at least 2 residuals to fit a KDE")
+    if not np.all(np.isfinite(r)):
+        raise DataError("residuals contain non-finite values")
     if np.ptp(r) == 0.0:
         raise DataError("residuals are constant: degenerate error distribution")
     centred = r - r.mean()

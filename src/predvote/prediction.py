@@ -118,11 +118,8 @@ class RefitPlan:
 
 
 def plan_refit(strategy: PredictionStrategy, frame: StudyFrame) -> RefitPlan:
-    """The refit plan of one strategy on frame's fixed design."""
-    try:
-        return RefitPlan(strategy, neighbour_index(strategy.model, frame.x_sample, frame.x_out))
-    except FitError:
-        return RefitPlan(strategy)  # k_neighbors > n: every refit raises this FitError
+    """The refit plan of one strategy on frame's fixed design; a knn whose k_neighbors exceeds n raises FitError."""
+    return RefitPlan(strategy, neighbour_index(strategy.model, frame.x_sample, frame.x_out))
 
 
 def plug_in_predict(

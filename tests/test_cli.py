@@ -227,11 +227,10 @@ CONFIG_REFUSALS = [
         for key in ("generators", "strategies", "characteristics", "measures")
         for kind, value in (("int", 5), ("str", "ols_normal"), ("dict", {"family": "ols_normal"}))
     ),
-    pytest.param(lambda doc: doc.pop("measures"), "measures: missing required field", id="no-measures"),
-    pytest.param({"tuning": {}}, "unknown configuration field(s): ['tuning']", id="unknown-field"),
+    pytest.param({"tuning": {}}, "configuration: unknown field(s) ['tuning']", id="unknown-field"),
     # the worker count is --workers alone, a machine setting; the document holds the study
     *(
-        pytest.param({"parallelism": v}, "unknown configuration field(s): ['parallelism']", id=f"parallelism-{v}")
+        pytest.param({"parallelism": v}, "configuration: unknown field(s) ['parallelism']", id=f"parallelism-{v}")
         for v in ("auto", 2, None)
     ),
     # each name or label is one row or column of the accuracy matrix: a repeat would merge silently or vote twice
@@ -291,24 +290,33 @@ CONFIG_REFUSALS = [
     *(
         pytest.param(lambda doc, value=value: doc["schema"].update(covariates=value), message, id=f"covariates-{where}")
         for where, value, message in (
-            ("null", None, "schema: covariates must be a list of entries, got None"),
-            ("of-str", ["gender"], "schema: covariates[0] must be a mapping, got 'gender'"),
+            ("null", None, "schema.covariates: must be a list of entries, got None"),
+            ("of-str", ["gender"], "schema.covariates[0]: must be a mapping, got 'gender'"),
         )
     ),
-    # a key that no constructor takes was once dropped, and the entry ran with its defaults
+    # a key that no constructor takes was once dropped, and the entry ran with its defaults; an unknown or a missing
+    # key is named at its own depth, in the same words at every depth
     *(
-        pytest.param(edit, f"{where}: {function}() got an unexpected keyword argument {key!r}", id=f"misspelled-{key}")
-        for where, function, key, edit in (
-            ("generators[0]", "ModelSpec.__init__", "hyperparam",
-             lambda doc: doc["generators"][0].update(hyperparam={"max_depth": 3})),
-            ("strategies[1]", "ModelSpec.__init__", "hyperparms",
-             lambda doc: doc["strategies"][1].update(hyperparms={"k_neighbors": 50})),
-            ("characteristics[0]", "Characteristic.__init__", "nmae",
-             lambda doc: doc["characteristics"][0].update(nmae="x")),
-            ("measures[0]", "Measure.__init__", "foo", lambda doc: doc["measures"][0].update(foo=1)),
-            ("measures[0]", "Measure.__init__", "label", lambda doc: doc["measures"][0].update(label="q")),
-            ("schema", "ColumnSchema.__init__", "sample_flg", lambda doc: doc["schema"].update(sample_flg="s")),
-            ("schema", "_covariate", "knd", lambda doc: doc["schema"]["covariates"][1].update(knd="numeric")),
+        pytest.param(edit, f"{where}: unknown field(s) [{key!r}]", id=f"misspelled-{key}")
+        for where, key, edit in (
+            ("generators[0]", "hyperparam", lambda doc: doc["generators"][0].update(hyperparam={"max_depth": 3})),
+            ("strategies[1]", "hyperparms", lambda doc: doc["strategies"][1].update(hyperparms={"k_neighbors": 50})),
+            ("characteristics[0]", "nmae", lambda doc: doc["characteristics"][0].update(nmae="x")),
+            ("measures[0]", "foo", lambda doc: doc["measures"][0].update(foo=1)),
+            ("measures[0]", "label", lambda doc: doc["measures"][0].update(label="q")),
+            ("schema", "sample_flg", lambda doc: doc["schema"].update(sample_flg="s")),
+            ("schema.covariates[1]", "knd", lambda doc: doc["schema"]["covariates"][1].update(knd="numeric")),
+        )
+    ),
+    *(
+        pytest.param(edit, f"{where}: missing required field(s) [{key!r}]", id=f"no-{id}")
+        for where, key, id, edit in (
+            ("configuration", "measures", "measures", lambda doc: doc.pop("measures")),
+            ("generators[0]", "family", "generator-family", lambda doc: doc["generators"][0].pop("family")),
+            ("strategies[1]", "family", "strategy-family", lambda doc: doc["strategies"][1].pop("family")),
+            ("schema", "covariates", "covariates", lambda doc: doc["schema"].pop("covariates")),
+            ("schema", "response", "response", lambda doc: doc["schema"].pop("response")),
+            ("schema.covariates[1]", "kind", "covariate-kind", lambda doc: doc["schema"]["covariates"][1].pop("kind")),
         )
     ),
     pytest.param(
@@ -352,7 +360,7 @@ CONFIG_REFUSALS = [
         "config.json: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
         id="invalid-json",
     ),
-    pytest.param(RunOnly(text=lambda text: "[]"), "configuration root must be a mapping", id="list-root"),
+    pytest.param(RunOnly(text=lambda text: "[]"), "configuration: must be a mapping, got []", id="list-root"),
     # json.loads would keep the last copy of a repeated key without a word
     *(
         pytest.param(
@@ -398,6 +406,13 @@ def test_run_refuses_the_configuration_before_reading_the_data(refusal_dir, caps
     code = main(["run", "--config", "config.json", "--data", "absent.csv", "--out", cli.out, *cli.options])
     assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
     assert_nothing_written(*inputs)
+
+
+def test_no_configuration_refusal_is_worded_as_a_python_call():
+    # Python's own wording for a failed call ("missing 1 required positional argument", "got an unexpected keyword
+    # argument") names the function, not the document's place, and changes between Python versions
+    worded_as_calls = [row.id for row in CONFIG_REFUSALS if "()" in row.values[1] or "__init__" in row.values[1]]
+    assert worded_as_calls == []
 
 
 GOOD_MATRIX = "voter,a,b\nr1,0.1,0.2\nr2,0.3,0.1\n"

@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import functools
 import io
+import json
+import os
 import pickle
 import re
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 import cell_oracle
 from conftest import make_positive_frame, overflow_refits_on
 from predvote.accuracy import Measure
-from predvote.dataset import StudyFrame, synthesize_portfolio
+from predvote.cli import main
+from predvote.dataset import StudyFrame, load_csv, portfolio_schema, synthesize_portfolio, write_portfolio_csv
 from predvote.engine import (
     RunConfig,
     _cell,
@@ -111,13 +114,13 @@ def grid_frame():
     return dataclasses.replace(base, x_sample=np.round(2 * base.x_sample) / 2, x_out=np.round(2 * base.x_out) / 2)
 
 
-def family_case(where, make_frame, n, *generators):
-    """A row whose strategies are every family, the intercept-only twins, and a knn whose k exceeds n rows."""
+def family_case(where, make_frame, *generators):
+    """A row whose strategies are every family and the intercept-only twins."""
     strategies = [PredictionStrategy(name, ModelSpec(family, hyperparams)) for name, family, hyperparams in (
         ("ols", "ols_normal", {}), ("ols_null", "ols_normal", {"intercept_only": True}),
         ("lognormal", "lognormal", {}), ("lognormal_null", "lognormal", {"intercept_only": True}),
         ("gamma", "gamma_glm_log_link", {}), ("tree", "regression_tree", {"max_depth": 2, "min_leaf": 3}),
-        ("knn", "knn", {"k_neighbors": 3}), ("knn_over_n", "knn", {"k_neighbors": n + 1}),
+        ("knn", "knn", {"k_neighbors": 3}),
     )]
     characteristics = [Characteristic("total"), Characteristic("median"), Characteristic("quantile", 0.9)]
     return pytest.param(make_frame, small_config(
@@ -128,13 +131,13 @@ def family_case(where, make_frame, n, *generators):
 
 # one (frame, config) per row; simulate_errors must give the cell oracle's values and masks bit for bit
 ENGINE_CASES = [
-    *(family_case("grid", grid_frame, 30, ModelSpec(family, hyperparams)) for family, hyperparams in (
+    *(family_case("grid", grid_frame, ModelSpec(family, hyperparams)) for family, hyperparams in (
         ("ols_normal", {}), ("lognormal", {}), ("gamma_glm_log_link", {}),
         ("regression_tree", {"max_depth": 3, "min_leaf": 3}), ("knn", {"k_neighbors": 4}),
     )),
     # the benchmark's dummy-coded categorical rows, each repeated many times
     family_case(
-        "portfolio", lambda: synthesize_portfolio(60, 40, 9), 60, ModelSpec("lognormal"), ModelSpec("regression_tree")
+        "portfolio", lambda: synthesize_portfolio(60, 40, 9), ModelSpec("lognormal"), ModelSpec("regression_tree")
     ),
     pytest.param(lambda: make_positive_frame(n=30, k=6, seed=2), small_config(
         generators=[ModelSpec("regression_tree", {"max_depth": 3, "min_leaf": 3})],
@@ -158,13 +161,10 @@ def test_simulate_errors_matches_the_cell_oracle(make_frame, config):
         tensor = simulate_errors(config, frame, workers=workers)
         assert np.array_equal(tensor.values, values), workers
         assert np.array_equal(tensor.failure_mask, mask), workers
-    # k_neighbors > n masks every cell of its strategy; any other masked cell is a lognormal or Gamma refit
-    # refusing a simulated sample that is not strictly positive
+    # a masked cell is a lognormal or Gamma refit refusing a simulated sample that is not strictly positive
     for p, strategy in enumerate(config.strategies):
-        k, family = strategy.model.hyperparams.get("k_neighbors", 0), strategy.model.family
-        if k > frame.n:
-            assert set(reasons[:, :, p].flat) == {f"knn: k_neighbors={k} exceeds the {frame.n} training rows"}
-        elif family in ("lognormal", "gamma_glm_log_link"):
+        family = strategy.model.family
+        if family in ("lognormal", "gamma_glm_log_link"):
             assert set(reasons[:, :, p].flat) <= {"", f"{family}: response must be strictly positive"}, strategy.name
         else:
             assert not mask[:, :, p].any(), strategy.name
@@ -463,6 +463,41 @@ class TestSimulateErrors:
         message = f"generator 'gen1_{family}': the residuals of its sample fit are not finite"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             simulate_errors(config, frame, workers=1)
+
+    def test_knn_wider_than_the_sample_is_config_error_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # every refit of such a strategy fails, so a run once simulated every cell before it breached the ceiling
+        import predvote.engine
+
+        def no_cell(*args):
+            raise AssertionError("a cell was simulated")
+
+        monkeypatch.setattr(predvote.engine, "derive_stream", no_cell)
+        monkeypatch.chdir(tmp_path)
+        write_portfolio_csv("data.csv", 50, 10, 1)
+        schema = portfolio_schema()
+        doc = {
+            "schema": {
+                "response": schema.response, "sample_flag": schema.sample_flag,
+                "covariates": [{"name": name, "kind": kind} for name, kind in schema.covariates],
+            },
+            "generators": [{"family": "ols_normal"}],
+            "strategies": [
+                {"name": "ols", "family": "ols_normal"}, {"family": "knn", "hyperparams": {"k_neighbors": 51}},
+            ],
+            "characteristics": [{"kind": "total"}],
+            "measures": [{"kind": "rmse"}],
+            "iterations": 4,
+        }
+        Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
+        message = "strategy 'knn' cannot be fitted on the sample design: knn: k_neighbors=51 exceeds the 50 training rows"
+        config, frame = config_from_dict(doc), load_csv("data.csv", schema)
+        for call in (simulate_errors, run):
+            with pytest.raises(ConfigError) as raised:
+                call(config, frame, workers=1)
+            assert str(raised.value) == message, call.__name__
+        code = main(["run", "--config", "config.json", "--data", "data.csv", "--out", "out", "--workers", "1"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert sorted(os.listdir()) == ["config.json", "data.csv"]
 
     def test_a_nonparametric_generator_predicts_its_rows_once(self, monkeypatch):
         # its location on x_full, whose first n rows are x_sample, gives its sample residuals too

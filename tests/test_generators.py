@@ -154,6 +154,18 @@ class TestKde:
         with pytest.raises(ValueError, match="centred"):
             KdeModel(support_points=np.array([1.0, 2.0]), bandwidth=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_residuals_refused(self, bad):
+        # a NaN residual once gave an all-NaN support, refused only at the first draw
+        with pytest.raises(DataError, match="^residuals contain non-finite values$"):
+            fit_kde(np.array([bad, 1.0, 2.0]), 0.5)
+
+    @pytest.mark.parametrize("support", [[np.inf, -np.inf], [np.nan, 0.0]])
+    def test_non_finite_support_refused(self, support):
+        # [inf, -inf] was once accepted, after numpy's invalid-value warning from its mean
+        with pytest.raises(ValueError, match="^support_points must be finite$"):
+            KdeModel(support_points=np.array(support), bandwidth=1.0)
+
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             KdeModel(support_points=np.array([-1.0, 1.0]), bandwidth=0.0)
