@@ -30,6 +30,8 @@ from .voting import SelectionResult, VotingMatrix, elect
 _M64 = (1 << 64) - 1
 _B_MAX = 1 << 32  # stream id = g * _B_MAX + b stays unique for any b <= 2^32
 _NAMED_PAIRS = 5  # (generator, strategy) pairs a failure-ceiling error lists
+_BLOCK_CELLS = 8  # cells whose refits run as one block; results do not depend on it
+_BLOCK_ENTRIES = 1 << 20  # at most this many (q + 1) * n entries per block, which bounds a block's tree arrays
 
 
 def _avalanche(z: int) -> int:
@@ -170,35 +172,38 @@ def _fit_generators(config: RunConfig, frame: StudyFrame) -> list[Generator]:
 
 
 @np.errstate(all="ignore")  # an overflow ends in a non-finite truth, checked below; set here for pool workers too
-def _cell(
+def _block(
     frame: StudyFrame, generators: list[Generator], plans: list[RefitPlan],
-    characteristics: tuple[Characteristic, ...], master_seed: int, g: int, b: int,
-) -> tuple[np.ndarray, dict[int, str]]:
-    """The (C x P) errors of iteration b of generator g (both 0-based), and {p: p's FitError message}.
+    characteristics: tuple[Characteristic, ...], master_seed: int, cells: list[tuple[int, int]],
+) -> list[tuple[np.ndarray, dict[int, str]]]:
+    """Per (g, b) cell of a block (both 0-based): its (C x P) errors and {p: p's FitError message}.
 
-    A non-finite characteristic of the simulated population is a
-    SimulationError; a FitError of a refit plan leaves its errors at 0.
+    Each cell draws its population on its own stream; a non-finite characteristic of it is a
+    SimulationError naming the first such cell. The cells' simulated samples are stacked into
+    one (T x n) block, which each refit plan runs at once; a FitError leaves its row's errors at 0.
     """
-    generator = generators[g]
-    where = f"generator {generator_label(g, generator)!r}, iteration {b + 1}"
-    try:
-        y_gen = generator.draw(derive_stream(master_seed, g + 1, b + 1))
-    except SimulationError as exc:
-        raise SimulationError(f"{where}: {exc}") from exc
-    truth = eval_characteristics(characteristics, y_gen)
-    bad = np.flatnonzero(~np.isfinite(truth))
-    if bad.size:
-        name = characteristics[bad[0]].name
-        raise SimulationError(f"{where}: characteristic {name!r} of the simulated population is not finite")
-    y_s_gen = y_gen[: frame.n]
-    errors = np.zeros((len(characteristics), len(plans)))
-    reasons: dict[int, str] = {}
-    for p, plan in enumerate(plans):
+    truths, y_s = [], np.empty((len(cells), frame.n))
+    for row, (g, b) in enumerate(cells):
+        where = f"generator {generator_label(g, generators[g])!r}, iteration {b + 1}"
         try:
-            errors[:, p] = plan.plug_in(frame, y_s_gen, characteristics) - truth
-        except FitError as exc:
-            reasons[p] = str(exc)
-    return errors, reasons
+            y_gen = generators[g].draw(derive_stream(master_seed, g + 1, b + 1))
+        except SimulationError as exc:
+            raise SimulationError(f"{where}: {exc}") from exc
+        truths.append(eval_characteristics(characteristics, y_gen))
+        bad = np.flatnonzero(~np.isfinite(truths[-1]))
+        if bad.size:
+            name = characteristics[bad[0]].name
+            raise SimulationError(f"{where}: characteristic {name!r} of the simulated population is not finite")
+        y_s[row] = y_gen[: frame.n]
+    errors = np.zeros((len(cells), len(characteristics), len(plans)))
+    reasons: list[dict[int, str]] = [{} for _ in cells]
+    for p, plan in enumerate(plans):
+        for row, predicted in enumerate(plan.plug_in(frame, y_s, characteristics)):
+            if isinstance(predicted, FitError):
+                reasons[row][p] = str(predicted)
+            else:
+                errors[row, :, p] = predicted - truths[row]
+    return list(zip(errors, reasons))
 
 
 def simulate_errors(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> ErrorTensor:
@@ -224,13 +229,21 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
             plans.append(plan_refit(strategy, frame))
         except FitError as exc:  # a knn whose k_neighbors exceeds n: every refit would raise it
             raise ConfigError(f"strategy {strategy.name!r} cannot be fitted on the sample design: {exc}") from exc
-    cell = partial(_cell, frame, generators, plans, config.characteristics, config.master_seed)
+    block = partial(_block, frame, generators, plans, config.characteristics, config.master_seed)
     values = np.zeros((len(generators), config.iterations, len(config.characteristics), len(config.strategies)))
     mask = np.zeros((len(generators), config.iterations, len(config.strategies)), dtype=bool)
 
     order = list(itertools.product(range(len(generators)), range(config.iterations)))  # the (g, b) cells
     chunk = -(-len(order) // (4 * workers))
     workers = min(workers, -(-len(order) // chunk))  # never more processes than chunks
+    # a serial run cuts the cells into blocks of width; a pooled run cuts each chunk into blocks of at most width
+    span = len(order) if workers == 1 else chunk
+    width = max(1, min(_BLOCK_CELLS, _BLOCK_ENTRIES // ((frame.q + 1) * frame.n)))
+    blocks = [
+        order[i : min(i + width, lo + span)]
+        for lo in range(0, len(order), span)
+        for i in range(lo, min(lo + span, len(order)), width)
+    ]
     if workers == 1:
         pool = nullcontext()
     else:
@@ -240,9 +253,9 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
         pool = ProcessPoolExecutor(max_workers=workers)
     with pool:
         # both maps keep the (g, b) order; the pool pickles the bound run state once per chunk of cells
-        results = map(cell, *zip(*order)) if workers == 1 else pool.map(cell, *zip(*order), chunksize=chunk)
+        results = map(block, blocks) if workers == 1 else pool.map(block, blocks, chunksize=-(-span // width))
         first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
-        for (g, b), (errors, reasons) in zip(order, results):
+        for (g, b), (errors, reasons) in zip(order, itertools.chain.from_iterable(results)):
             values[g, b] = errors
             for p, reason in reasons.items():
                 mask[g, b, p] = True
@@ -287,12 +300,13 @@ def run(config: RunConfig, frame: StudyFrame, workers: int | None = None) -> Run
     for result in selections.values():
         for name in result.winners:
             if name not in final_predictions:
-                try:  # y_sample is finite (StudyFrame checks it), as plug_in_predict requires
-                    final_predictions[name] = plan_by_name[name].plug_in(frame, frame.y_sample, config.characteristics)
-                except FitError as exc:
+                # y_sample is finite (StudyFrame checks it), as plug_in requires
+                (predicted,) = plan_by_name[name].plug_in(frame, frame.y_sample[None], config.characteristics)
+                if isinstance(predicted, FitError):
                     raise SimulationError(
-                        f"a winning strategy cannot be fitted on the real sample: strategy {name!r}: {exc}"
-                    ) from exc
+                        f"a winning strategy cannot be fitted on the real sample: strategy {name!r}: {predicted}"
+                    ) from predicted
+                final_predictions[name] = predicted
 
     metadata = {
         "master_seed": config.master_seed,

@@ -164,14 +164,7 @@ class _KnnState:
         """(rows x k_neighbors) training-row indices, nearest first; distance ties go to the lowest row."""
         # identical rows have identical distances and neighbour lists, so the
         # search runs once per distinct standardised row
-        xs = (x - self.x_mean) / self.x_scale
-        order = np.lexsort(xs.T)
-        ordered = xs[order]
-        starts = np.ones(ordered.shape[0], dtype=bool)
-        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        inverse = np.empty(ordered.shape[0], dtype=np.intp)
-        inverse[order] = np.cumsum(starts) - 1
-        distinct = ordered[starts]
+        distinct, inverse = distinct_rows((x - self.x_mean) / self.x_scale)
         k = self.k_neighbors
         nearest = np.empty((distinct.shape[0], k), dtype=np.intp)
         for i, row in enumerate(distinct):
@@ -184,6 +177,20 @@ class _KnnState:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.y_train[self.neighbours(x)].mean(axis=1)
+
+
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows of x, in the order of one lexsort, and each row's index among them).
+
+    The one grouping of repeated rows; np.unique would load numpy.ma on its first call.
+    """
+    order = np.lexsort(x.T)
+    ordered = x[order]
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(ordered.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 @dataclass
@@ -296,62 +303,146 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
     return state, {"log_variance": sigma2}
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
-    """(feature, threshold) of the least-SSE split of one node, or None if no position is a candidate.
+_PASS_LANES = 1 << 11  # lanes one scoring pass holds (or one node's, if more), which bounds its arrays
 
-    One stable sort per column and cumsums along the sorted rows score every
-    split position of every feature at once. A split after sorted position i
-    is a candidate iff the sorted covariate changes there, and the first
-    (feature, position) in feature-major order wins a tie. A node whose SSEs
-    overflow, or whose squares sum below n * 2^-1022 (so that even its largest
-    square may be subnormal), is scored again on y / pow2_scale(y), which is exact.
+
+def column_orders(x: np.ndarray) -> np.ndarray:
+    """((q + 1) x n) int32: each column's stable order of the n rows of x, then the rows' own order."""
+    return np.vstack([np.argsort(x, axis=0, kind="stable").T, np.arange(x.shape[0])]).astype(np.int32)
+
+
+def _sse(cum: np.ndarray, cum2: np.ndarray, at: np.ndarray, i: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The SSE of the split at flat lane index at of the cumsums of y and y^2: i of a node's m sorted rows go left.
+
+    Squares use C pow() (float_power), as numpy scalar ** does, so trees match the per-position scan bit
+    for bit; x * x differs in about 1 value in 1000.
     """
-    n = y.shape[0]
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = x[order, np.arange(x.shape[1])]
-    feat, pos = np.nonzero((xs[min_leaf - 1 : n - min_leaf] != xs[min_leaf : n - min_leaf + 1]).T)
-    if feat.size == 0:
-        return None
-    i = pos + min_leaf  # rows sent left
-    ys = y[order]
-    cum = np.cumsum(ys, axis=0)
-    cum2 = np.cumsum(ys**2, axis=0)
-    left, left2 = cum[i - 1, feat], cum2[i - 1, feat]
-    total, total2 = cum[-1, feat], cum2[-1, feat]
-    # squares use C pow() (float_power), as numpy scalar ** does, so trees match
-    # the per-position scan bit for bit; x * x differs in about 1 value in 1000
-    sse = (left2 - np.float_power(left, 2) / i) + (
-        (total2 - left2) - np.float_power(total - left, 2) / (n - i)
-    )
-    # 1 <= max |y / pow2_scale(y)| < 2, so its SSEs are finite and its largest square is normal
-    if not np.all(np.isfinite(sse)) or cum2[-1, 0] < n * 2.0**-1022:
-        return _best_split(x, y / pow2_scale(y), min_leaf)
-    best = int(np.argmin(sse))
-    j, i = int(feat[best]), int(i[best])
-    lower, upper = xs[i - 1, j], xs[i, j]
-    mid = (lower + upper) / 2.0
-    if not (lower <= mid < upper):  # midpoint rounded onto a neighbour
-        mid = lower
-    return j, mid
+    cum, cum2, end = cum.ravel(), cum2.ravel(), at - i + m - 1
+    left, left2, total, total2 = cum.take(at - 1), cum2.take(at - 1), cum.take(end), cum2.take(end)
+    return (left2 - np.float_power(left, 2) / i) + ((total2 - left2) - np.float_power(total - left, 2) / (m - i))
 
 
-def _fit_tree(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> _TreeState:
+def _score_pass(
+    x_entries: np.ndarray, y_flat: np.ndarray, rows: np.ndarray, start: np.ndarray, m: np.ndarray, e: int, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(feature, rows sent left) of the least-SSE split of each node of m entries from start; 0 left: no candidate.
+
+    Each node is padded to 2^e >= m lanes, and the cumsums run along the lanes. A split after sorted
+    position i is a candidate iff the sorted covariate changes there, and the first least SSE in
+    (feature, position) order wins. A node whose SSEs overflow, or whose squares sum below
+    m * 2^-1022 (so that even its largest square may be subnormal), is scored again on
+    y / pow2_scale(y), which is exact.
+    """
+    q, entries = x_entries.shape
+    lanes = np.arange(1 << e)
+    # (q x nodes x lanes) entries, C-ordered as the flat indices below assume; lanes >= m are never read
+    g = rows[:q].take(np.minimum(start[:, None] + lanes, rows.shape[1] - 1), axis=1)
+    xs = x_entries.take(g + np.arange(0, q * entries, entries)[:, None, None])
+    candidate = np.zeros(g.shape, dtype=bool)
+    np.not_equal(xs[:, :, 1:], xs[:, :, :-1], out=candidate[:, :, 1:])
+    del xs
+    candidate &= (lanes >= min_leaf) & (lanes <= m[:, None] - min_leaf)
+    flat = np.flatnonzero(candidate)
+    del candidate
+    node, i = (flat >> e) % m.size, flat & ((1 << e) - 1)  # i: rows sent left
+    ys = y_flat.take(g)
+    cum = np.cumsum(ys, axis=2)
+    cum2 = np.cumsum(np.square(ys, out=ys), axis=2, out=ys)  # in place: ys is read no further
+    sse = _sse(cum, cum2, flat, i, m[node])
+    rescore = cum2[0, np.arange(m.size), m - 1] < m * 2.0**-1022
+    rescore[node[~np.isfinite(sse)]] = True
+    if rescore.any():
+        # 1 <= max |y / pow2_scale(y)| < 2, so its SSEs are finite and its largest square is normal
+        ys = y_flat.take(g[:, rescore])
+        ys /= pow2_scale(np.where(lanes < m[rescore, None], ys[0], 0.0), axis=1)[:, None]
+        cum[:, rescore], cum2[:, rescore] = np.cumsum(ys, axis=2), np.cumsum(ys**2, axis=2)
+        again = rescore[node]
+        sse[again] = _sse(cum, cum2, flat[again], i[again], m[node[again]])
+    del ys, cum, cum2
+    # scored per node in (feature, position) order, so one argmin finds the first least SSE
+    score = np.full((m.size, q << e), np.inf)
+    score.ravel()[((node * q + (flat >> e) // m.size) << e) + i] = sse
+    best = score.argmin(axis=1)
+    return best >> e, best & ((1 << e) - 1)
+
+
+def grow_trees(spec: ModelSpec, x: np.ndarray, orders: np.ndarray, y: np.ndarray) -> list[_TreeState]:
+    """The regression trees of spec on the design x (n x q), one per row of the (T x n) block y.
+
+    orders is column_orders(x). The T trees grow together, level by level. Entry g = t * n + r is row r
+    of tree t; each node holds one segment of every column's order of its entries, in its parent's
+    order, so no node sorts. All nodes of a level are scored together, one pass per power-of-two
+    length bin (_score_pass). Nodes are numbered breadth first, and each tree is the one its row
+    grows alone, bit for bit.
+    """
     max_depth, min_leaf = spec.hyperparams["max_depth"], spec.hyperparams["min_leaf"]
-    # nodes are grown breadth first; each keeps its rows in training order
-    nodes = [(x, y, 0)]
-    table = []  # per node: feature, threshold, left, right, value
-    for x_node, y_node, depth in nodes:
-        split = None
-        if depth < max_depth and y_node.shape[0] >= 2 * min_leaf and np.ptp(y_node) != 0.0:
-            split = _best_split(x_node, y_node, min_leaf)
-        if split is None:
-            table.append((-1, np.nan, -1, -1, float(y_node.mean())))
-            continue
-        j, t = split
-        mask = x_node[:, j] <= t
-        table.append((j, t, len(nodes), len(nodes) + 1, np.nan))
-        nodes += [(x_node[mask], y_node[mask], depth + 1), (x_node[~mask], y_node[~mask], depth + 1)]
-    return _TreeState(*(np.array(column) for column in zip(*table)))
+    trees, n = y.shape
+    q = x.shape[1]
+    y_flat, x_entries = y.ravel(), np.tile(x.T, trees)  # entry g: y_flat[g] and x_entries[:, g]
+    rows = (orders[:, None, :] + np.arange(0, trees * n, n, dtype=np.int32)[:, None]).reshape(q + 1, -1)
+    # the nodes of one level, in the order of their segments
+    tree, node, size = np.arange(trees), np.zeros(trees, dtype=np.int64), np.full(trees, n)
+    counts = np.ones(trees, dtype=np.int64)  # nodes numbered so far, per tree
+    inner, leaves = [], []  # per level: inner-node columns, and leaf (tree, node, size, entries)
+    for depth in range(max_depth + 1):
+        start = np.cumsum(size) - size
+        feature, n_left = np.full(size.size, -1), np.zeros(size.size, dtype=np.int64)
+        if depth < max_depth:
+            y_rows = y_flat.take(rows[q])
+            varies = np.logical_or.reduceat(y_rows != np.repeat(y_rows[start], size), start)  # np.ptp(y) != 0
+            eligible = np.flatnonzero((size >= 2 * min_leaf) & varies)
+            bins = np.frexp(size[eligible] - 1)[1]  # a node of m rows takes 2^bins lanes, the least >= m
+            for e in np.flatnonzero(np.bincount(bins)):
+                binned = eligible[bins == e]
+                step = max(1, _PASS_LANES >> e)
+                for lo in range(0, binned.size, step):
+                    at = binned[lo : lo + step]
+                    feature[at], n_left[at] = _score_pass(x_entries, y_flat, rows, start[at], size[at], e, min_leaf)
+        split, leaf = np.flatnonzero(n_left), n_left == 0
+        leaves.append((tree[leaf], node[leaf], size[leaf], rows[q].compress(np.repeat(leaf, size))))
+        if not split.size:
+            break
+        j, i, first = feature[split], n_left[split], start[split]
+        lower, upper = x_entries[j, rows[j, first + i - 1]], x_entries[j, rows[j, first + i]]
+        mid = (lower + upper) / 2.0
+        rounded = ~((lower <= mid) & (mid < upper))  # midpoint rounded onto a neighbour
+        mid[rounded] = lower[rounded]
+        # children are numbered breadth first: in node order within each tree, left before right
+        by_node = split[np.lexsort((node[split], tree[split]))]
+        t = tree[by_node]
+        left = np.empty(size.size, dtype=np.int64)
+        left[by_node] = counts[t] + 2 * (np.arange(t.size) - np.searchsorted(t, t))
+        counts += 2 * np.bincount(t, minlength=trees)
+        inner.append((tree[split], node[split], j, mid, left[split]))
+        # the first i entries of column j's order are the entries with x_j <= mid; each child keeps its
+        # parent's order of every column through one stable compaction per side
+        before = np.repeat(j * rows.shape[1] + first - (np.cumsum(i) - i), i) + np.arange(i.sum())
+        go_left = np.zeros(trees * n, dtype=bool)
+        go_left[rows.ravel().take(before)] = True
+        sent = go_left.take(rows)
+        sent_left = rows.ravel().compress(sent.ravel()).reshape(q + 1, -1)
+        sent ^= np.repeat(n_left > 0, size)  # now: sent right
+        rows = np.concatenate([sent_left, rows.ravel().compress(sent.ravel()).reshape(q + 1, -1)], axis=1)
+        del sent, sent_left
+        tree, node = np.concatenate([tree[split], tree[split]]), np.concatenate([left[split], left[split] + 1])
+        size = np.concatenate([i, size[split] - i])
+
+    offset = np.cumsum(counts) - counts
+    length = int(counts.sum())
+    table_feature, table_left = np.full(length, -1), np.full(length, -1)
+    table_threshold, table_value = np.full(length, np.nan), np.full(length, np.nan)
+    for t, nodes, j, mid, left in inner:
+        at = offset[t] + nodes
+        table_feature[at], table_threshold[at], table_left[at] = j, mid, left
+    table_right = np.where(table_left >= 0, table_left + 1, -1)
+    t, nodes, m, entries = (np.concatenate(column) for column in zip(*leaves))
+    at, first = offset[t] + nodes, np.cumsum(m) - m
+    by_size = np.argsort(m, kind="stable")
+    # one mean(axis=1) per leaf length, each over its entries in row order, as np.mean of one leaf sums
+    for same in np.split(by_size, np.flatnonzero(np.diff(m[by_size])) + 1):
+        table_value[at[same]] = y_flat.take(entries.take(first[same, None] + np.arange(m[same[0]]))).mean(axis=1)
+    columns = (table_feature, table_threshold, table_left, table_right, table_value)
+    return [_TreeState(*(c[lo : lo + count] for c in columns)) for lo, count in zip(offset.tolist(), counts.tolist())]
 
 
 def _fit_knn(x: np.ndarray, y: np.ndarray | None, spec: ModelSpec) -> _KnnState:
@@ -395,7 +486,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
     if spec.is_parametric:
         state, summary = _fit_glm(x, y, spec)
     elif spec.family == REGRESSION_TREE:
-        state = _fit_tree(x, y, spec)
+        (state,) = grow_trees(spec, x, column_orders(x), y[None])
     else:
         state = _fit_knn(x, y, spec)
     return FittedModel(spec, summary, state, x, y)

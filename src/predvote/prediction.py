@@ -15,7 +15,7 @@ import numpy as np
 from .accuracy import sorted_median, sorted_quantile
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
-from .models import ModelSpec, fit, neighbour_index, order_p
+from .models import REGRESSION_TREE, ModelSpec, column_orders, distinct_rows, fit, grow_trees, neighbour_index, order_p
 
 TOTAL = "total"
 MEAN = "mean"
@@ -93,32 +93,51 @@ class RefitPlan:
     the winners' final predictions and plug_in_predict all run it. A knn
     refit averages y_s over the neighbours of x_out among x_sample, which
     depend on the design alone, so the plan holds that (k x k_neighbors)
-    index; every other family is fitted afresh on each y_s.
+    index. A tree plan holds column_orders(x_sample) and the distinct x_out
+    rows with each row's index among them, and grows the trees of a block
+    together; every other family is fitted afresh on each y_s.
     """
 
     strategy: PredictionStrategy
     neighbours: np.ndarray | None = None
+    orders: np.ndarray | None = None
+    queries: tuple[np.ndarray, np.ndarray] | None = None
 
     @np.errstate(all="ignore")  # an overflow ends in a non-finite prediction, checked below
-    def plug_in(self, frame: StudyFrame, y_s: np.ndarray, characteristics: list[Characteristic]) -> np.ndarray:
-        """Each characteristic's plug-in prediction from a finite float64 y_s of length frame.n.
+    def plug_in(
+        self, frame: StudyFrame, y_s: np.ndarray, characteristics: list[Characteristic]
+    ) -> list[np.ndarray | FitError]:
+        """Per row of the finite float64 (T x frame.n) block y_s: each characteristic's plug-in prediction.
 
-        A failed refit, or a non-finite prediction (named by characteristic), raises FitError.
+        A row whose refit fails, or whose prediction is not finite (named by characteristic), gets that
+        FitError instead; the other rows are unaffected.
         """
-        if self.neighbours is not None:
-            y_out = y_s[self.neighbours].mean(axis=1)
-        else:
-            y_out = fit(self.strategy.model, frame.x_sample, y_s).predict(frame.x_out)
-        composite = np.concatenate([y_s, y_out])
-        predicted = eval_characteristics(characteristics, composite)
-        bad = np.flatnonzero(~np.isfinite(predicted))
-        if bad.size:
-            raise FitError(f"plug-in prediction of {characteristics[bad[0]].name!r} is not finite")
-        return predicted
+        if self.orders is not None:
+            distinct, inverse = self.queries
+            trees = grow_trees(self.strategy.model, frame.x_sample, self.orders, y_s)
+        results = []
+        for row, y in enumerate(y_s):
+            try:
+                if self.neighbours is not None:
+                    y_out = y[self.neighbours].mean(axis=1)
+                elif self.orders is not None:
+                    y_out = trees[row].predict(distinct)[inverse]
+                else:
+                    y_out = fit(self.strategy.model, frame.x_sample, y).predict(frame.x_out)
+                predicted = eval_characteristics(characteristics, np.concatenate([y, y_out]))
+                bad = np.flatnonzero(~np.isfinite(predicted))
+                if bad.size:
+                    raise FitError(f"plug-in prediction of {characteristics[bad[0]].name!r} is not finite")
+                results.append(predicted)
+            except FitError as exc:
+                results.append(exc)
+        return results
 
 
 def plan_refit(strategy: PredictionStrategy, frame: StudyFrame) -> RefitPlan:
     """The refit plan of one strategy on frame's fixed design; a knn whose k_neighbors exceeds n raises FitError."""
+    if strategy.model.family == REGRESSION_TREE:
+        return RefitPlan(strategy, orders=column_orders(frame.x_sample), queries=distinct_rows(frame.x_out))
     return RefitPlan(strategy, neighbour_index(strategy.model, frame.x_sample, frame.x_out))
 
 
@@ -144,7 +163,10 @@ def plug_in_predict(
         # the knn gather would average NaN into the predictions without complaint
         raise FitError(f"strategy {strategy.name!r}: training data contains non-finite values")
     try:
-        return plan_refit(strategy, frame).plug_in(frame, y_s, characteristics)
+        (predicted,) = plan_refit(strategy, frame).plug_in(frame, y_s[None], characteristics)
+        if isinstance(predicted, FitError):
+            raise predicted
+        return predicted
     except ConvergenceError as exc:
         raise ConvergenceError(f"strategy {strategy.name!r}: {exc}", exc.iterations) from exc
     except FitError as exc:

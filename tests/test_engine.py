@@ -18,7 +18,7 @@ from predvote.cli import main
 from predvote.dataset import StudyFrame, load_csv, portfolio_schema, synthesize_portfolio, write_portfolio_csv
 from predvote.engine import (
     RunConfig,
-    _cell,
+    _block,
     _fit_generators,
     _worker_count,
     config_from_dict,
@@ -154,13 +154,18 @@ ENGINE_CASES = [
 
 
 @pytest.mark.parametrize("make_frame,config", ENGINE_CASES)
-def test_simulate_errors_matches_the_cell_oracle(make_frame, config):
+def test_simulate_errors_matches_the_cell_oracle(make_frame, config, monkeypatch):
+    # the values equal the oracle's at every block width and worker count
+    import predvote.engine
+
     frame = make_frame()
     values, mask, reasons = cell_oracle.simulate_errors(config, frame)
-    for workers in (1, 2):
-        tensor = simulate_errors(config, frame, workers=workers)
-        assert np.array_equal(tensor.values, values), workers
-        assert np.array_equal(tensor.failure_mask, mask), workers
+    for width in (1, 7, 8, 64):
+        monkeypatch.setattr(predvote.engine, "_BLOCK_CELLS", width)
+        for workers in (1, 2):
+            tensor = simulate_errors(config, frame, workers=workers)
+            assert np.array_equal(tensor.values, values), (width, workers)
+            assert np.array_equal(tensor.failure_mask, mask), (width, workers)
     # a masked cell is a lognormal or Gamma refit refusing a simulated sample that is not strictly positive
     for p, strategy in enumerate(config.strategies):
         family = strategy.model.family
@@ -230,11 +235,14 @@ class TestSimulateErrors:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(None) == 1
 
-    def test_pool_chunks_cover_every_cell_in_order_and_ship_no_fitted_model(self, monkeypatch):
-        # a stand-in pool that groups the cells into chunks of chunksize and ships each chunk
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_pool_chunks_cover_every_cell_in_order_and_ship_no_fitted_model(self, monkeypatch, width):
+        # a stand-in pool that groups the blocks of cells into chunks of chunksize and ships each chunk
         # through pickle with the function, as ProcessPoolExecutor.map does, and runs it here;
         # the classes each chunk's pickle names are recorded
         import concurrent.futures
+
+        import predvote.engine
 
         shipped = []
 
@@ -259,9 +267,10 @@ class TestSimulateErrors:
                     shipped.append({"classes": set()})
                     fn_copy, chunk = Recorder(io.BytesIO(pickle.dumps((fn, args[lo : lo + chunksize])))).load()
                     shipped[-1].update(fn=fn_copy, chunk=chunk)
-                    yield from [fn_copy(*cell) for cell in chunk]
+                    yield from [fn_copy(*arg) for arg in chunk]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(predvote.engine, "_BLOCK_CELLS", width)
         frame = make_positive_frame(n=40, k=8, seed=3)
         config = small_config(
             generators=[ModelSpec("gamma_glm_log_link"), ModelSpec("regression_tree")],
@@ -277,10 +286,14 @@ class TestSimulateErrors:
         assert np.array_equal(pooled.values, serial.values)
         assert np.array_equal(pooled.failure_mask, serial.failure_mask)
         assert 2 <= len(shipped) <= 4 * workers
-        assert [cell for task in shipped for cell in task["chunk"]] == [(g, b) for g in range(2) for b in range(6)]
+        # a task is one chunk of ceil(12 / (4 * workers)) = 2 cells, shipped as blocks of at most width cells
+        assert [[len(block) for (block,) in task["chunk"]] for task in shipped] == [[1, 1] if width == 1 else [2]] * 6
+        assert [cell for task in shipped for (block,) in task["chunk"] for cell in block] == [
+            (g, b) for g in range(2) for b in range(6)
+        ]
         for task in shipped:
             assert not task["classes"] & {"FittedModel", "_GlmState", "_TreeState", "_KnnState"}
-            assert isinstance(task["fn"], functools.partial) and task["fn"].func is _cell
+            assert isinstance(task["fn"], functools.partial) and task["fn"].func is _block
             generators = task["fn"].args[1]
             assert all(isinstance(generator, Generator) for generator in generators)
             assert [generator.family for generator in generators] == [spec.family for spec in config.generators]
@@ -295,10 +308,15 @@ class TestSimulateErrors:
         t_ext = simulate_errors(extended, frame, workers=1)
         assert np.array_equal(t_base.values, t_ext.values[:, :, :, :2])
 
+    @pytest.mark.parametrize("width", [7, 8])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_extending_iterations_never_changes_an_earlier_cell(self, workers):
+    def test_extending_iterations_never_changes_an_earlier_cell(self, monkeypatch, workers, width):
         # every cell is a pure function of (seed, g, b), so B = 5 is the first five iterations of B = 12,
-        # masked cells included, however the cells are chunked
+        # masked cells included, however the cells are chunked and cut into blocks; neither B is a multiple
+        # of the block width, so a serial run's blocks end inside a generator's iterations and span two generators
+        import predvote.engine
+
+        monkeypatch.setattr(predvote.engine, "_BLOCK_CELLS", width)
         frame = make_positive_frame(n=30, k=5, seed=7, noise=0.55)
         config = small_config(
             generators=[ModelSpec("ols_normal"), ModelSpec("regression_tree")],

@@ -21,7 +21,9 @@ from predvote.models import (
     ModelSpec,
     _GlmState,
     _KnnState,
+    column_orders,
     fit,
+    grow_trees,
     neighbour_index,
     pow2_scale,
 )
@@ -823,6 +825,60 @@ class TestTreeMatchesRecursiveOracle:
             warnings.simplefilter("error")
             model = self.assert_matches_oracle(x, y, 6, 2, x)
         assert model._state.feature.size > 1
+
+
+class TestTreeBlockWidth:
+    """grow_trees on a (T x n) block of responses gives every row the tree that fit() grows on it alone."""
+
+    @staticmethod
+    def assert_rows_grow_their_own_trees(spec, x, y_block):
+        trees = grow_trees(spec, x, column_orders(x), y_block)
+        assert len(trees) == y_block.shape[0]
+        for tree, y in zip(trees, y_block):
+            alone = fit(spec, x, y)._state
+            for name in ("feature", "threshold", "left", "right", "value"):
+                got, want = getattr(tree, name), getattr(alone, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+        return trees
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("kind", ["continuous", "grid", "dummy"])
+    def test_random_designs(self, kind, width):
+        # TestTreeMatchesRecursiveOracle's design kinds; in each block some rows are rounded, so that SSEs
+        # tie, and some are scaled by 2^600 or 2^1000, so that their squares overflow and nodes are scored again
+        rng = np.random.default_rng({"continuous": 61, "grid": 62, "dummy": 63}[kind] + 10 * width)
+        for case in range(max(2, 40 // width)):
+            q = 1 + case % 7
+            n = int(rng.integers(1, 90))
+            patterns = rng.integers(0, 2, size=(int(rng.integers(1, 6)), q)).astype(float)
+            x = knn_design(rng, kind, n, q, patterns)
+            y = rng.standard_normal((width, n))
+            y[::3] = np.round(3 * y[::3])
+            y[1::4] *= 2.0 ** rng.choice([600, 1000], size=(y[1::4].shape[0], 1))
+            max_depth, min_leaf = 1 + case % 10, 1 + case % 8
+            spec = ModelSpec(REGRESSION_TREE, {"max_depth": max_depth, "min_leaf": min_leaf})
+            with np.errstate(all="ignore"):
+                trees = self.assert_rows_grow_their_own_trees(spec, x, y)
+            for tree, y_row in zip(trees, y):
+                model = TestTreeMatchesRecursiveOracle.assert_matches_oracle(x, y_row, max_depth, min_leaf, x)
+                assert np.array_equal(tree.value, model._state.value, equal_nan=True)
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    def test_rescore_magnitudes_share_a_block(self, width):
+        # rows whose squares overflow or go subnormal share a block with rows that need no rescore; each row's
+        # tree keeps the nodes of the tree on y, with leaf values times 2^m
+        frame = synthesize_portfolio(500, 100, 1)
+        spec = ModelSpec(REGRESSION_TREE)
+        magnitudes = np.resize([492, 0, -530, 1000, 495, -515, 520, -1000], width)
+        base = fit(spec, frame.x_sample, frame.y_sample)._state
+        with np.errstate(all="ignore"):
+            trees = self.assert_rows_grow_their_own_trees(
+                spec, frame.x_sample, frame.y_sample * np.ldexp(1.0, magnitudes)[:, None]
+            )
+        for tree, m in zip(trees, magnitudes.tolist()):
+            assert np.array_equal(tree.feature, base.feature), m
+            assert np.array_equal(tree.threshold, base.threshold, equal_nan=True), m
+            assert np.array_equal(tree.value, base.value * 2.0**m, equal_nan=True), m
 
 
 def knn_distances(x_train, query, mean, scale):
