@@ -13,7 +13,6 @@ import itertools
 import math
 import os
 import time
-from contextlib import nullcontext
 from functools import partial
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -227,39 +226,31 @@ def _simulate(config: RunConfig, frame: StudyFrame, workers: int) -> tuple[Error
     for strategy in config.strategies:
         try:
             plans.append(plan_refit(strategy, frame))
-        except FitError as exc:  # a knn whose k_neighbors exceeds n: every refit would raise it
+        except FitError as exc:  # a design that no response can fit (plan_refit): every refit would raise it
             raise ConfigError(f"strategy {strategy.name!r} cannot be fitted on the sample design: {exc}") from exc
     block = partial(_block, frame, generators, plans, config.characteristics, config.master_seed)
     values = np.zeros((len(generators), config.iterations, len(config.characteristics), len(config.strategies)))
     mask = np.zeros((len(generators), config.iterations, len(config.strategies)), dtype=bool)
 
     order = list(itertools.product(range(len(generators)), range(config.iterations)))  # the (g, b) cells
-    chunk = -(-len(order) // (4 * workers))
-    workers = min(workers, -(-len(order) // chunk))  # never more processes than chunks
-    # a serial run cuts the cells into blocks of width; a pooled run cuts each chunk into blocks of at most width
-    span = len(order) if workers == 1 else chunk
     width = max(1, min(_BLOCK_CELLS, _BLOCK_ENTRIES // ((frame.q + 1) * frame.n)))
-    blocks = [
-        order[i : min(i + width, lo + span)]
-        for lo in range(0, len(order), span)
-        for i in range(lo, min(lo + span, len(order)), width)
-    ]
+    blocks = [order[i : i + width] for i in range(0, len(order), width)]
+    chunk = -(-len(blocks) // (4 * workers))  # blocks per pool task
+    workers = min(workers, -(-len(blocks) // chunk))  # never more processes than chunks
+    # both maps keep the (g, b) order; the pool pickles the bound run state once per chunk of blocks
     if workers == 1:
-        pool = nullcontext()
+        results = map(block, blocks)
     else:
-        # imported here so that a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor  # imported here so that a serial run never loads it
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool:
-        # both maps keep the (g, b) order; the pool pickles the bound run state once per chunk of cells
-        results = map(block, blocks) if workers == 1 else pool.map(block, blocks, chunksize=-(-span // width))
-        first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
-        for (g, b), (errors, reasons) in zip(order, itertools.chain.from_iterable(results)):
-            values[g, b] = errors
-            for p, reason in reasons.items():
-                mask[g, b, p] = True
-                first_reason.setdefault((g, p), reason)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(block, blocks, chunksize=chunk))
+    first_reason: dict[tuple[int, int], str] = {}  # (g, p) -> the first FitError message, in iteration order
+    for (g, b), (errors, reasons) in zip(order, itertools.chain.from_iterable(results)):
+        values[g, b] = errors
+        for p, reason in reasons.items():
+            mask[g, b, p] = True
+            first_reason.setdefault((g, p), reason)
 
     failure_rate = mask.sum() / mask.size
     if failure_rate > config.failure_ceiling:

@@ -100,6 +100,13 @@ class ModelSpec:
         return self.family in PARAMETRIC_FAMILIES
 
 
+def parametric_design(x: np.ndarray, intercept_only: bool) -> np.ndarray:
+    """The one parametric design builder: a column of ones, then the columns of x unless intercept_only."""
+    if intercept_only:
+        return np.ones((x.shape[0], 1))
+    return np.column_stack([np.ones(x.shape[0]), x])
+
+
 # --- fitted-state carriers (plain dataclasses so models pickle cleanly) ---
 
 
@@ -111,16 +118,13 @@ class _GlmState:
     mean_shift: float = 0.0
     deviance_path: list | None = None  # IRLS trajectory, gamma fits only
 
-    def design(self, x: np.ndarray) -> np.ndarray:
-        if self.intercept_only:
-            return np.ones((x.shape[0], 1))
-        return np.column_stack([np.ones(x.shape[0]), x])
-
     def linear(self, x: np.ndarray) -> np.ndarray:
-        return self.design(x) @ self.coef
+        return parametric_design(x, self.intercept_only) @ self.coef
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        eta = self.linear(x)
+        return self.mean(self.linear(x))
+
+    def mean(self, eta: np.ndarray) -> np.ndarray:
         return np.exp(eta + self.mean_shift) if self.log_link else eta
 
 
@@ -240,8 +244,8 @@ def pow2_scale(v: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.where(peak > 0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
 
 
-def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
-    """The parametric families' one fit: least squares on y for ols_normal, on log y for the log-link families.
+def fit_glm(design: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, dict]:
+    """The parametric families' one fit on a parametric_design: least squares on y (ols_normal) or on log y.
 
     The Gamma GLM then runs IRLS for the log link from that start; the Gamma
     variance function makes the working weights constant, so each step is
@@ -249,7 +253,6 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, spec: ModelSpec) -> tuple[_GlmState, 
     """
     log_link = spec.family != OLS_NORMAL
     state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=log_link)
-    design = state.design(x)
     n, p = design.shape
     # one residual degree of freedom is required for the error-scale estimate; the row
     # count goes before the sign check, since too few rows cannot be fitted for any y
@@ -484,7 +487,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> FittedModel:
 
     summary = None
     if spec.is_parametric:
-        state, summary = _fit_glm(x, y, spec)
+        state, summary = fit_glm(parametric_design(x, spec.hyperparams["intercept_only"]), y, spec)
     elif spec.family == REGRESSION_TREE:
         (state,) = grow_trees(spec, x, column_orders(x), y[None])
     else:

@@ -15,7 +15,8 @@ import numpy as np
 from .accuracy import sorted_median, sorted_quantile
 from .dataset import StudyFrame
 from .errors import ConvergenceError, FitError
-from .models import REGRESSION_TREE, ModelSpec, column_orders, distinct_rows, fit, grow_trees, neighbour_index, order_p
+from .models import (REGRESSION_TREE, ModelSpec, column_orders, distinct_rows, fit_glm, grow_trees, neighbour_index,
+                     order_p, parametric_design)
 
 TOTAL = "total"
 MEAN = "mean"
@@ -95,13 +96,15 @@ class RefitPlan:
     depend on the design alone, so the plan holds that (k x k_neighbors)
     index. A tree plan holds column_orders(x_sample) and the distinct x_out
     rows with each row's index among them, and grows the trees of a block
-    together; every other family is fitted afresh on each y_s.
+    together. A parametric plan holds the parametric designs of x_sample and
+    x_out: fit_glm fits each y_s on the first, and its mean is taken on the second.
     """
 
     strategy: PredictionStrategy
     neighbours: np.ndarray | None = None
     orders: np.ndarray | None = None
     queries: tuple[np.ndarray, np.ndarray] | None = None
+    designs: tuple[np.ndarray, np.ndarray] | None = None
 
     @np.errstate(all="ignore")  # an overflow ends in a non-finite prediction, checked below
     def plug_in(
@@ -123,7 +126,8 @@ class RefitPlan:
                 elif self.orders is not None:
                     y_out = trees[row].predict(distinct)[inverse]
                 else:
-                    y_out = fit(self.strategy.model, frame.x_sample, y).predict(frame.x_out)
+                    state = fit_glm(self.designs[0], y, self.strategy.model)[0]
+                    y_out = state.mean(self.designs[1] @ state.coef)
                 predicted = eval_characteristics(characteristics, np.concatenate([y, y_out]))
                 bad = np.flatnonzero(~np.isfinite(predicted))
                 if bad.size:
@@ -135,10 +139,17 @@ class RefitPlan:
 
 
 def plan_refit(strategy: PredictionStrategy, frame: StudyFrame) -> RefitPlan:
-    """The refit plan of one strategy on frame's fixed design; a knn whose k_neighbors exceeds n raises FitError."""
-    if strategy.model.family == REGRESSION_TREE:
+    """The refit plan of one strategy on frame's fixed design; a design that no response can fit raises FitError."""
+    spec = strategy.model
+    if spec.family == REGRESSION_TREE:
         return RefitPlan(strategy, orders=column_orders(frame.x_sample), queries=distinct_rows(frame.x_out))
-    return RefitPlan(strategy, neighbour_index(strategy.model, frame.x_sample, frame.x_out))
+    if not spec.is_parametric:  # a knn whose k_neighbors exceeds n is refused
+        return RefitPlan(strategy, neighbour_index(spec, frame.x_sample, frame.x_out))
+    designs = tuple(parametric_design(x, spec.hyperparams["intercept_only"]) for x in (frame.x_sample, frame.x_out))
+    # log 1 = 0 and a Gamma fit on ones stops at once, so only the design rules (too few rows, a rank short after
+    # the column-scale retry) refuse ones
+    fit_glm(designs[0], np.ones(frame.n), spec)
+    return RefitPlan(strategy, designs=designs)
 
 
 def plug_in_predict(

@@ -37,19 +37,18 @@ def make_positive_frame(n: int = 60, k: int = 12, seed: int = 0, noise: float = 
 
 
 def overflow_refits_on(monkeypatch, y_real: np.ndarray) -> None:
-    """Make every refit on y_real predict inf; refits on any other sample run as usual."""
+    """Make every parametric refit on y_real predict inf; refits on any other sample run as usual."""
     import predvote.prediction
 
-    real_fit = predvote.prediction.fit
+    real_fit_glm = predvote.prediction.fit_glm
 
-    class Overflowing:
-        def predict(self, x):
-            return np.full(len(x), np.inf)
+    def fit_glm(design, y, spec):
+        state, summary = real_fit_glm(design, y, spec)
+        if np.array_equal(y, y_real):  # a log-link mean shifted by inf is inf at every finite eta
+            state.log_link, state.mean_shift = True, np.inf
+        return state, summary
 
-    def fit(spec, x, y):
-        return Overflowing() if np.array_equal(y, y_real) else real_fit(spec, x, y)
-
-    monkeypatch.setattr(predvote.prediction, "fit", fit)
+    monkeypatch.setattr(predvote.prediction, "fit_glm", fit_glm)
 
 
 @pytest.fixture

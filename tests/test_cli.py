@@ -670,7 +670,7 @@ class TestCmdRun:
 
     def test_non_finite_winner_prediction_exits_4_without_a_report(self, workspace, capsys, monkeypatch):
         # every refit on the real sample predicts inf; the simulated samples refit as usual
-        # (neither strategy is knn, whose plan averages y_s without a refit)
+        # (both strategies are parametric, whose refits the helper reaches)
         tmp, config, data = workspace
         doc = minimal_config(strategies=[
             {"name": "ols", "family": "ols_normal"},

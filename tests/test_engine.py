@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import cell_oracle
-from conftest import make_positive_frame, overflow_refits_on
+from conftest import make_positive_frame, overflow_refits_on, write_frame_csv
 from predvote.accuracy import Measure
 from predvote.cli import main
-from predvote.dataset import StudyFrame, load_csv, portfolio_schema, synthesize_portfolio, write_portfolio_csv
+from predvote.dataset import StudyFrame, load_csv, synthesize_portfolio
 from predvote.engine import (
     RunConfig,
     _block,
@@ -186,6 +186,35 @@ def test_the_cell_oracle_imports_only_primitives():
     assert imported and imported <= {"derive_stream", "FitError", "Generator", "fit_kde", "fit", "eval_characteristics"}
 
 
+def with_a_copy_of_its_first_column(frame: StudyFrame) -> StudyFrame:
+    """frame with its first column (the portfolio's gender dummy) written twice: a dummy trap."""
+    return StudyFrame(
+        x_sample=np.column_stack([frame.x_sample, frame.x_sample[:, 0]]), y_sample=frame.y_sample,
+        x_out=np.column_stack([frame.x_out, frame.x_out[:, 0]]), column_names=[*frame.column_names, "gender_copy"],
+    )
+
+
+# (frame, strategy, message): a strategy that no response can refit on the frame's sample design
+DESIGN_REFUSALS = [
+    pytest.param(
+        lambda: synthesize_portfolio(50, 10, 1), {"family": "knn", "hyperparams": {"k_neighbors": 51}},
+        "strategy 'knn' cannot be fitted on the sample design: knn: k_neighbors=51 exceeds the 50 training rows",
+        id="knn-wider-than-the-sample",
+    ),
+    pytest.param(
+        lambda: with_a_copy_of_its_first_column(synthesize_portfolio(50, 10, 1)), {"family": "lognormal"},
+        "strategy 'lognormal' cannot be fitted on the sample design: singular design: rank 8 < 9 columns",
+        id="singular-design",
+    ),
+    pytest.param(
+        lambda: make_positive_frame(n=3, k=4, seed=1), {"family": "gamma_glm_log_link"},
+        "strategy 'gamma_glm_log_link' cannot be fitted on the sample design: "
+        "gamma_glm_log_link: need at least 4 rows for 3 coefficients, got 3",
+        id="too-few-rows",
+    ),
+]
+
+
 class TestSimulateErrors:
     @pytest.mark.parametrize("workers", [0, True, -1, 2.5])
     def test_bad_worker_count_is_config_error(self, workers):
@@ -197,7 +226,7 @@ class TestSimulateErrors:
             simulate_errors(small_config(), frame, workers=workers)
 
     def test_pool_never_starts_more_workers_than_tasks(self, monkeypatch):
-        # G = 1 and B = 2 make two tasks, so six workers would leave four idle processes
+        # G = 1 and B = 16 make two blocks of eight cells, so two tasks, and six workers would leave four idle
         import concurrent.futures
 
         started = []
@@ -209,7 +238,7 @@ class TestSimulateErrors:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         frame = make_positive_frame(n=20, k=4, seed=1)
-        config = small_config(iterations=2)
+        config = small_config(iterations=16)
         pooled = simulate_errors(config, frame, workers=6)
         serial = simulate_errors(config, frame, workers=1)
         assert started == [2]
@@ -217,9 +246,9 @@ class TestSimulateErrors:
         assert np.array_equal(pooled.failure_mask, serial.failure_mask)
 
     def test_metadata_records_the_workers_that_ran(self):
-        # G = 1 and B = 2 make two tasks, so a request for four runs two processes
+        # G = 1 and B = 16 make two blocks of eight cells, so two tasks, and a request for four runs two processes
         frame = make_positive_frame(n=20, k=4, seed=1)
-        config = small_config(iterations=2)
+        config = small_config(iterations=16)
         assert run(config, frame, workers=4).metadata["workers"] == 2
         assert run(config, frame, workers=1).metadata["workers"] == 1
 
@@ -286,8 +315,11 @@ class TestSimulateErrors:
         assert np.array_equal(pooled.values, serial.values)
         assert np.array_equal(pooled.failure_mask, serial.failure_mask)
         assert 2 <= len(shipped) <= 4 * workers
-        # a task is one chunk of ceil(12 / (4 * workers)) = 2 cells, shipped as blocks of at most width cells
-        assert [[len(block) for (block,) in task["chunk"]] for task in shipped] == [[1, 1] if width == 1 else [2]] * 6
+        # the 12 cells are cut into blocks of width, and a task is one chunk of ceil(blocks / (4 * workers)) blocks:
+        # twelve blocks of one cell make six chunks of two, and blocks of eight and four cells two chunks of one
+        assert [[len(block) for (block,) in task["chunk"]] for task in shipped] == (
+            [[1, 1]] * 6 if width == 1 else [[8], [4]]
+        )
         assert [cell for task in shipped for (block,) in task["chunk"] for cell in block] == [
             (g, b) for g in range(2) for b in range(6)
         ]
@@ -482,7 +514,10 @@ class TestSimulateErrors:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             simulate_errors(config, frame, workers=1)
 
-    def test_knn_wider_than_the_sample_is_config_error_before_any_cell(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("make_frame, strategy, message", DESIGN_REFUSALS)
+    def test_a_design_that_no_response_can_fit_is_config_error_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, make_frame, strategy, message
+    ):
         # every refit of such a strategy fails, so a run once simulated every cell before it breached the ceiling
         import predvote.engine
 
@@ -491,23 +526,20 @@ class TestSimulateErrors:
 
         monkeypatch.setattr(predvote.engine, "derive_stream", no_cell)
         monkeypatch.chdir(tmp_path)
-        write_portfolio_csv("data.csv", 50, 10, 1)
-        schema = portfolio_schema()
+        schema = write_frame_csv(make_frame(), "data.csv")
+        null = {"family": "ols_normal", "hyperparams": {"intercept_only": True}}  # fits any design of two rows or more
         doc = {
             "schema": {
                 "response": schema.response, "sample_flag": schema.sample_flag,
                 "covariates": [{"name": name, "kind": kind} for name, kind in schema.covariates],
             },
-            "generators": [{"family": "ols_normal"}],
-            "strategies": [
-                {"name": "ols", "family": "ols_normal"}, {"family": "knn", "hyperparams": {"k_neighbors": 51}},
-            ],
+            "generators": [null],
+            "strategies": [{"name": "null", **null}, strategy],
             "characteristics": [{"kind": "total"}],
             "measures": [{"kind": "rmse"}],
             "iterations": 4,
         }
         Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
-        message = "strategy 'knn' cannot be fitted on the sample design: knn: k_neighbors=51 exceeds the 50 training rows"
         config, frame = config_from_dict(doc), load_csv("data.csv", schema)
         for call in (simulate_errors, run):
             with pytest.raises(ConfigError) as raised:
@@ -640,14 +672,14 @@ class TestRun:
         frame = make_positive_frame(n=30, k=6, seed=6)
         config = small_config(iterations=20)
         (winner,) = run(config, frame, workers=1).final_predictions
-        real_fit = predvote.prediction.fit
+        real_fit_glm = predvote.prediction.fit_glm
 
-        def fit_failing_on_the_real_sample(spec, x, y):
+        def fit_glm_failing_on_the_real_sample(design, y, spec):
             if np.array_equal(y, frame.y_sample):
                 raise FitError("lognormal: response must be strictly positive")
-            return real_fit(spec, x, y)
+            return real_fit_glm(design, y, spec)
 
-        monkeypatch.setattr(predvote.prediction, "fit", fit_failing_on_the_real_sample)
+        monkeypatch.setattr(predvote.prediction, "fit_glm", fit_glm_failing_on_the_real_sample)
         with pytest.raises(SimulationError) as raised:
             run(config, frame, workers=1)
         assert str(raised.value) == (
@@ -655,6 +687,24 @@ class TestRun:
             f"strategy {winner!r}: lognormal: response must be strictly positive"
         )
         assert str(raised.value).count(repr(winner)) == 1
+
+    @pytest.mark.parametrize("iterations, strategies", [(2, 7), (9, 2), (9, 7)])
+    def test_a_run_builds_one_fitted_model_per_generator(self, monkeypatch, iterations, strategies):
+        # every refit, in the cells and for the winners, runs on its strategy's plan; fit() serves the generators
+        from predvote.models import FittedModel
+
+        built = []
+        init = FittedModel.__init__
+
+        def counting_init(model, spec, *rest):
+            built.append(spec.family)
+            init(model, spec, *rest)
+
+        monkeypatch.setattr(FittedModel, "__init__", counting_init)
+        make_frame, config = family_case("grid", grid_frame, ModelSpec("lognormal"), ModelSpec("knn")).values
+        config = dataclasses.replace(config, iterations=iterations, strategies=config.strategies[:strategies])
+        assert run(config, make_frame(), workers=1).final_predictions
+        assert built == ["lognormal", "knn"]
 
     def test_non_finite_winner_prediction_names_the_strategy_and_characteristic(self, monkeypatch):
         # the refit predicts inf on the real sample only, not on any simulated one

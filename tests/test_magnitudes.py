@@ -88,7 +88,11 @@ def test_tree_generator_on_responses_past_2_to_the_1023_is_a_predvote_error():
     frame = StudyFrame(x_sample=np.zeros((20, 1)), y_sample=y, x_out=np.zeros((3, 1)), column_names=["x"])
     config = RunConfig(
         generators=[ModelSpec("regression_tree")],
-        strategies=[PredictionStrategy(f, ModelSpec(f)) for f in ("ols_normal", "regression_tree")],
+        # the intercept-only design has no rank to lose on the all-zero x, so the draw is what is refused
+        strategies=[
+            PredictionStrategy("ols_null", ModelSpec("ols_normal", {"intercept_only": True})),
+            PredictionStrategy("regression_tree", ModelSpec("regression_tree")),
+        ],
         characteristics=[Characteristic("total")],
         measures=[Measure("rmse")],
         iterations=2,

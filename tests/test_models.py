@@ -25,6 +25,7 @@ from predvote.models import (
     fit,
     grow_trees,
     neighbour_index,
+    parametric_design,
     pow2_scale,
 )
 
@@ -279,7 +280,7 @@ def oracle_check_parametric_size(n, p, family):
 
 def oracle_fit_ols(x, y, spec, log_scale):
     state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=log_scale)
-    design = state.design(x)
+    design = parametric_design(x, state.intercept_only)
     oracle_check_parametric_size(x.shape[0], design.shape[1], spec.family)
     target = y
     if log_scale:
@@ -306,7 +307,7 @@ def oracle_fit_gamma(x, y, spec):
         raise FitError("gamma_glm_log_link: response must be strictly positive")
     max_iter, tol = spec.hyperparams["max_iter"], spec.hyperparams["tol"]
     state = _GlmState(coef=np.empty(0), intercept_only=spec.hyperparams["intercept_only"], log_link=True)
-    design = state.design(x)
+    design = parametric_design(x, state.intercept_only)
     oracle_check_parametric_size(x.shape[0], design.shape[1], spec.family)
     coef = oracle_solve_ls(design, np.log(y))
     eta = design @ coef

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from predvote.accuracy import Measure, qape, sorted_quantile
-from predvote.dataset import StudyFrame
+from predvote.dataset import StudyFrame, synthesize_portfolio
 from predvote.errors import ConvergenceError, FitError
-from predvote.models import ModelSpec, fit
+from predvote.models import PARAMETRIC_FAMILIES, ModelSpec, fit
 from predvote.prediction import Characteristic, PredictionStrategy, eval_characteristics, plug_in_predict
 
 MEDIAN = [Characteristic("median")]
@@ -246,6 +247,37 @@ class TestPlugIn:
                 np.ones(positive_frame.n + 1),
                 self.chars(),
             )
+
+
+def huge_column_frame() -> StudyFrame:
+    """The 100-row portfolio with a covariate of scale 1e200, whose sample design lstsq calls rank-short unscaled."""
+    base = synthesize_portfolio(100, 40, 1)
+    exposure = np.random.default_rng(0).uniform(0.25, 2.25, size=140) * 1e200
+    return StudyFrame(
+        x_sample=np.column_stack([base.x_sample, exposure[:100]]), y_sample=base.y_sample,
+        x_out=np.column_stack([base.x_out, exposure[100:]]), column_names=[*base.column_names, "exposure"],
+    )
+
+
+# designs the engine oracle rows do not reach: the column-scale retry, one out-of-sample row, one row repeated
+PLAN_FRAMES = {
+    "huge-column": huge_column_frame,
+    "one-out-row": lambda: dataclasses.replace(synthesize_portfolio(100, 40, 1), x_out=[[1.0, 0, 1, 0, 0, 1, 0]]),
+    "one-row-repeated": lambda: dataclasses.replace(
+        synthesize_portfolio(100, 40, 1), x_out=np.repeat([[0.0, 1, 0, 1, 1, 0, 1]], 40, axis=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("where", PLAN_FRAMES)
+@pytest.mark.parametrize("intercept_only", [False, True])
+@pytest.mark.parametrize("family", PARAMETRIC_FAMILIES)
+def test_the_parametric_plan_predicts_as_a_fresh_fit_bit_for_bit(family, intercept_only, where):
+    frame, spec = PLAN_FRAMES[where](), ModelSpec(family, {"intercept_only": intercept_only})
+    chars = [Characteristic("total"), Characteristic("median"), Characteristic("quantile", 0.9)]
+    for y in (frame.y_sample, frame.y_sample[::-1] * 1.5):
+        fresh = eval_characteristics(chars, np.concatenate([y, fit(spec, frame.x_sample, y).predict(frame.x_out)]))
+        assert np.array_equal(plug_in_predict(PredictionStrategy("s", spec), frame, y, chars), fresh)
 
 
 ORDERED_KINDS = [
